@@ -15,7 +15,6 @@ from .limitlaw import (
     MassDriftError,
     NonlinearPath,
     TransportedDensity,
-    density_at,
     simulate_coupled,
     simulate_nonlinear_path,
     solve_marginals,
@@ -71,7 +70,6 @@ __all__ = [
     "ValidationReport",
     "apply_spike",
     "check_apriori",
-    "density_at",
     "derive_seed",
     "fit_rate",
     "flow",

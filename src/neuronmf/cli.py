@@ -6,8 +6,9 @@ CSV/JSON with 17-significant-digit floats, and a fixed seed gives
 byte-identical report files no matter how many workers run the
 replicates (wall-clock goes to a separate timing file for that reason).
 
-Exit codes: 0 pass, 1 declared tolerances violated, 2 bad configuration,
-3 event budget exceeded.
+Exit codes: 0 pass, 1 declared tolerances violated (including a limit
+solve that drifts beyond mass_abs), 2 bad configuration, 3 event budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .invariant import solve_a_star
-from .limitlaw import CoupledStats, simulate_coupled, solve_marginals
+from .limitlaw import CoupledStats, MassDriftError, simulate_coupled, solve_marginals
 from .metrics import fit_rate, tv_densities
 from .model import ConfigError, InitialLaw, RateFunction, SystemConfig, Tolerances, survival
 from .particle import EventBudgetExceededError, check_apriori, simulate
@@ -213,34 +214,30 @@ def cmd_solve_limit(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
         ["time", "a", "p", "m"],
         list(zip(sol.times.tolist(), sol.a.tolist(), sol.p.tolist(), sol.m.tolist())),
     )
-    ok = True
-    mass_abs = system.tolerances.mass_abs
+    rows = []
     for k, snap in enumerate(sol.snapshots):
         _write_csv(out / f"density_{k:03d}.csv", ["y", "density", "part"], snap.rows())
-        mass_err = abs(snap.mass() - 1.0)
-        loide = _loidetau_residual(sol, snap, system) if snap.t > 0 else 0.0
-        if mass_err > mass_abs or loide > mass_abs:
-            ok = False
-    _write_json(
-        out / "limit_report.json",
-        {
-            "snapshots": [
-                {
-                    "t": snap.t,
-                    "mass_error": abs(snap.mass() - 1.0),
-                    "loidetau_residual": _loidetau_residual(sol, snap, system) if snap.t > 0 else 0.0,
-                    "boundary_density": snap.density(0.0),
-                    "p_over_a": snap.p_t / snap.a_t if snap.a_t > 0 else 0.0,
-                }
-                for snap in sol.snapshots
-            ],
-            "ok": ok,
-        },
-    )
+        rows.append(
+            {
+                "t": snap.t,
+                "mass_error": abs(snap.mass() - 1.0),
+                "loidetau_residual": _loidetau_residual(sol, snap, system) if snap.t > 0 else 0.0,
+                "boundary_density": snap.density(0.0),
+                "p_over_a": snap.p_t / snap.a_t if snap.a_t > 0 else 0.0,
+            }
+        )
+    mass_abs = system.tolerances.mass_abs
+    ok = not any(r["mass_error"] > mass_abs or r["loidetau_residual"] > mass_abs for r in rows)
+    _write_json(out / "limit_report.json", {"snapshots": rows, "ok": ok})
     return 0 if ok else 1
 
 
 _POOL_STATE: dict = {}
+
+
+def _init_pool(state: dict):
+    # runs in every worker, so the state also reaches spawn/forkserver children
+    _POOL_STATE.update(state)
 
 
 def _chaos_worker(args):
@@ -278,14 +275,17 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
     master = base.seed
     sol = solve_marginals(base, snapshot_times=snaps)
 
-    _POOL_STATE.update(base=base, sol=sol, snaps=snaps, master=master, budget=budget)
+    state = dict(base=base, sol=sol, snaps=snaps, master=master, budget=budget)
     tasks = [(n, rep) for n in n_grid for rep in range(replicates)]
     results: dict = {}
     if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=threads, initializer=_init_pool, initargs=(state,)
+        ) as pool:
             for key, stats in pool.map(_chaos_worker, tasks, chunksize=8):
                 results[key] = stats
     else:
+        _init_pool(state)
         for task in tasks:
             key, stats = _chaos_worker(task)
             results[key] = stats
@@ -423,14 +423,18 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         cfg = load_config(args.config)
-        declared = cfg.get("command")
-        if declared is not None and declared != args.command:
-            raise ConfigError(f"config declares command {declared!r}, invoked as {args.command!r}")
+        if not isinstance(cfg, dict) or "command" not in cfg:
+            raise ConfigError('config needs a top-level "command" field')
+        if cfg["command"] != args.command:
+            raise ConfigError(f"config declares command {cfg['command']!r}, invoked as {args.command!r}")
         out.mkdir(parents=True, exist_ok=True)
         code = _COMMANDS[args.command](cfg, out, seed=args.seed, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MassDriftError as exc:
+        print(f"tolerance violated: {exc}", file=sys.stderr)
+        return 1
     except EventBudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -18,6 +18,11 @@ at 0 equals p_t / a_t by construction. Time stepping is one
 predictor-corrector pass per dt-slab on the self-consistent drift
 a_t = lam * m_t + p_t, with per-slab survival factors accumulated
 multiplicatively, so the representation never diffuses numerically.
+
+The limit process itself is simulated by thinning against the same drift
+(_LimitPaths: one bound, one step and one position formula). A single
+path runs its own short loop; the particle/limit coupling hands N paths
+to particle's event loop, which drives them with the particles' marks.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ import numpy as np
 
 from .metrics import w1_samples_vs_law
 from .model import ConfigError, DriftSeries, RateFunction, SystemConfig
-from .particle import EventBudgetExceededError
+from .particle import _event_loop
 from .quadrature import cumulative_trapezoid
-from .rng import substream
+from .rng import substream  # noqa: F401  (benchmark/tracing.py wraps this name)
 
 
 class MassDriftError(RuntimeError):
@@ -274,8 +279,9 @@ def solve_marginals(
             )
         )
 
-    snap_set = set(np.round(snap_req, 12))
-    if round(0.0, 12) in snap_set:
+    # each requested time freezes at the kept grid node at or just before it
+    snap_steps = set((np.searchsorted(grid, snap_req, side="right") - 1).tolist())
+    if 0 in snap_steps:
         freeze(0.0, a0, p0, m0)
 
     def attempt(t_lo: float, t_hi: float):
@@ -371,7 +377,7 @@ def solve_marginals(
             jump_w = jump_w[keep]
             jump_dv = jump_dv[keep]
 
-        if round(float(grid[step + 1]), 12) in snap_set:
+        if step + 1 in snap_steps:
             freeze(grid[step + 1], a_series[-1], p_series[-1], m_series[-1])
 
     return MarginalSolution(
@@ -395,11 +401,6 @@ def _prune_nodes(pos: np.ndarray, dy_min: float) -> list:
     return keep
 
 
-def density_at(sol: MarginalSolution, t: float, y):
-    """Density of the solved marginal at a stored snapshot time."""
-    return sol.snapshot_at(t).density(y)
-
-
 # ---------------------------------------------------------------------------
 # Nonlinear process: single paths and the particle/limit coupling
 # ---------------------------------------------------------------------------
@@ -410,9 +411,6 @@ class _FlowEval:
 
     def __init__(self, drift: DriftSeries, lam: float, tol: float = 1e-10):
         ft, fa, nodes = drift._fine_grid(lam, tol)
-        self.ft = ft
-        self.fa = fa
-        self.nodes = nodes
         self.ft_list = ft.tolist()
         self.fa_list = fa.tolist()
         self.node_list = nodes.tolist()
@@ -421,11 +419,7 @@ class _FlowEval:
 
     def integral_to(self, t: float) -> float:
         ft = self.ft_list
-        j = bisect.bisect_right(ft, t) - 1
-        if j < 0:
-            j = 0
-        if j > len(ft) - 2:
-            j = len(ft) - 2
+        j = bisect.bisect_right(ft, t, 1, len(ft) - 1) - 1  # segment index clipped to [0, len - 2]
         h = t - ft[j]
         lam = self.lam
         a_lo = self.fa_list[j]
@@ -437,9 +431,56 @@ class _FlowEval:
         part = h / 6.0 * (math.exp(-lam * h) * a_lo + 4.0 * math.exp(-lam * 0.5 * h) * a_mid + a_t)
         return self.node_list[j] * math.exp(-lam * h) + part
 
-    def flow(self, s: float, t: float, x: float) -> float:
-        decay = math.exp(-self.lam * (t - s))
-        return decay * x + self.integral_to(t) - decay * self.integral_to(s)
+    def flow(self, s: float, t: float, x: float, i_s: float | None = None) -> float:
+        """phi_{s,t}(x) = I(t) + exp(-lam (t-s)) (x - I(s)); i_s = I(s) if already known."""
+        if i_s is None:
+            i_s = self.integral_to(s)
+        return self.integral_to(t) + math.exp(-self.lam * (t - s)) * (x - i_s)
+
+
+class _LimitPaths:
+    """Paths of the limit process on a solved drift, thinned by outside marks.
+
+    Path i flows from its anchor (t_i, y_i) and jumps to 0 at a proposal
+    (t, z) iff z <= f(y_i(t)). by[i] = f(cap_i) dominates its jump rate up
+    to t_end: the flow from y never exceeds cap = max(y, sup a / lam) for
+    lam > 0, or y + I(t_end) - I(t_i) for lam = 0. Anchors move at jumps;
+    with reanchor they also move to every rejected proposal, which
+    tightens the bound of a lone path.
+    """
+
+    def __init__(self, drift: DriftSeries, rate: RateFunction, lam: float, t_end=None, reanchor=False):
+        self.fe = _FlowEval(drift, lam)
+        self.rate = rate
+        self.lam = lam
+        self.reanchor = reanchor
+        self.t_end = self.fe.t_end if t_end is None else float(t_end)
+        self.i_end = self.fe.integral_to(self.t_end)
+        self.cap = float(np.max(drift.a)) / lam if lam > 0 else math.inf
+
+    def start(self, y0):
+        self.ya = np.array(y0, dtype=float)
+        self.ta = np.zeros(self.ya.size)
+        self.ia = np.full(self.ya.size, self.fe.integral_to(0.0))
+        self.by = np.array([self._bound(i) for i in range(self.ya.size)])
+
+    def _bound(self, i: int) -> float:
+        if self.lam == 0.0:
+            return float(self.rate(self.ya[i] + self.i_end - self.ia[i]))
+        return float(self.rate(max(self.ya[i], self.cap)))
+
+    def positions(self, t: float) -> np.ndarray:
+        return self.fe.integral_to(t) + np.exp(-self.lam * (t - self.ta)) * (self.ya - self.ia)
+
+    def propose(self, i: int, t: float, z: float) -> bool:
+        y = self.fe.flow(self.ta[i], t, self.ya[i], self.ia[i])
+        jumped = z <= float(self.rate(y))
+        if jumped or self.reanchor:
+            self.ya[i] = 0.0 if jumped else y
+            self.ta[i] = t
+            self.ia[i] = self.fe.integral_to(t)
+            self.by[i] = self._bound(i)
+        return jumped
 
 
 @dataclass
@@ -466,38 +507,22 @@ def simulate_nonlinear_path(
     rng: np.random.Generator,
     t_end: float | None = None,
 ) -> NonlinearPath:
-    """Exact thinning of the limit process against the solved drift.
+    """Exact thinning of one limit path against the solved drift.
 
-    The flow from y never exceeds max(y, sup a / lam) (lam > 0), or
-    y + remaining integral of a (lam = 0), so f of that cap dominates the
-    jump rate over the whole remaining horizon and acceptance needs only
-    pointwise flow values.
+    Proposals run at the _LimitPaths bound, re-anchored at every proposal,
+    so acceptance needs only pointwise flow values.
     """
-    fe = _FlowEval(drift, lam)
-    t_end = fe.t_end if t_end is None else float(t_end)
-    a_top = float(np.max(drift.a))
-    a_total = fe.integral_to(t_end) if lam == 0.0 else 0.0
+    paths = _LimitPaths(drift, rate, lam, t_end, reanchor=True)
+    paths.start([y0])
     jumps = []
-    t_cur, y_cur = 0.0, float(y0)
-    while True:
-        if lam == 0.0:
-            top = y_cur + a_total - fe.integral_to(t_cur)
-        else:
-            top = max(y_cur, a_top / lam)
-        bound = float(rate(top))
-        if bound <= 0.0:
+    t = 0.0
+    while paths.by[0] > 0.0:
+        t = t + rng.exponential() / paths.by[0]
+        if t >= paths.t_end:
             break
-        tau = t_cur + rng.exponential() / bound
-        if tau >= t_end:
-            break
-        y_prop = fe.flow(t_cur, tau, y_cur)
-        if rng.random() * bound <= float(rate(y_prop)):
-            jumps.append(tau)
-            y_cur = 0.0
-        else:
-            y_cur = y_prop
-        t_cur = tau
-    return NonlinearPath(y0=float(y0), jump_times=np.asarray(jumps), lam=lam, _flow=fe)
+        if paths.propose(0, t, rng.random() * paths.by[0]):
+            jumps.append(t)
+    return NonlinearPath(y0=float(y0), jump_times=np.asarray(jumps), lam=lam, _flow=paths.fe)
 
 
 @dataclass
@@ -537,11 +562,13 @@ def simulate_coupled(
 ) -> CoupledStats:
     """One replicate of the particle system coupled to N limit processes.
 
-    Limit path i starts at the same draw as particle i and consumes the
-    same proposal stream: each proposal (tau, u) carries the mark
-    z = u * B_i, and each process jumps iff z undercuts its own current
-    rate, which realizes one shared driving measure per index. Kicks reach
-    only the particles; the limit paths ride the solved drift.
+    Runs particle's event loop with the N limit paths as its shadow. Limit
+    path i starts at the same draw as particle i and consumes the same
+    proposal stream: each proposal (tau, u) carries the mark z = u * B_i
+    with B_i the larger of the two bounds, and each process jumps iff z
+    undercuts its own current rate, which realizes one shared driving
+    measure per index. Kicks reach only the particles; the limit paths
+    ride the solved drift.
     """
     snap_times = np.asarray(sorted(float(t) for t in snapshot_times), dtype=float)
     if snap_times.size == 0:
@@ -552,121 +579,19 @@ def simulate_coupled(
         raise ConfigError("marginal solution must cover the run horizon")
     laws = [sol.snapshot_at(ts).cdf_grid() for ts in snap_times]
 
-    n = config.n
-    lam = config.lam
     f = config.rate
-    horizon = config.horizon
-    drift = sol.drift()
-    fe = _FlowEval(drift, lam)
-    a_top = float(np.max(drift.a))
-
-    rngs = [substream(config.seed, "prop", i) for i in range(n)]
-    x = np.empty(n)
-    for i in range(n):
-        x[i] = config.initial.sample(substream(config.seed, "init", i), 1)[0]
-
-    xbar = float(np.sort(x).mean())
-    anchor_x = x.copy()
-    t_anchor = 0.0
-
-    y_anchor = x.copy()
-    ta_y = np.zeros(n)
-    i_at_anchor = np.zeros(n)  # I(ta_y_i), cached for vectorized evaluation
-
-    def y_bound(ya: float, ta: float) -> float:
-        if lam == 0.0:
-            return float(f(ya + fe.integral_to(horizon) - fe.integral_to(ta)))
-        return float(f(max(ya, a_top / lam)))
-
-    if lam == 0.0:
-        bx = np.asarray(f(anchor_x), dtype=float)
-    else:
-        bx = np.asarray(f(np.maximum(anchor_x, xbar)), dtype=float)
-    by = np.array([y_bound(y_anchor[i], 0.0) for i in range(n)])
-    bounds = np.maximum(bx, by)
-
-    next_time = np.empty(n)
-    for i in range(n):
-        next_time[i] = t_anchor + rngs[i].exponential() / bounds[i] if bounds[i] > 0 else math.inf
-
-    spikes = 0
+    paths = _LimitPaths(sol.drift(), f, config.lam, t_end=config.horizon)
     mean_abs = np.zeros(snap_times.size)
     mean_h = np.zeros(snap_times.size)
     w1s = np.zeros(snap_times.size)
-    snap_i = 0
 
-    def emit_until(limit: float):
-        nonlocal snap_i
-        while snap_i < snap_times.size and snap_times[snap_i] <= limit + 1e-15:
-            ts = snap_times[snap_i]
-            decay = math.exp(-lam * (ts - t_anchor))
-            xv = xbar + decay * (anchor_x - xbar)
-            dy = np.exp(-lam * (ts - ta_y))
-            yv = fe.integral_to(ts) + dy * (y_anchor - i_at_anchor)
-            mean_abs[snap_i] = float(np.mean(np.abs(xv - yv)))
-            hx = np.asarray(f(xv), float) + np.arctan(xv)
-            hy = np.asarray(f(yv), float) + np.arctan(yv)
-            mean_h[snap_i] = float(np.mean(np.abs(hx - hy)))
-            w1s[snap_i] = w1_samples_vs_law(np.sort(xv), laws[snap_i])
-            snap_i += 1
+    def observe(k, ts, xv):
+        yv = paths.positions(ts)
+        mean_abs[k] = float(np.mean(np.abs(xv - yv)))
+        hx = np.asarray(f(xv), float) + np.arctan(xv)
+        hy = np.asarray(f(yv), float) + np.arctan(yv)
+        mean_h[k] = float(np.mean(np.abs(hx - hy)))
+        w1s[k] = w1_samples_vs_law(np.sort(xv), laws[k])
 
-    while True:
-        i = int(np.argmin(next_time))
-        tau = float(next_time[i])
-        if tau > horizon or not math.isfinite(tau):
-            emit_until(horizon)
-            break
-        emit_until(tau)
-
-        u = rngs[i].random()
-        z = u * bounds[i]
-        decay_i = math.exp(-lam * (tau - t_anchor))
-        xi = xbar + decay_i * (anchor_x[i] - xbar)
-        dyi = math.exp(-lam * (tau - ta_y[i]))
-        yi = fe.integral_to(tau) + dyi * (y_anchor[i] - i_at_anchor[i])
-        jump_x = z <= float(f(xi))
-        jump_y = z <= float(f(yi))
-
-        if jump_y:
-            y_anchor[i] = 0.0
-            ta_y[i] = tau
-            i_at_anchor[i] = fe.integral_to(tau)
-            by[i] = y_bound(0.0, tau)
-
-        if jump_x:
-            spikes += 1
-            if spikes > event_budget:
-                raise EventBudgetExceededError(f"more than {event_budget} spikes")
-            decay = math.exp(-lam * (tau - t_anchor))
-            x_now = xbar + decay * (anchor_x - xbar)
-            x_now += 1.0 / n
-            x_now[i] = 0.0
-            xbar = xbar + ((n - 1) / n - xi) / n
-            if spikes % 4096 == 0:
-                xbar = float(np.sort(x_now).mean())
-            anchor_x = x_now
-            t_anchor = tau
-            old = bounds
-            if lam == 0.0:
-                bx = np.asarray(f(anchor_x), dtype=float)
-            else:
-                bx = np.asarray(f(np.maximum(anchor_x, xbar)), dtype=float)
-            bounds = np.maximum(bx, by)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(bounds > 0, old / bounds, math.inf)
-                next_time = tau + (next_time - tau) * ratio
-            for j in np.nonzero((old <= 0) & (bounds > 0))[0]:
-                next_time[j] = tau + rngs[j].exponential() / bounds[j]
-        else:
-            bounds[i] = max(bx[i], by[i])
-
-        next_time[i] = tau + rngs[i].exponential() / bounds[i] if bounds[i] > 0 else math.inf
-
-    return CoupledStats(
-        n=n,
-        snapshot_times=snap_times,
-        mean_abs_diff=mean_abs,
-        mean_h_diff=mean_h,
-        w1=w1s,
-        replicates=1,
-    )
+    _event_loop(config, range(config.n), snap_times, observe, event_budget, log_events=False, shadow=paths)
+    return CoupledStats(n=config.n, snapshot_times=snap_times, mean_abs_diff=mean_abs, mean_h_diff=mean_h, w1=w1s)

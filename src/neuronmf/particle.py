@@ -13,6 +13,10 @@ rates, realized as one proposal clock per neuron (its own substream) so
 that permuting neuron stream labels exactly permutes trajectories. Pending
 proposal times are rescaled in place when a bound changes, which preserves
 the exponential law without consuming extra randomness.
+
+_event_loop is the package's one exact event engine: simulate runs it
+alone, and limitlaw.simulate_coupled runs it with the N coupled limit
+paths as a shadow that shares every proposal's mark.
 """
 
 from __future__ import annotations
@@ -139,62 +143,73 @@ def simulate(
         raise ConfigError("snapshot times must lie in [0, horizon]")
     if np.any(np.diff(snap_times) < 0):
         raise ConfigError("snapshot times must be sorted")
+    labels = list(range(config.n)) if stream_labels is None else list(stream_labels)
+    if len(labels) != config.n:
+        raise ConfigError("need one stream label per neuron")
 
-    n = config.n
+    f = config.rate
+    snapshots: list[Snapshot] = []
+
+    def observe(k, ts, x):
+        vals = np.sort(x)
+        snapshots.append(
+            Snapshot(time=float(ts), sorted_values=vals, mean=float(vals.mean()), mean_rate=float(np.mean(f(vals))))
+        )
+
+    return _event_loop(config, labels, snap_times, observe, event_budget, log_events), snapshots
+
+
+def _event_loop(config, labels, snap_times, observe, event_budget, log_events, shadow=None):
+    """The thinning loop behind simulate and limitlaw.simulate_coupled.
+
+    observe(k, t, x) receives the (unsorted) potentials at the k-th
+    snapshot time. A shadow -- the coupling's N limit paths -- is started
+    on the initial draws, sees the mark z = u * B_i of every proposal
+    through shadow.propose(i, tau, z), and keeps its own bound array
+    shadow.by; proposals then run at max(bx, by) instead of the particle
+    bounds bx alone. Returns the EventLog.
+    """
     lam = config.lam
     f = config.rate
     horizon = config.horizon
-    labels = list(range(n)) if stream_labels is None else list(stream_labels)
-    if len(labels) != n:
-        raise ConfigError("need one stream label per neuron")
 
     state = init_system(config, labels)
     rngs = [substream(config.seed, "prop", lab) for lab in labels]
     x0 = state.anchor_x.copy()
+    propose = None
+    if shadow is not None:
+        shadow.start(x0)
+        propose = shadow.propose
 
-    xbar = state.xbar
-    anchor_x = state.anchor_x.copy()
-    t_anchor = 0.0
-
-    bounds = _dominating_rates(f, lam, anchor_x, xbar)
-    next_time = np.empty(n)
-    for i in range(n):
-        next_time[i] = _fresh_clock(rngs[i], 0.0, bounds[i])
+    bx = _dominating_rates(f, lam, state.anchor_x, state.xbar)
+    bounds = bx if shadow is None else np.maximum(bx, shadow.by)
+    next_time = np.array([_fresh_clock(rng, 0.0, b) for rng, b in zip(rngs, bounds)])
 
     ev_times, ev_idx, ev_pre = [], [], []
     proposals = 0
     spikes = 0
-    snapshots: list[Snapshot] = []
     snap_i = 0
 
     def emit_until(limit: float):
         nonlocal snap_i
         while snap_i < snap_times.size and snap_times[snap_i] <= limit + 1e-15:
-            ts = snap_times[snap_i]
-            decay = math.exp(-lam * (ts - t_anchor))
-            vals = np.sort(xbar + decay * (anchor_x - xbar))
-            snapshots.append(
-                Snapshot(
-                    time=float(ts),
-                    sorted_values=vals,
-                    mean=float(vals.mean()),
-                    mean_rate=float(np.mean(f(vals))),
-                )
-            )
+            observe(snap_i, snap_times[snap_i], state.positions(snap_times[snap_i]))
             snap_i += 1
 
     while True:
-        i = int(np.argmin(next_time))
-        tau = next_time[i]
+        i = int(next_time.argmin())
+        tau = float(next_time[i])
         if tau > horizon or not math.isfinite(tau):
             emit_until(horizon)
             break
         emit_until(tau)
         proposals += 1
-        decay_i = math.exp(-lam * (tau - t_anchor))
-        xi = xbar + decay_i * (anchor_x[i] - xbar)
-        u = rngs[i].random()
-        if u * bounds[i] <= f(xi):
+        xbar = state.xbar
+        xi = xbar + math.exp(-lam * (tau - state.anchor_time)) * (state.anchor_x[i] - xbar)
+        z = rngs[i].random() * bounds[i]
+        if propose is not None:
+            propose(i, tau, z)
+        if z <= f(xi):
             spikes += 1
             if spikes > event_budget:
                 raise EventBudgetExceededError(f"more than {event_budget} spikes")
@@ -202,18 +217,13 @@ def simulate(
                 ev_times.append(tau)
                 ev_idx.append(i)
                 ev_pre.append(xi)
-            # positions just before the spike, then reset / kick
-            decay = math.exp(-lam * (tau - t_anchor))
-            x_now = xbar + decay * (anchor_x - xbar)
-            x_now += 1.0 / n
-            x_now[i] = 0.0
-            xbar = xbar + ((n - 1) / n - xi) / n
+            state.t = tau
+            state = apply_spike(state, i)
             if spikes % 4096 == 0:
-                xbar = float(np.sort(x_now).mean())  # cap float drift of the running mean
-            anchor_x = x_now
-            t_anchor = tau
+                state.xbar = float(np.sort(state.anchor_x).mean())  # cap float drift of the running mean
             old = bounds
-            bounds = _dominating_rates(f, lam, anchor_x, xbar)
+            bx = _dominating_rates(f, lam, state.anchor_x, state.xbar)
+            bounds = bx if shadow is None else np.maximum(bx, shadow.by)
             # rescale pending exponential clocks to the new rates; clocks
             # that were dormant (zero bound) get a fresh draw instead
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -221,18 +231,17 @@ def simulate(
                 next_time = tau + (next_time - tau) * ratio
             for j in np.nonzero((old <= 0) & (bounds > 0))[0]:
                 next_time[j] = _fresh_clock(rngs[j], tau, bounds[j])
-            next_time[i] = _fresh_clock(rngs[i], tau, bounds[i])
-        else:
-            next_time[i] = _fresh_clock(rngs[i], tau, bounds[i])
+        elif shadow is not None:
+            bounds[i] = max(bx[i], shadow.by[i])  # a jump of limit path i moved by[i]
+        next_time[i] = _fresh_clock(rngs[i], tau, bounds[i])
 
-    log = EventLog(
+    return EventLog(
         times=np.asarray(ev_times),
         indices=np.asarray(ev_idx, dtype=int),
         pre_potentials=np.asarray(ev_pre),
         proposals=proposals,
         initial_values=x0,
     )
-    return log, snapshots
 
 
 def _dominating_rates(f, lam: float, anchor_x: np.ndarray, xbar: float) -> np.ndarray:

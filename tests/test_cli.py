@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,10 @@ class TestConfigErrors:
     def test_command_mismatch(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"command": "invariant", "system": SYSTEM})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_missing_command(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", {"system": SYSTEM, "snapshot_times": [1.0]})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_bad_rate_kind(self, tmp_path):
         bad = dict(SYSTEM, rate={"kind": "cubic"})
@@ -129,6 +137,13 @@ class TestInvariantCommand:
 
 
 class TestSolveLimitCommand:
+    def test_mass_drift_exit_1(self, tmp_path, capsys):
+        sys0 = dict(SYSTEM, n=1, horizon=1.0, tolerances={"mass_abs": 1e-12})
+        cfg = write_cfg(tmp_path, "c.json", {"command": "solve-limit", "system": sys0, "snapshot_times": [1.0]})
+        assert main(["solve-limit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tolerance violated: mass") and err.count("\n") == 1
+
     def test_runs_and_checks(self, tmp_path):
         out = tmp_path / "out"
         sys0 = dict(SYSTEM, n=1, horizon=2.0)
@@ -209,6 +224,28 @@ class TestChaosCommand:
         main(["chaos", "--config", cfg, "--out", str(tmp_path / "b"), "--threads", "3"])
         assert (tmp_path / "a" / "chaos_report.json").read_bytes() == (tmp_path / "b" / "chaos_report.json").read_bytes()
         assert (tmp_path / "a" / "chaos_curve.csv").read_bytes() == (tmp_path / "b" / "chaos_curve.csv").read_bytes()
+
+    def test_threads_under_spawn(self, tmp_path):
+        # workers that do not inherit the parent's memory get the same bytes
+        sys0 = {"lambda": 0.0, "rate": {"kind": "power", "c": 1.0, "xi": 2.0},
+                "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 1.0, "seed": 5}
+        body = {"command": "chaos", "system": sys0, "snapshot_times": [0.5, 1.0],
+                "n_grid": [5, 10, 20], "replicates": 2, "slope_band": [-9, 9], "r_squared_min": 0.0}
+        cfg = write_cfg(tmp_path, "c.json", body)
+        script = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from neuronmf.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for threads in ("1", "2"):
+            args = ["chaos", "--config", cfg, "--out", str(tmp_path / threads), "--threads", threads]
+            run = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+        for name in ("chaos_report.json", "chaos_curve.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_seed_override_changes_results(self, tmp_path):
         sys0 = {"lambda": 0.0, "rate": {"kind": "power", "c": 1.0, "xi": 2.0},

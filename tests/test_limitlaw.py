@@ -10,7 +10,6 @@ from neuronmf import (
     RateFunction,
     SystemConfig,
     Tolerances,
-    density_at,
     simulate_coupled,
     simulate_nonlinear_path,
     solve_marginals,
@@ -79,12 +78,19 @@ class TestSolveMarginals:
     def test_density_rejects_negative(self):
         sol = solve_marginals(exp_config(), snapshot_times=[1.0])
         with pytest.raises(ValueError):
-            density_at(sol, 1.0, -0.5)
+            sol.snapshot_at(1.0).density(-0.5)
 
     def test_missing_snapshot(self):
         sol = solve_marginals(exp_config(), snapshot_times=[1.0])
         with pytest.raises(KeyError):
             sol.snapshot_at(0.7)
+
+    def test_snapshot_off_grid_by_rounding_is_kept(self):
+        # 0.1 + 6e-13 lies within the grid's dedup distance of the node 0.1
+        t = 0.1 + 6e-13
+        sol = solve_marginals(exp_config(horizon=0.2, dt=1e-3), snapshot_times=[t])
+        assert len(sol.snapshots) == 1
+        assert sol.snapshot_at(t).mass() == pytest.approx(1.0, abs=1e-4)
 
     def test_last_jump_identity_independent_quadrature(self):
         sol = solve_marginals(exp_config(rate=FX2), snapshot_times=[0.5, 2.0])
