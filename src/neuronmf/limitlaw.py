@@ -438,49 +438,71 @@ class _FlowEval:
         return self.integral_to(t) + math.exp(-self.lam * (t - s)) * (x - i_s)
 
 
+# drift mass per window of the coupled limit paths: a path's bound sits at
+# most this far above its anchor, so most proposals are its own
+_WINDOW_DRIFT = 1.0 / 16.0
+
+
 class _LimitPaths:
     """Paths of the limit process on a solved drift, thinned by outside marks.
 
     Path i flows from its anchor (t_i, y_i) and jumps to 0 at a proposal
-    (t, z) iff z <= f(y_i(t)). by[i] = f(cap_i) dominates its jump rate up
-    to t_end: the flow from y never exceeds cap = max(y, sup a / lam) for
-    lam > 0, or y + I(t_end) - I(t_i) for lam = 0. Anchors move at jumps;
-    with reanchor they also move to every rejected proposal, which
-    tightens the bound of a lone path.
+    (t, z) iff z <= f(y_i(t)); every proposal re-anchors it. by[i]
+    dominates its jump rate up to the window end w: between jumps
+    y' = a - lam y <= abar - lam y, so by comparison y(t) <= y_i +
+    (1 - e^{-lam (w - t_i)}) (abar/lam - y_i)^+ on [t_i, w] for lam > 0,
+    and y(t) <= y_i + I(w) - I(t_i) for lam = 0 (f is nondecreasing).
+    Windows are window/abar long (one window up to t_end by default);
+    next_window re-anchors all paths at w and bounds them up to the next.
     """
 
-    def __init__(self, drift: DriftSeries, rate: RateFunction, lam: float, t_end=None, reanchor=False):
+    def __init__(self, drift: DriftSeries, rate: RateFunction, lam: float, t_end=None, window=math.inf):
         self.fe = _FlowEval(drift, lam)
         self.rate = rate
         self.lam = lam
-        self.reanchor = reanchor
         self.t_end = self.fe.t_end if t_end is None else float(t_end)
-        self.i_end = self.fe.integral_to(self.t_end)
-        self.cap = float(np.max(drift.a)) / lam if lam > 0 else math.inf
+        self.abar = max(self.fe.fa_list)
+        self.h = window / self.abar if self.abar > 0 else math.inf
 
     def start(self, y0):
         self.ya = np.array(y0, dtype=float)
         self.ta = np.zeros(self.ya.size)
         self.ia = np.full(self.ya.size, self.fe.integral_to(0.0))
-        self.by = np.array([self._bound(i) for i in range(self.ya.size)])
+        self.k = 0
+        self.next_window()
 
-    def _bound(self, i: int) -> float:
+    def next_window(self):
+        """Re-anchor every path at the current window end and bound it up to the next."""
+        if self.k:
+            w = self.w
+            self.ya = self.positions(w)
+            self.ta = np.full(self.ya.size, w)
+            self.ia = np.full(self.ya.size, self.fe.integral_to(w))
+        self.k += 1
+        self.w = min(self.k * self.h, self.t_end)
+        self.i_w = self.fe.integral_to(self.w)
+        self.by = self._bounds(self.ya, self.ta, self.ia)
+
+    def _bounds(self, ya, ta, ia):
         if self.lam == 0.0:
-            return float(self.rate(self.ya[i] + self.i_end - self.ia[i]))
-        return float(self.rate(max(self.ya[i], self.cap)))
+            return np.asarray(self.rate(ya + (self.i_w - ia)), dtype=float)
+        rise = -np.expm1(-self.lam * (self.w - ta)) * np.maximum(self.abar / self.lam - ya, 0.0)
+        return np.asarray(self.rate(ya + rise), dtype=float)
 
     def positions(self, t: float) -> np.ndarray:
         return self.fe.integral_to(t) + np.exp(-self.lam * (t - self.ta)) * (self.ya - self.ia)
 
-    def propose(self, i: int, t: float, z: float) -> bool:
+    def propose(self, i: int, t: float, z: float):
+        """(jumped, overshoot) of path i at the proposal (t, z), which re-anchors it."""
         y = self.fe.flow(self.ta[i], t, self.ya[i], self.ia[i])
-        jumped = z <= float(self.rate(y))
-        if jumped or self.reanchor:
-            self.ya[i] = 0.0 if jumped else y
-            self.ta[i] = t
-            self.ia[i] = self.fe.integral_to(t)
-            self.by[i] = self._bound(i)
-        return jumped
+        fy = float(self.rate(y))
+        overshoot = fy > self.by[i]
+        jumped = z <= fy
+        self.ya[i] = 0.0 if jumped else y
+        self.ta[i] = t
+        self.ia[i] = self.fe.integral_to(t)
+        self.by[i] = self._bounds(self.ya[i], t, self.ia[i])
+        return jumped, overshoot
 
 
 @dataclass
@@ -509,10 +531,13 @@ def simulate_nonlinear_path(
 ) -> NonlinearPath:
     """Exact thinning of one limit path against the solved drift.
 
-    Proposals run at the _LimitPaths bound, re-anchored at every proposal,
-    so acceptance needs only pointwise flow values.
+    Proposals run at the _LimitPaths bound for the single window [0, t_end],
+    re-anchored at every proposal: between jumps y' <= abar - lam y, so
+    the flow from (t_i, y_i) stays below the comparison solution at t_end
+    (y_i + I(t_end) - I(t_i) when lam = 0). Acceptance needs only
+    pointwise flow values.
     """
-    paths = _LimitPaths(drift, rate, lam, t_end, reanchor=True)
+    paths = _LimitPaths(drift, rate, lam, t_end)
     paths.start([y0])
     jumps = []
     t = 0.0
@@ -520,7 +545,7 @@ def simulate_nonlinear_path(
         t = t + rng.exponential() / paths.by[0]
         if t >= paths.t_end:
             break
-        if paths.propose(0, t, rng.random() * paths.by[0]):
+        if paths.propose(0, t, rng.random() * paths.by[0])[0]:
             jumps.append(t)
     return NonlinearPath(y0=float(y0), jump_times=np.asarray(jumps), lam=lam, _flow=paths.fe)
 
@@ -535,6 +560,8 @@ class CoupledStats:
     mean_h_diff: np.ndarray
     w1: np.ndarray
     replicates: int = 1
+    proposals: int = 0  # thinning counters, summed over replicates
+    bound_overshoots: int = 0
 
     @staticmethod
     def combine(parts: list["CoupledStats"]) -> "CoupledStats":
@@ -551,6 +578,8 @@ class CoupledStats:
             mean_h_diff=np.sum(w * [p.mean_h_diff for p in parts], axis=0) / reps,
             w1=np.sum(w * [p.w1 for p in parts], axis=0) / reps,
             replicates=reps,
+            proposals=sum(p.proposals for p in parts),
+            bound_overshoots=sum(p.bound_overshoots for p in parts),
         )
 
 
@@ -580,7 +609,7 @@ def simulate_coupled(
     laws = [sol.snapshot_at(ts).cdf_grid() for ts in snap_times]
 
     f = config.rate
-    paths = _LimitPaths(sol.drift(), f, config.lam, t_end=config.horizon)
+    paths = _LimitPaths(sol.drift(), f, config.lam, t_end=config.horizon, window=_WINDOW_DRIFT)
     mean_abs = np.zeros(snap_times.size)
     mean_h = np.zeros(snap_times.size)
     w1s = np.zeros(snap_times.size)
@@ -593,5 +622,13 @@ def simulate_coupled(
         mean_h[k] = float(np.mean(np.abs(hx - hy)))
         w1s[k] = w1_samples_vs_law(np.sort(xv), laws[k])
 
-    _event_loop(config, range(config.n), snap_times, observe, event_budget, log_events=False, shadow=paths)
-    return CoupledStats(n=config.n, snapshot_times=snap_times, mean_abs_diff=mean_abs, mean_h_diff=mean_h, w1=w1s)
+    log = _event_loop(config, range(config.n), snap_times, observe, event_budget, log_events=False, shadow=paths)
+    return CoupledStats(
+        n=config.n,
+        snapshot_times=snap_times,
+        mean_abs_diff=mean_abs,
+        mean_h_diff=mean_h,
+        w1=w1s,
+        proposals=log.proposals,
+        bound_overshoots=log.bound_overshoots,
+    )

@@ -74,6 +74,7 @@ class EventLog:
     pre_potentials: np.ndarray
     proposals: int
     initial_values: np.ndarray
+    bound_overshoots: int = 0  # proposals whose rate exceeded its bound; > 0 means inexact thinning
 
     @property
     def spikes(self) -> int:
@@ -166,8 +167,10 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
     snapshot time. A shadow -- the coupling's N limit paths -- is started
     on the initial draws, sees the mark z = u * B_i of every proposal
     through shadow.propose(i, tau, z), and keeps its own bound array
-    shadow.by; proposals then run at max(bx, by) instead of the particle
-    bounds bx alone. Returns the EventLog.
+    shadow.by, valid up to the window end shadow.w; proposals then run at
+    max(bx, by) instead of the particle bounds bx alone. When the next
+    proposal lies past shadow.w, the shadow moves to its next window and
+    the pending clocks are rescaled to the new bounds. Returns the EventLog.
     """
     lam = config.lam
     f = config.rate
@@ -187,6 +190,7 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
 
     ev_times, ev_idx, ev_pre = [], [], []
     proposals = 0
+    overshoots = 0
     spikes = 0
     snap_i = 0
 
@@ -199,17 +203,28 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
     while True:
         i = int(next_time.argmin())
         tau = float(next_time[i])
+        if shadow is not None and tau > shadow.w and shadow.w < horizon:
+            w = shadow.w
+            emit_until(w)
+            shadow.next_window()
+            old = bounds
+            bounds = np.maximum(bx, shadow.by)
+            next_time = _rescale_clocks(next_time, w, old, bounds, rngs)
+            continue
         if tau > horizon or not math.isfinite(tau):
-            emit_until(horizon)
+            emit_until(math.inf)  # snapshot times may pass the horizon by rounding
             break
         emit_until(tau)
         proposals += 1
         xbar = state.xbar
         xi = xbar + math.exp(-lam * (tau - state.anchor_time)) * (state.anchor_x[i] - xbar)
+        fx = f(xi)
+        overshoot = fx > bx[i]
         z = rngs[i].random() * bounds[i]
         if propose is not None:
-            propose(i, tau, z)
-        if z <= f(xi):
+            overshoot = propose(i, tau, z)[1] or overshoot
+        overshoots += bool(overshoot)
+        if z <= fx:
             spikes += 1
             if spikes > event_budget:
                 raise EventBudgetExceededError(f"more than {event_budget} spikes")
@@ -224,15 +239,9 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
             old = bounds
             bx = _dominating_rates(f, lam, state.anchor_x, state.xbar)
             bounds = bx if shadow is None else np.maximum(bx, shadow.by)
-            # rescale pending exponential clocks to the new rates; clocks
-            # that were dormant (zero bound) get a fresh draw instead
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(bounds > 0, old / bounds, np.inf)
-                next_time = tau + (next_time - tau) * ratio
-            for j in np.nonzero((old <= 0) & (bounds > 0))[0]:
-                next_time[j] = _fresh_clock(rngs[j], tau, bounds[j])
+            next_time = _rescale_clocks(next_time, tau, old, bounds, rngs)
         elif shadow is not None:
-            bounds[i] = max(bx[i], shadow.by[i])  # a jump of limit path i moved by[i]
+            bounds[i] = max(bx[i], shadow.by[i])  # the proposal re-anchored limit path i
         next_time[i] = _fresh_clock(rngs[i], tau, bounds[i])
 
     return EventLog(
@@ -241,7 +250,22 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
         pre_potentials=np.asarray(ev_pre),
         proposals=proposals,
         initial_values=x0,
+        bound_overshoots=overshoots,
     )
+
+
+def _rescale_clocks(next_time, now, old, new, rngs):
+    """Pending exponential clocks moved from rates old to rates new at time now.
+
+    Memorylessness makes the rescaled residual times exact; clocks that
+    were dormant (zero bound) get a fresh draw instead.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(new > 0, old / new, np.inf)
+        next_time = now + (next_time - now) * ratio
+    for j in np.nonzero((old <= 0) & (new > 0))[0]:
+        next_time[j] = _fresh_clock(rngs[j], now, new[j])
+    return next_time
 
 
 def _dominating_rates(f, lam: float, anchor_x: np.ndarray, xbar: float) -> np.ndarray:
