@@ -44,6 +44,7 @@ from .particle import (
     init_system,
     simulate,
 )
+from .quadrature import QuadratureError
 from .rng import derive_seed, substream
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "NonlinearPath",
     "OutOfGridError",
     "ParticleState",
+    "QuadratureError",
     "RateFit",
     "RateFunction",
     "Snapshot",

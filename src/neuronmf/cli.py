@@ -27,6 +27,7 @@ from .limitlaw import CoupledStats, MassDriftError, simulate_coupled, solve_marg
 from .metrics import fit_rate, tv_densities
 from .model import ConfigError, InitialLaw, RateFunction, SystemConfig, Tolerances, survival
 from .particle import EventBudgetExceededError, check_apriori, simulate
+from .quadrature import QuadratureError
 from .rng import derive_seed
 
 _FMT = "{:.17g}"
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except MassDriftError as exc:
+    except (MassDriftError, QuadratureError) as exc:
         print(f"tolerance violated: {exc}", file=sys.stderr)
         return 1
     except EventBudgetExceededError as exc:

@@ -415,6 +415,7 @@ class _FlowEval:
         self.fa_list = fa.tolist()
         self.node_list = nodes.tolist()
         self.lam = lam
+        self.tol = tol
         self.t_end = float(ft[-1])
 
     def integral_to(self, t: float) -> float:
@@ -451,7 +452,8 @@ class _LimitPaths:
     dominates its jump rate up to the window end w: between jumps
     y' = a - lam y <= abar - lam y, so by comparison y(t) <= y_i +
     (1 - e^{-lam (w - t_i)}) (abar/lam - y_i)^+ on [t_i, w] for lam > 0,
-    and y(t) <= y_i + I(w) - I(t_i) for lam = 0 (f is nondecreasing).
+    and y(t) <= y_i + I(w) - I(t_i) for lam = 0 (f is nondecreasing);
+    the bound position carries a slack that covers the flow's quadrature.
     Windows are window/abar long (one window up to t_end by default);
     next_window re-anchors all paths at w and bounds them up to the next.
     """
@@ -462,6 +464,7 @@ class _LimitPaths:
         self.lam = lam
         self.t_end = self.fe.t_end if t_end is None else float(t_end)
         self.abar = max(self.fe.fa_list)
+        self.slack = 10.0 * self.fe.tol  # covers the quadrature error of the computed flow
         self.h = window / self.abar if self.abar > 0 else math.inf
 
     def start(self, y0):
@@ -485,9 +488,10 @@ class _LimitPaths:
 
     def _bounds(self, ya, ta, ia):
         if self.lam == 0.0:
-            return np.asarray(self.rate(ya + (self.i_w - ia)), dtype=float)
-        rise = -np.expm1(-self.lam * (self.w - ta)) * np.maximum(self.abar / self.lam - ya, 0.0)
-        return np.asarray(self.rate(ya + rise), dtype=float)
+            rise = self.i_w - ia
+        else:
+            rise = -np.expm1(-self.lam * (self.w - ta)) * np.maximum(self.abar / self.lam - ya, 0.0)
+        return np.asarray(self.rate(ya + rise + self.slack), dtype=float)
 
     def positions(self, t: float) -> np.ndarray:
         return self.fe.integral_to(t) + np.exp(-self.lam * (t - self.ta)) * (self.ya - self.ia)

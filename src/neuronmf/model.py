@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import cumulative_trapezoid, simpson_refine
+from .quadrature import QuadratureError, cumulative_trapezoid, simpson_refine
 
 
 class ConfigError(ValueError):
@@ -547,7 +547,7 @@ class DriftSeries:
                     break
                 t, a, vals = t2, a2, vals2
             else:
-                raise RuntimeError("flow quadrature did not converge")
+                raise QuadratureError("flow quadrature did not converge")
         self._flow_cache[key] = (t, a, vals)
         return t, a, vals
 
@@ -629,4 +629,4 @@ def _survival_exponents(drift, rate, lam, s, t, x_arr, tol):
             return cur
         prev = cur
         m *= 2
-    raise RuntimeError("survival quadrature did not converge")
+    raise QuadratureError("survival quadrature did not converge")

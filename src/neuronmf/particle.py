@@ -216,8 +216,9 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
             break
         emit_until(tau)
         proposals += 1
-        xbar = state.xbar
-        xi = xbar + math.exp(-lam * (tau - state.anchor_time)) * (state.anchor_x[i] - xbar)
+        xi = state.anchor_x[i]
+        if lam != 0.0:  # at lam = 0 the potential rests at its anchor, exactly where its bound was taken
+            xi = state.xbar + math.exp(-lam * (tau - state.anchor_time)) * (xi - state.xbar)
         fx = f(xi)
         overshoot = fx > bx[i]
         z = rngs[i].random() * bounds[i]

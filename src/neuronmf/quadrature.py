@@ -10,6 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 
+class QuadratureError(RuntimeError):
+    """An adaptive quadrature did not reach its tolerance."""
+
+
 def simpson_refine(
     f,
     a: float,
@@ -20,7 +24,7 @@ def simpson_refine(
 ) -> float:
     """Integrate f over [a, b] to absolute tolerance tol.
 
-    n0 is the initial (even) panel count. Raises RuntimeError if the
+    n0 is the initial (even) panel count. Raises QuadratureError if the
     tolerance is not reached within max_doublings refinements.
     """
     if b <= a:
@@ -47,8 +51,8 @@ def simpson_refine(
             return float(s)
         s_prev = s
     if not np.isfinite(s_prev):
-        raise RuntimeError("non-finite quadrature")
-    raise RuntimeError(f"quadrature did not reach tol={tol} on [{a}, {b}]")
+        raise QuadratureError("non-finite quadrature")
+    raise QuadratureError(f"quadrature did not reach tol={tol} on [{a}, {b}]")
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

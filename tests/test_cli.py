@@ -135,6 +135,20 @@ class TestInvariantCommand:
         cfg = write_cfg(tmp_path, "c.json", {"command": "invariant", "system": sys_bad})
         assert main(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_quadrature_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        # lambda 3.5 with f(x) = x exhausts the Simpson refinement; a smaller
+        # refinement budget reaches the same failure without the 22 doublings
+        import neuronmf.invariant as inv
+        from neuronmf.quadrature import simpson_refine
+
+        monkeypatch.setattr(inv, "simpson_refine", lambda *a, **k: simpson_refine(*a, **k, max_doublings=6))
+        sys35 = {"lambda": 3.5, "rate": {"kind": "power", "c": 1.0, "xi": 1.0},
+                 "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 1.0, "seed": 1}
+        cfg = write_cfg(tmp_path, "c.json", {"command": "invariant", "system": sys35})
+        assert main(["invariant", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tolerance violated: quadrature") and err.count("\n") == 1
+
 
 class TestSolveLimitCommand:
     def test_mass_drift_exit_1(self, tmp_path, capsys):

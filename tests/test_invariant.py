@@ -134,3 +134,15 @@ class TestStationarity:
         for snap in sol.snapshots:
             l1 = np.trapezoid(np.abs(snap.density(ys) - invariant_density(res, ys)), ys)
             assert l1 < 1e-3
+
+
+class TestSimpsonRefine:
+    def test_unreached_tolerance_raises(self):
+        from neuronmf import QuadratureError
+        from neuronmf.quadrature import simpson_refine
+
+        step = lambda x: np.where(x < 1 / 3, 0.0, 1.0)  # noqa: E731
+        with pytest.raises(QuadratureError, match="did not reach tol"):
+            simpson_refine(step, 0.0, 1.0, 1e-15, max_doublings=3)
+        with pytest.raises(QuadratureError, match="non-finite"), np.errstate(divide="ignore", invalid="ignore"):
+            simpson_refine(lambda x: 1.0 / x, 0.0, 1.0, 1e-15, max_doublings=3)

@@ -14,8 +14,10 @@ from neuronmf import (
     simulate_nonlinear_path,
     solve_marginals,
     substream,
+    simulate,
     survival,
 )
+from neuronmf.limitlaw import _WINDOW_DRIFT, _LimitPaths
 from oracles import upwind_marginals
 
 FX = RateFunction.power(1, 1)
@@ -200,6 +202,46 @@ class TestNonlinearPath:
                 assert path.value(t) <= bound + 1e-9
 
 
+class TestWindowBound:
+    @pytest.mark.parametrize("lam,constant", [(0.0, False), (1.0, False), (2.0, False), (1.0, True)])
+    def test_flow_below_window_bound(self, lam, constant):
+        # f(flow(s, u, y)) <= the bound taken at (s, y) for every s <= u <= w;
+        # a drift that stays at its maximum makes the lam > 0 bound tight
+        from neuronmf import DriftSeries
+
+        drift = solve_marginals(exp_config(lam=lam), snapshot_times=[2.0]).drift()
+        if constant:
+            drift = DriftSeries.constant(float(np.max(drift.a)), 2.0)
+        paths = _LimitPaths(drift, FX2, lam, t_end=2.0, window=_WINDOW_DRIFT)
+        y0 = np.linspace(0.0, 2.0 * paths.abar / max(lam, 1.0), 9)
+        if lam > 0:
+            y0 = np.append(y0, paths.abar / lam)
+        paths.start(y0)
+        fe = paths.fe
+        checked = 0
+        for _ in range(4):
+            t0, w = float(paths.ta[0]), paths.w
+            assert np.all(FX2(paths.positions(w)) <= paths.by)
+            for s in np.linspace(t0, w, 5):
+                i_s = fe.integral_to(s)
+                ys = paths.positions(s)
+                by = paths._bounds(ys, s, i_s)
+                for u in np.linspace(s, w, 7):
+                    fy = FX2(np.array([fe.flow(s, u, y, i_s) for y in ys]))
+                    assert np.all(fy <= by), f"s={s} u={u}"
+                    checked += ys.size
+            paths.next_window()
+            assert paths.w > w
+        assert checked > 0
+
+    def test_single_window_without_drift(self):
+        from neuronmf import DriftSeries
+
+        paths = _LimitPaths(DriftSeries.constant(0.0, 2.0), FX2, 1.0, t_end=2.0, window=_WINDOW_DRIFT)
+        paths.start([0.5])
+        assert paths.w == 2.0
+
+
 class TestSimulateCoupled:
     def test_point_mass_zero_trivial(self):
         cfg = SystemConfig(n=8, lam=0.0, rate=FX2, initial=InitialLaw.point_mass(0.0), horizon=1.0, seed=5)
@@ -231,6 +273,41 @@ class TestSimulateCoupled:
             agg = CoupledStats.combine(parts)
             sup[n] = float(np.max(agg.mean_abs_diff))
         assert sup[400] < sup[25]
+
+    def test_snapshot_past_horizon_by_rounding_is_kept(self):
+        cfg = exp_config(n=3, lam=1.0, horizon=1.0)
+        snaps = [0.5, 1.0 + 5e-13]
+        stats = simulate_coupled(cfg, solve_marginals(cfg, snapshot_times=snaps), snaps)
+        assert np.all(stats.w1 > 0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("rate", [FX2, RateFunction.polynomial([0.0, 1.0, 1.0]), RateFunction.power(2, 1.5)])
+    def test_no_bound_overshoots(self, lam, rate):
+        sol = solve_marginals(exp_config(lam=lam, rate=rate), snapshot_times=[1.0, 2.0])
+        for n in [1, 2, 50, 400]:
+            stats = simulate_coupled(exp_config(lam=lam, rate=rate, n=n), sol, [1.0, 2.0])
+            assert stats.proposals > 0
+            assert stats.bound_overshoots == 0, f"n={n}"
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_coupled_proposals_close_to_plain(self, lam):
+        # the limit-path bounds add few proposals to the particle system's own
+        sol = solve_marginals(exp_config(lam=lam), snapshot_times=[1.0, 2.0])
+        coupled = plain = 0
+        for seed in range(3):
+            cfg = SystemConfig(n=400, lam=lam, rate=FX2, initial=InitialLaw.exponential(1.0), horizon=2.0, seed=seed)
+            coupled += simulate_coupled(cfg, sol, [1.0, 2.0]).proposals
+            plain += simulate(cfg, [1.0, 2.0], log_events=False)[0].proposals
+        assert coupled <= 1.25 * plain
+
+    def test_combine_counts(self):
+        parts = [
+            CoupledStats(n=2, snapshot_times=np.array([1.0]), mean_abs_diff=np.zeros(1), mean_h_diff=np.zeros(1),
+                         w1=np.zeros(1), proposals=p, bound_overshoots=o)
+            for p, o in [(5, 0), (7, 1)]
+        ]
+        c = CoupledStats.combine(parts)
+        assert (c.proposals, c.bound_overshoots) == (12, 1)
 
     def test_combine_weighting(self):
         a = CoupledStats(n=2, snapshot_times=np.array([1.0]), mean_abs_diff=np.array([1.0]),

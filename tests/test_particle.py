@@ -135,6 +135,18 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             simulate(make_config(horizon=1.0), [0.5, 2.0])
 
+    def test_snapshot_past_horizon_by_rounding_is_kept(self):
+        log, snaps = simulate(make_config(n=3, lam=1.0, horizon=1.0), [0.5, 1.0 + 5e-13])
+        assert [s.time for s in snaps] == [0.5, 1.0 + 5e-13]
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("rate", [FX2, RateFunction.polynomial([0.0, 1.0, 1.0]), RateFunction.power(2, 1.5)])
+    def test_no_bound_overshoots(self, lam, rate):
+        for n in [1, 2, 50, 400]:
+            log, _ = simulate(make_config(n=n, lam=lam, rate=rate, seed=101), [1.0])
+            assert log.proposals > 0
+            assert log.bound_overshoots == 0, f"n={n}"
+
 
 class TestCheckApriori:
     def test_empty_log_constant_mean(self):
