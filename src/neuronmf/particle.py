@@ -9,10 +9,11 @@ the mean is constant and every potential moves monotonically toward it, so
 
 which makes f(max(x_i(t_anchor), xbar)) a valid dominating rate until the
 next spike. Simulation is by thinning against these per-neuron dominating
-rates, realized as one proposal clock per neuron (its own substream) so
-that permuting neuron stream labels exactly permutes trajectories. Pending
-proposal times are rescaled in place when a bound changes, which preserves
-the exponential law without consuming extra randomness.
+rates, realized as one proposal clock per neuron (its own substream, whose
+first draw is the neuron's initial potential) so that permuting neuron
+stream labels exactly permutes trajectories. Pending proposal times are
+rescaled in place when a bound changes, which preserves the exponential
+law without consuming extra randomness.
 
 _event_loop is the package's one exact event engine: simulate runs it
 alone, and limitlaw.simulate_coupled runs it with the N coupled limit
@@ -100,11 +101,13 @@ class BoundReport:
 
 def init_system(config: SystemConfig, stream_labels=None) -> ParticleState:
     """Draw N i.i.d. initial potentials, one substream per neuron."""
-    n = config.n
-    labels = range(n) if stream_labels is None else stream_labels
-    x = np.empty(n)
-    for i, lab in enumerate(labels):
-        x[i] = config.initial.sample(substream(config.seed, "init", lab), 1)[0]
+    labels = range(config.n) if stream_labels is None else stream_labels
+    return _initial_state(config, [substream(config.seed, "init", lab) for lab in labels])
+
+
+def _initial_state(config: SystemConfig, rngs) -> ParticleState:
+    """The state at time 0, neuron i starting at the next draw of rngs[i]."""
+    x = np.array([config.initial.sample(rng, 1)[0] for rng in rngs], dtype=float)
     # summing in sorted order makes the mean independent of the labeling,
     # so permuting stream labels permutes trajectories bitwise
     return ParticleState(t=0.0, lam=config.lam, xbar=float(np.sort(x).mean()), anchor_time=0.0, anchor_x=x)
@@ -176,8 +179,9 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
     f = config.rate
     horizon = config.horizon
 
-    state = init_system(config, labels)
+    # one stream per neuron: its initial potential, then its proposals
     rngs = [substream(config.seed, "prop", lab) for lab in labels]
+    state = _initial_state(config, rngs)
     x0 = state.anchor_x.copy()
     propose = None
     if shadow is not None:
