@@ -601,7 +601,12 @@ def simulate_coupled(
     with B_i the larger of the two bounds, and each process jumps iff z
     undercuts its own current rate, which realizes one shared driving
     measure per index. Kicks reach only the particles; the limit paths
-    ride the solved drift.
+    ride the solved drift. Their bounds hold up to window ends 1/(16 abar)
+    apart (abar = max drift): y' <= abar - lam y bounds a path's rise
+    within a window by 1/16, and at each window end all paths are
+    re-anchored and re-bounded. Any dominating envelope thins the same
+    Poisson measure (Lewis-Shedler), so the windows change the proposal
+    sequence, not the coupling's law.
     """
     snap_times = np.asarray(sorted(float(t) for t in snapshot_times), dtype=float)
     if snap_times.size == 0:

@@ -227,7 +227,7 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
         overshoot = fx > bx[i]
         z = rngs[i].random() * bounds[i]
         if propose is not None:
-            overshoot = propose(i, tau, z)[1] or overshoot
+            overshoot |= propose(i, tau, z)[1]
         overshoots += bool(overshoot)
         if z <= fx:
             spikes += 1

@@ -5,16 +5,17 @@ import pytest
 
 from neuronmf import (
     CoupledStats,
+    DriftSeries,
     InitialLaw,
     MassDriftError,
     RateFunction,
     SystemConfig,
     Tolerances,
+    simulate,
     simulate_coupled,
     simulate_nonlinear_path,
     solve_marginals,
     substream,
-    simulate,
     survival,
 )
 from neuronmf.limitlaw import _WINDOW_DRIFT, _LimitPaths
@@ -207,8 +208,6 @@ class TestWindowBound:
     def test_flow_below_window_bound(self, lam, constant):
         # f(flow(s, u, y)) <= the bound taken at (s, y) for every s <= u <= w;
         # a drift that stays at its maximum makes the lam > 0 bound tight
-        from neuronmf import DriftSeries
-
         drift = solve_marginals(exp_config(lam=lam), snapshot_times=[2.0]).drift()
         if constant:
             drift = DriftSeries.constant(float(np.max(drift.a)), 2.0)
@@ -218,7 +217,6 @@ class TestWindowBound:
             y0 = np.append(y0, paths.abar / lam)
         paths.start(y0)
         fe = paths.fe
-        checked = 0
         for _ in range(4):
             t0, w = float(paths.ta[0]), paths.w
             assert np.all(FX2(paths.positions(w)) <= paths.by)
@@ -229,14 +227,10 @@ class TestWindowBound:
                 for u in np.linspace(s, w, 7):
                     fy = FX2(np.array([fe.flow(s, u, y, i_s) for y in ys]))
                     assert np.all(fy <= by), f"s={s} u={u}"
-                    checked += ys.size
             paths.next_window()
             assert paths.w > w
-        assert checked > 0
 
     def test_single_window_without_drift(self):
-        from neuronmf import DriftSeries
-
         paths = _LimitPaths(DriftSeries.constant(0.0, 2.0), FX2, 1.0, t_end=2.0, window=_WINDOW_DRIFT)
         paths.start([0.5])
         assert paths.w == 2.0
@@ -284,10 +278,12 @@ class TestSimulateCoupled:
     @pytest.mark.parametrize("rate", [FX2, RateFunction.polynomial([0.0, 1.0, 1.0]), RateFunction.power(2, 1.5)])
     def test_no_bound_overshoots(self, lam, rate):
         sol = solve_marginals(exp_config(lam=lam, rate=rate), snapshot_times=[1.0, 2.0])
+        proposals = 0
         for n in [1, 2, 50, 400]:
             stats = simulate_coupled(exp_config(lam=lam, rate=rate, n=n), sol, [1.0, 2.0])
-            assert stats.proposals > 0
+            proposals += stats.proposals
             assert stats.bound_overshoots == 0, f"n={n}"
+        assert proposals > 0
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_coupled_proposals_close_to_plain(self, lam):
@@ -300,21 +296,14 @@ class TestSimulateCoupled:
             plain += simulate(cfg, [1.0, 2.0], log_events=False)[0].proposals
         assert coupled <= 1.25 * plain
 
-    def test_combine_counts(self):
-        parts = [
-            CoupledStats(n=2, snapshot_times=np.array([1.0]), mean_abs_diff=np.zeros(1), mean_h_diff=np.zeros(1),
-                         w1=np.zeros(1), proposals=p, bound_overshoots=o)
-            for p, o in [(5, 0), (7, 1)]
-        ]
-        c = CoupledStats.combine(parts)
-        assert (c.proposals, c.bound_overshoots) == (12, 1)
-
     def test_combine_weighting(self):
         a = CoupledStats(n=2, snapshot_times=np.array([1.0]), mean_abs_diff=np.array([1.0]),
-                         mean_h_diff=np.array([2.0]), w1=np.array([3.0]), replicates=1)
+                         mean_h_diff=np.array([2.0]), w1=np.array([3.0]), replicates=1, proposals=5)
         b = CoupledStats(n=2, snapshot_times=np.array([1.0]), mean_abs_diff=np.array([4.0]),
-                         mean_h_diff=np.array([5.0]), w1=np.array([6.0]), replicates=3)
+                         mean_h_diff=np.array([5.0]), w1=np.array([6.0]), replicates=3, proposals=7,
+                         bound_overshoots=1)
         c = CoupledStats.combine([a, b])
         assert c.replicates == 4
+        assert (c.proposals, c.bound_overshoots) == (12, 1)  # counters are summed, not weighted
         assert c.mean_abs_diff[0] == pytest.approx((1 * 1 + 3 * 4) / 4)
         assert c.w1[0] == pytest.approx((1 * 3 + 3 * 6) / 4)
