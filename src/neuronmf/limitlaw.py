@@ -440,7 +440,7 @@ class _FlowEval:
 
 
 # drift mass per window of the coupled limit paths: a path's bound sits at
-# most this far above its anchor, so most proposals are its own
+# most this far above its anchor, so few proposals are wasted on it
 _WINDOW_DRIFT = 1.0 / 16.0
 
 
