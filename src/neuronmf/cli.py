@@ -185,23 +185,22 @@ def _loidetau_residual(sol, snap, system: SystemConfig) -> float:
     """Independent check that the last-jump-time law has unit mass.
 
     Recomputes E[kappa_{0,t}(Y0)] + int_0^t p_s kappa_{s,t}(0) ds with the
-    standalone survival quadrature rather than the solver's own weights.
+    standalone survival quadrature along the solved drift, rather than the
+    solver's own slab factors: one survival call for the 257 start times
+    of the jump part, one for the initial nodes and atom origins together.
     """
     t = snap.t
-    drift = sol.drift()
     if t <= 0:
         return 0.0
+    drift = sol.drift()
     s_grid = np.linspace(0.0, t, 257)
-    sv = np.array(
-        [survival(float(s), t, 0.0, system.rate, system.lam, drift) for s in s_grid[:-1]] + [1.0]
-    )
+    sv = survival(s_grid, t, 0.0, system.rate, system.lam, drift)
     jump = float(np.trapezoid(np.interp(s_grid, sol.times, sol.p) * sv, s_grid))
-    init = 0.0
-    if snap.init_x.size:
-        k0 = survival(0.0, t, snap.init_x, system.rate, system.lam, drift)
-        init += float(np.trapezoid(snap.init_g0 * k0, snap.init_x))
-    for origin, _, mass0, _ in snap.atoms:
-        init += mass0 * survival(0.0, t, origin, system.rate, system.lam, drift)
+    origins = [origin for origin, _, _, _ in snap.atoms]
+    k0 = survival(0.0, t, np.concatenate([snap.init_x, origins]), system.rate, system.lam, drift)
+    ni = snap.init_x.size
+    init = float(np.trapezoid(snap.init_g0 * k0[:ni], snap.init_x)) if ni else 0.0
+    init += sum(mass0 * float(k) for (_, _, mass0, _), k in zip(snap.atoms, k0[ni:]))
     return abs(init + jump - 1.0)
 
 

@@ -187,12 +187,72 @@ def _slab_geometry(lam: float, abar: float, dt: float):
     return (1.0, d1, d2), (0.0, abar * (1.0 - d1) / lam, abar * (1.0 - d2) / lam)
 
 
-def _slab_survival(rate, positions, decays, offsets, dt):
-    """exp(-int_slab f(phi)) for each starting position, 3-point Simpson."""
-    f0 = np.asarray(rate(positions), dtype=float)
+def _slab_survival(rate, positions, rates, decays, offsets, dt):
+    """(end positions, their rates, exp(-int_slab f(phi))) per start; rates = f(positions).
+
+    The survival exponent is 3-point Simpson over the slab.
+    """
+    end = decays[2] * positions + offsets[2]
+    f2 = np.asarray(rate(end), dtype=float)
     f1 = np.asarray(rate(decays[1] * positions + offsets[1]), dtype=float)
-    f2 = np.asarray(rate(decays[2] * positions + offsets[2]), dtype=float)
-    return np.exp(-dt / 6.0 * (f0 + 4.0 * f1 + f2))
+    return end, f2, np.exp(-dt / 6.0 * (rates + 4.0 * f1 + f2))
+
+
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """w with w @ y == np.trapezoid(y, x) up to rounding."""
+    w = np.zeros(x.size)
+    half = 0.5 * np.diff(x)
+    w[:-1] += half
+    w[1:] += half
+    return w
+
+
+class _Nodes:
+    """Every transported node of the solver, in arrays grown by doubling.
+
+    The initial-law nodes come first, then the atoms, then from index j0
+    the jump nodes in birth order. Each node has a position x, its rate f(x),
+    a weight w (quadrature weight times birth density: g0 times the
+    trapezoid weight in x, an atom's mass, or p at birth times the
+    trapezoid weight in s) and its accumulated survival surv, so the
+    represented mass is w @ surv. Jump nodes also keep their birth time s,
+    the rate pb at birth and their density value dens. The newest jump node
+    holds only the left half of its s-interval; the right half comes with
+    the next birth.
+    """
+
+    def __init__(self, rate, xs, g0v, atoms, capacity: int):
+        self.j0 = xs.size + len(atoms)
+        size = max(capacity, self.j0 + 1)
+        self.x, self.f, self.w, self.surv, self.s, self.pb, self.dens = np.zeros((7, size))
+        self.x[: self.j0] = np.concatenate([xs, [x0 for x0, _ in atoms]])
+        self.f[: self.j0] = np.asarray(rate(self.x[: self.j0]), dtype=float)
+        self.w[: self.j0] = np.concatenate([g0v * _trapezoid_weights(xs), [mass for _, mass in atoms]])
+        self.surv[: self.j0] = 1.0
+        self.f0 = float(rate(0.0))  # rate of a newborn node at the reset point
+        self.n = self.j0
+
+    def birth(self, s: float, pb: float, dens: float, weight: float):
+        """Append a jump node at the reset point 0 with survival 1."""
+        if self.n == self.x.size:
+            for name in ("x", "f", "w", "surv", "s", "pb", "dens"):
+                old = getattr(self, name)
+                new = np.zeros(2 * old.size)
+                new[: old.size] = old
+                setattr(self, name, new)
+        k = self.n
+        self.x[k], self.f[k], self.w[k], self.surv[k] = 0.0, self.f0, weight, 1.0
+        self.s[k], self.pb[k], self.dens[k] = s, pb, dens
+        self.n += 1
+
+    def prune(self, keep):
+        """Keep the listed jump nodes (indices from j0) and rebuild their s-weights."""
+        j0, n = self.j0, self.n
+        idx = j0 + np.asarray(keep)
+        for arr in (self.x, self.f, self.surv, self.s, self.pb, self.dens):
+            arr[j0 : j0 + idx.size] = arr[idx]
+        self.n = n = j0 + idx.size
+        self.w[j0:n] = self.pb[j0:n] * _trapezoid_weights(self.s[j0:n])
 
 
 def solve_marginals(
@@ -206,13 +266,17 @@ def solve_marginals(
 ) -> MarginalSolution:
     """March the transported density over [0, horizon].
 
+    Initial-law nodes, atoms and jump nodes share one set of arrays
+    (_Nodes), so a predictor or corrector pass is one _slab_survival call
+    over all nodes, one position update and two dot products (p and m).
     One new jump node is born per step, so memory is O(horizon/dt); when
     dy_min > 0, interior nodes closer than dy_min in position are merged
     periodically. Steps over which the drift would change by more than
     adapt_rel (relatively) are bisected, up to 8 levels, which resolves
     fast initial transients without shrinking dt globally; pass
-    adapt_rel=None for strictly fixed steps. Aborts with MassDriftError
-    when the represented mass leaves [1 - mass_abs, 1 + mass_abs].
+    adapt_rel=None for strictly fixed steps. After each step the mass is
+    recomputed from the node arrays; the solve aborts with MassDriftError
+    when it leaves [1 - mass_abs, 1 + mass_abs].
     """
     lam = config.lam
     rate = config.rate
@@ -228,25 +292,18 @@ def solve_marginals(
     grid = np.union1d(np.linspace(0.0, horizon, k + 1), snap_req)
     grid = grid[np.concatenate([[True], np.diff(grid) > 1e-9 * dt])]
 
-    xs, g0v, atom_list = config.initial.solver_nodes(init_nodes)
-    atoms = [(x0, mass, 1.0) for x0, mass in atom_list]  # (origin, mass, survival)
-    init_surv = np.ones_like(g0v)
+    xs, g0v, atoms = config.initial.solver_nodes(init_nodes)
+    ni = xs.size
 
     p0 = float(np.trapezoid(np.asarray(rate(xs), float) * g0v, xs)) if xs.size else 0.0
     m0 = float(np.trapezoid(xs * g0v, xs)) if xs.size else 0.0
-    for x0, mass, _ in atoms:
+    for x0, mass in atoms:
         p0 += float(rate(x0)) * mass
         m0 += x0 * mass
     a0 = lam * m0 + p0
 
-    # jump-part arrays; the s=0 node rides at the splice point
-    s_nodes = [0.0]
-    jump_pos = np.array([0.0])
-    jump_w = np.array([1.0])
-    jump_pb = [p0]
-    jump_dv = np.array([p0 / a0 if a0 > 0 else 0.0])
-
-    splice = 0.0
+    nodes = _Nodes(rate, xs, g0v, atoms, capacity=ni + len(atoms) + grid.size)
+    nodes.birth(0.0, p0, p0 / a0 if a0 > 0 else 0.0, 0.0)  # the s=0 node rides at the splice point
     decay0 = 1.0
 
     times = [0.0]
@@ -256,26 +313,29 @@ def solve_marginals(
     snapshots: list[TransportedDensity] = []
 
     def freeze(t, a_t, p_t, m_t):
-        init_pos = decay0 * xs + splice if xs.size else xs
+        j0, n = nodes.j0, nodes.n
         snapshots.append(
             TransportedDensity(
                 t=float(t),
                 lam=lam,
-                splice=splice,
+                splice=float(nodes.x[j0]),
                 decay0=decay0,
                 a_t=a_t,
                 p_t=p_t,
                 m_t=m_t,
-                jump_s=np.asarray(s_nodes).copy(),
-                jump_pos=jump_pos.copy(),
-                jump_weight=jump_w.copy(),
-                jump_density=jump_dv.copy(),
-                jump_p_birth=np.asarray(jump_pb).copy(),
+                jump_s=nodes.s[j0:n].copy(),
+                jump_pos=nodes.x[j0:n].copy(),
+                jump_weight=nodes.surv[j0:n].copy(),
+                jump_density=nodes.dens[j0:n].copy(),
+                jump_p_birth=nodes.pb[j0:n].copy(),
                 init_x=xs,
-                init_pos=init_pos,
+                init_pos=nodes.x[:ni].copy(),
                 init_g0=g0v,
-                init_surv=init_surv.copy(),
-                atoms=[(x0, decay0 * x0 + splice, mass, mass * surv) for x0, mass, surv in atoms],
+                init_surv=nodes.surv[:ni].copy(),
+                atoms=[
+                    (x0, float(nodes.x[ni + i]), mass, mass * float(nodes.surv[ni + i]))
+                    for i, (x0, mass) in enumerate(atoms)
+                ],
             )
         )
 
@@ -287,47 +347,30 @@ def solve_marginals(
     def attempt(t_lo: float, t_hi: float):
         """Predictor-corrector trial step [t_lo, t_hi]; nothing committed."""
         h = t_hi - t_lo
-        s_arr = np.asarray(s_nodes)
-        pb_arr = np.asarray(jump_pb)
-        init_pos = decay0 * xs + splice if xs.size else xs
-        atom_pos = np.asarray([decay0 * x0 + splice for x0, _, _ in atoms])
-        atom_ms = np.asarray([mass * surv for _, mass, surv in atoms])
+        n = nodes.n
+        x = nodes.x[:n]
+        f = nodes.f[:n]
+        ws = nodes.w[:n] * nodes.surv[:n]
+        # the newest jump node's right half-interval, up to the node born at t_hi
+        ws[-1] += 0.5 * h * nodes.pb[n - 1] * nodes.surv[n - 1]
         abar = a_series[-1]
-        ifac = afac = None
         for _ in range(1 + max(0, corrector_passes)):
             decays, offsets = _slab_geometry(lam, abar, h)
-            pos_new = decays[2] * jump_pos + offsets[2]
-            w_fac = _slab_survival(rate, jump_pos, decays, offsets, h)
-            p_new = float(
-                np.trapezoid(
-                    np.append(np.asarray(rate(pos_new), float) * pb_arr * jump_w * w_fac, 0.0),
-                    np.append(s_arr, t_hi),
-                )
-            )
-            m_new = float(
-                np.trapezoid(np.append(pos_new * pb_arr * jump_w * w_fac, 0.0), np.append(s_arr, t_hi))
-            )
-            if xs.size:
-                ifac = _slab_survival(rate, init_pos, decays, offsets, h)
-                ipos_new = decays[2] * init_pos + offsets[2]
-                p_new += float(np.trapezoid(np.asarray(rate(ipos_new), float) * g0v * init_surv * ifac, xs))
-                m_new += float(np.trapezoid(ipos_new * g0v * init_surv * ifac, xs))
-            if atoms:
-                afac = _slab_survival(rate, atom_pos, decays, offsets, h)
-                apos_new = decays[2] * atom_pos + offsets[2]
-                p_new += float(np.sum(np.asarray(rate(apos_new), float) * atom_ms * afac))
-                m_new += float(np.sum(apos_new * atom_ms * afac))
+            x_new, f_new, fac = _slab_survival(rate, x, f, decays, offsets, h)
+            wsf = ws * fac
+            p_new = float(wsf @ f_new)
+            m_new = float(wsf @ x_new)
             a_new = lam * m_new + p_new
             if not math.isfinite(a_new):
                 raise MassDriftError(f"non-finite drift at t={t_hi}")
             abar = 0.5 * (a_series[-1] + a_new)  # trapezoidal average for the redo
-        return pos_new, w_fac, ifac, afac, decays, offsets, p_new, m_new, a_new
+        return x_new, f_new, fac, decays[2], p_new, m_new, a_new
 
     for step in range(grid.size - 1):
         pending = [(float(grid[step]), float(grid[step + 1]))]
         while pending:
             t, t_next = pending.pop()
-            pos_new, w_fac, ifac, afac, decays, offsets, p_new, m_new, a_new = attempt(t, t_next)
+            x_new, f_new, fac, d2, p_new, m_new, a_new = attempt(t, t_next)
 
             a_prev = a_series[-1]
             scale = max(abs(a_prev), abs(a_new), 1e-12)
@@ -342,40 +385,27 @@ def solve_marginals(
                 continue
 
             # commit the slab
-            jump_pos = pos_new
-            jump_w = jump_w * w_fac
-            jump_dv = jump_dv * w_fac * (1.0 / decays[2])
-            if xs.size:
-                init_surv = init_surv * ifac
-            atoms = [(x0, mass, surv * fac) for (x0, mass, surv), fac in zip(atoms, afac)] if atoms else atoms
-            splice = decays[2] * splice + offsets[2]
-            decay0 *= decays[2]
-
-            s_nodes.append(float(t_next))
-            jump_pos = np.append(jump_pos, 0.0)
-            jump_w = np.append(jump_w, 1.0)
-            jump_pb.append(p_new)
-            jump_dv = np.append(jump_dv, p_new / a_new if a_new > 0 else 0.0)
+            j0, n = nodes.j0, nodes.n
+            nodes.x[:n] = x_new
+            nodes.f[:n] = f_new
+            nodes.surv[:n] *= fac
+            nodes.dens[j0:n] *= fac[j0:]
+            nodes.dens[j0:n] *= 1.0 / d2
+            nodes.w[n - 1] += 0.5 * (t_next - t) * nodes.pb[n - 1]
+            decay0 *= d2
+            nodes.birth(float(t_next), p_new, p_new / a_new if a_new > 0 else 0.0, 0.5 * (t_next - t) * p_new)
 
             times.append(float(t_next))
             a_series.append(a_new)
             p_series.append(p_new)
             m_series.append(m_new)
 
-            mass = float(np.trapezoid(np.asarray(jump_pb) * jump_w, np.asarray(s_nodes)))
-            if xs.size:
-                mass += float(np.trapezoid(g0v * init_surv, xs))
-            mass += sum(mass0 * surv for _, mass0, surv in atoms)
+            mass = float(nodes.w[: nodes.n] @ nodes.surv[: nodes.n])
             if abs(mass - 1.0) > mass_abs:
                 raise MassDriftError(f"mass {mass:.8f} drifted beyond {mass_abs} at t={t_next}")
 
-        if dy_min > 0 and step % 64 == 63 and len(s_nodes) > 8:
-            keep = _prune_nodes(jump_pos, dy_min)
-            s_nodes = [s_nodes[i] for i in keep]
-            jump_pb = [jump_pb[i] for i in keep]
-            jump_pos = jump_pos[keep]
-            jump_w = jump_w[keep]
-            jump_dv = jump_dv[keep]
+        if dy_min > 0 and step % 64 == 63 and nodes.n - nodes.j0 > 8:
+            nodes.prune(_prune_nodes(nodes.x[nodes.j0 : nodes.n], dy_min))
 
         if step + 1 in snap_steps:
             freeze(grid[step + 1], a_series[-1], p_series[-1], m_series[-1])

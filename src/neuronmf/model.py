@@ -557,12 +557,13 @@ class DriftSeries:
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
-        idx = np.clip(np.searchsorted(ft, u, side="right") - 1, 0, ft.size - 2)
+        idx = np.searchsorted(ft[1:-1], u, side="right")  # segment of u, clipped to the grid
         h = u - ft[idx]
         au = np.interp(u, self.times, self.a)
         amid = np.interp(u - 0.5 * h, self.times, self.a)
-        part = h / 6.0 * (np.exp(-lam * h) * fa[idx] + 4.0 * np.exp(-lam * 0.5 * h) * amid + au)
-        out = nodes[idx] * np.exp(-lam * h) + part
+        decay = np.exp(-lam * h)
+        part = h / 6.0 * (decay * fa[idx] + 4.0 * np.exp(-lam * 0.5 * h) * amid + au)
+        out = nodes[idx] * decay + part
         return float(out[0]) if scalar else out
 
     def flow_integral(self, s, t: float, lam: float, tol: float = 1e-10):
@@ -585,48 +586,100 @@ def flow(s, t: float, x, lam: float, drift: DriftSeries, tol: float = 1e-10):
     return out
 
 
-def survival(s: float, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries, tol: float = 1e-8):
-    """No-spike probability kappa_{s,t}(x) along the flow; vectorized in x."""
-    drift._check_range(s, t)
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    if t <= s:
-        out = np.ones_like(x_arr)
-        return float(out[0]) if scalar else out
-
-    exps = _survival_exponents(drift, rate, lam, s, t, x_arr, tol)
-    out = np.exp(-exps)
-    return float(out[0]) if scalar else out
+# largest temporary of the survival quadrature, in doubles (nodes, or nodes x start points)
+_SURVIVAL_CHUNK = 1 << 15
 
 
-def _survival_exponents(drift, rate, lam, s, t, x_arr, tol):
-    """int_s^t f(phi_{s,u}(x)) du for each x, by composite Simpson.
+def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries, tol: float = 1e-8):
+    """No-spike probability kappa_{s,t}(x) along the flow; s and x broadcast.
 
-    Panels are aligned with the drift-grid nodes (the integrand is smooth
-    inside segments but only C^1 across them) and doubled per segment
-    until two successive totals agree within tol.
+    All start points (s_j, x_j) are integrated in one pass of composite
+    Simpson over [min s, t], cut into segments at the drift-grid nodes (the
+    integrand is smooth inside segments but only C^1 across them) and at
+    the start times; start j sums the segments right of s_j. Panels are
+    doubled in every segment at once until no exponent changes by tol or
+    more. A doubling evaluates only the new midpoints, in chunks of at most
+    _SURVIVAL_CHUNK values, so memory stays bounded however fine the panels.
     """
-    base = drift._integral_to(s, lam, tol)
-    inner = drift.times[(drift.times > s + 1e-15) & (drift.times < t - 1e-15)]
-    edges = np.concatenate([[s], inner, [t]])
+    s_arr, x_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
+    shape = s_arr.shape
+    order = np.argsort(s_arr, axis=None, kind="stable")
+    s_arr, x_arr = s_arr.ravel()[order], x_arr.ravel()[order]
+    if s_arr.size == 0:
+        return np.ones(shape)
+    drift._check_range(s_arr[0], t)
+    drift._check_range(s_arr[-1], t)
+    if s_arr[0] == t:
+        return 1.0 if not shape else np.ones(shape)
+
+    first = np.flatnonzero(np.append(True, s_arr[1:] != s_arr[:-1]))
+    starts = s_arr[first]  # distinct start times, ascending
+    n_act = np.append(first[1:], s_arr.size)  # start points (in sorted order) with s_j <= starts[g]
+    inner = drift.times[(drift.times > s_arr[0] + 1e-15) & (drift.times < t - 1e-15)]
+    edges = np.unique(np.concatenate([starts, inner, [t]]))
     seg = np.diff(edges)
-    m = 2
-    prev = None
-    for _ in range(18):
-        offs = np.linspace(0.0, 1.0, m + 1)
-        u = (edges[:-1, None] + seg[:, None] * offs[None, :]).ravel()
-        iu = drift._integral_to(u, lam, tol)
-        decay = np.exp(-lam * (u - s))
-        pos = decay[:, None] * x_arr[None, :] + (iu - decay * base)[:, None]
-        fv = np.asarray(rate(pos), dtype=float).reshape(seg.size, m + 1, x_arr.size)
-        h = (seg / m)[:, None]
-        simp = h / 3.0 * (
-            fv[:, 0, :] + fv[:, -1, :] + 4.0 * fv[:, 1:-1:2, :].sum(axis=1) + 2.0 * fv[:, 2:-1:2, :].sum(axis=1)
-        )
-        cur = simp.sum(axis=0)
-        if prev is not None and np.max(np.abs(cur - prev)) < tol:
-            return cur
-        prev = cur
+    group = np.searchsorted(starts, edges[:-1], side="right") - 1  # segment k is summed by the first n_act[group[k]]
+    k_start = np.searchsorted(edges, s_arr)  # first segment of each start point
+    i_s = drift._integral_to(edges, lam, tol)[k_start]
+
+    def sweep(acc, count, nodes):
+        """acc[:, j] += sum of w f(phi_{s_j, u}(x_j)) over the nodes of the segments start j sums.
+
+        nodes(idx) gives the segment k, the fraction into it and the weight
+        rows w of the nodes idx (ascending in k) out of count.
+        """
+        for b0 in range(0, count, _SURVIVAL_CHUNK):
+            k, frac, w = nodes(np.arange(b0, min(b0 + _SURVIVAL_CHUNK, count)))
+            u = edges[k] + seg[k] * frac
+            iu = drift._integral_to(u, lam, tol)
+            runs = np.concatenate([[0], np.flatnonzero(np.diff(group[k])) + 1, [k.size]])
+            for lo, hi in zip(runs[:-1], runs[1:]):
+                g = group[k[lo]]
+                n = n_act[g]
+                r = starts[g]
+                # phi_{s_j, u}(x_j) = I(u) + exp(-lam (u - r)) coef_j for s_j <= r <= u
+                coef = np.exp(-lam * (r - s_arr[:n])) * (x_arr[:n] - i_s[:n])
+                dec = np.exp(-lam * (u[lo:hi] - r))
+                step = max(1, _SURVIVAL_CHUNK // n)
+                for c0 in range(lo, hi, step):
+                    c1 = min(c0 + step, hi)
+                    pos = np.multiply.outer(dec[c0 - lo : c1 - lo], coef)
+                    pos += iu[c0:c1, None]
+                    acc[:, :n] += w[c0:c1].T @ np.asarray(rate(pos), dtype=float)
+
+    # first level, two panels per segment: end points (row 0) and midpoints
+    # (row 1). Each edge is weighted by both its segments, which a start
+    # point overcounts at its own edge by the segment on the left, where
+    # its flow is still at x_j.
+    nseg = seg.size
+    k1 = np.minimum(np.arange(2 * nseg + 1) // 2, nseg - 1)
+    frac1 = 0.5 * (np.arange(2 * nseg + 1) - 2 * k1)  # 0, 1/2 in each segment, then 1 at t
+    w1 = np.zeros((2 * nseg + 1, 2))
+    w1[:-1:2, 0] = seg
+    w1[2:-1:2, 0] += seg[:-1]
+    w1[-1, 0] = seg[-1]
+    w1[1::2, 1] = seg
+    acc = np.zeros((2, s_arr.size))
+    sweep(acc, k1.size, lambda idx: (k1[idx], frac1[idx], w1[idx]))
+    ends, odds = acc
+    inside = (k_start > 0) & (s_arr < t)
+    ends[inside] -= seg[k_start[inside] - 1] * np.asarray(rate(x_arr[inside]), dtype=float)
+    evens = np.zeros(s_arr.size)  # the same sums over the interior nodes of the previous level
+    cur = (ends + 4.0 * odds) / 6.0
+    m = 4
+    for _ in range(17):
+        evens += odds
+        half = m // 2
+        odds = np.zeros((1, s_arr.size))
+        sweep(odds, nseg * half, lambda idx: (idx // half, (2 * (idx % half) + 1) / m, seg[idx // half, None]))
+        odds = odds[0]
+        prev, cur = cur, (ends + 2.0 * evens + 4.0 * odds) / (3.0 * m)
+        if not np.all(np.isfinite(cur)):
+            raise QuadratureError("non-finite survival exponent")
+        if np.max(np.abs(cur - prev)) < tol:
+            out = np.empty(s_arr.size)
+            out[order] = np.exp(-cur)
+            out = out.reshape(shape)
+            return float(out) if out.ndim == 0 else out
         m *= 2
     raise QuadratureError("survival quadrature did not converge")

@@ -54,6 +54,8 @@ class ParticleState:
         t = self.t if t is None else t
         if t < self.anchor_time - 1e-12:
             raise ValueError("cannot evaluate before the anchor time")
+        if self.lam == 0.0:  # no leak: the potentials rest at their anchors
+            return self.anchor_x.copy()
         decay = math.exp(-self.lam * (t - self.anchor_time))
         return self.xbar + decay * (self.anchor_x - self.xbar)
 

@@ -20,7 +20,7 @@ def simpson_refine(
     b: float,
     tol: float,
     n0: int = 8,
-    max_doublings: int = 22,
+    max_doublings: int = 18,
 ) -> float:
     """Integrate f over [a, b] to absolute tolerance tol.
 

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neuronmf.cli import main
+from neuronmf import InitialLaw, RateFunction, SystemConfig, solve_marginals
+from neuronmf.cli import _loidetau_residual, main
 
 
 def write_cfg(tmp_path, name, obj):
@@ -137,7 +139,7 @@ class TestInvariantCommand:
 
     def test_quadrature_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         # lambda 3.5 with f(x) = x exhausts the Simpson refinement; a smaller
-        # refinement budget reaches the same failure without the 22 doublings
+        # refinement budget reaches the same failure with fewer doublings
         import neuronmf.invariant as inv
         from neuronmf.quadrature import simpson_refine
 
@@ -149,8 +151,39 @@ class TestInvariantCommand:
         err = capsys.readouterr().err
         assert err.startswith("tolerance violated: quadrature") and err.count("\n") == 1
 
+    def test_quadrature_failure_stays_small(self, tmp_path, capsys):
+        # the same failure with the default refinement budget: it must end
+        # with exit 1 before the doubled panels grow to hundreds of MiB
+        sys35 = {"lambda": 3.5, "rate": {"kind": "power", "c": 1.0, "xi": 1.0},
+                 "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 1.0, "seed": 1}
+        cfg = write_cfg(tmp_path, "c.json", {"command": "invariant", "system": sys35})
+        tracemalloc.start()
+        try:
+            code = main(["invariant", "--config", cfg, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith("tolerance violated: quadrature")
+        assert peak < 256 * 2**20
+
 
 class TestSolveLimitCommand:
+    def test_residual_memory_bounded(self):
+        # the survival check integrates its 2000 initial nodes in bounded chunks
+        system = SystemConfig(n=1, lam=1.0, rate=RateFunction.power(1, 2), initial=InitialLaw.exponential(1.0),
+                              horizon=2.0, seed=1)
+        sol = solve_marginals(system, snapshot_times=[2.0])
+        snap = sol.snapshot_at(2.0)
+        tracemalloc.start()
+        try:
+            residual = _loidetau_residual(sol, snap, system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= system.tolerances.mass_abs
+        assert peak <= 32 * 2**20
+
     def test_mass_drift_exit_1(self, tmp_path, capsys):
         sys0 = dict(SYSTEM, n=1, horizon=1.0, tolerances={"mass_abs": 1e-12})
         cfg = write_cfg(tmp_path, "c.json", {"command": "solve-limit", "system": sys0, "snapshot_times": [1.0]})

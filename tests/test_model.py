@@ -200,6 +200,45 @@ class TestSurvival:
         vals = [survival(0.0, t, 0.5, FX2, 1.0, d) for t in [0.5, 1.0, 2.0, 4.0]]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "rate", [FX2, RateFunction.polynomial([1.0, 1.0]), RateFunction.power(1, 1.5)], ids=["x2", "x+x2", "x1.5"]
+    )
+    def test_vectorized_matches_scalar_calls(self, lam, rate):
+        d = DriftSeries(np.linspace(0, 6, 13), 0.4 + 0.2 * np.sin(np.linspace(0, 6, 13)))
+        tol = 1e-8
+        # unsorted start times, repeated ones, one off the drift grid and one at t
+        s = np.array([2.0, 0.0, 1.3, 3.0, 0.5, 2.0, 2.75])
+        x = np.array([0.0, 0.4, 1.0, 2.5])
+        grid = survival(s[:, None], 3.0, x[None, :], rate, lam, d, tol)
+        assert grid.shape == (s.size, x.size)
+        for i, j in np.ndindex(grid.shape):
+            one = survival(float(s[i]), 3.0, float(x[j]), rate, lam, d, tol)
+            assert isinstance(one, float)
+            assert abs(grid[i, j] - one) <= 10 * tol
+        assert np.all(grid[3] == 1.0)  # s = t
+
+    def test_doublings_evaluate_only_new_midpoints(self):
+        # with a constant drift the integrand is quadratic on each of the 12
+        # segments, so Simpson is exact and the check passes at 4 panels; the
+        # 12 * 4 + 1 distinct nodes are each evaluated once (evaluating every
+        # level afresh took 12 * (3 + 5))
+        d = DriftSeries(np.linspace(0, 6, 13), np.full(13, 0.5))
+        sizes = []
+
+        def rate(y):
+            sizes.append(np.size(y))
+            return FX2(y)
+
+        # x(u) = 0.5 + 0.5 u, and int_0^6 x(u)^2 du = 28.5
+        assert survival(0.0, 6.0, 0.5, rate, 0.0, d) == pytest.approx(math.exp(-28.5))
+        assert sum(sizes) == 12 * 4 + 1
+
+    def test_empty_and_broadcast_shapes(self):
+        d = DriftSeries.constant(1.0, 5.0)
+        assert survival(np.array([]), 2.0, 0.0, FX, 0.0, d).shape == (0,)
+        assert survival(np.zeros((2, 3)), 2.0, 1.0, FX, 0.0, d) == pytest.approx(np.full((2, 3), math.exp(-4.0)))
+
     @settings(max_examples=25, deadline=None)
     @given(
         r=st.floats(0.1, 2.0),

@@ -42,6 +42,16 @@ class TestInitSystem:
             make_config(n=0)
 
 
+class TestParticleState:
+    def test_positions_at_lam0_are_the_anchors(self):
+        # without leak the closed form xbar + 1.0 * (x - xbar) is off the anchors by an ulp
+        x = np.array([0.1, 0.7, 2.3, 1e-3, 5.0 / 3.0])
+        st = ParticleState(t=1.5, lam=0.0, xbar=float(x.mean()), anchor_time=0.25, anchor_x=x)
+        assert st.positions().tobytes() == x.tobytes()
+        assert st.positions(2.0).tobytes() == x.tobytes()
+        assert st.positions() is not st.anchor_x
+
+
 class TestApplySpike:
     def test_two_particle_update(self):
         st = ParticleState(t=0.0, lam=1.0, xbar=2.0, anchor_time=0.0, anchor_x=np.array([3.0, 1.0]))
