@@ -27,7 +27,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import RateFunction, validate_assumptions
-from .quadrature import simpson_refine
+from .quadrature import QuadratureError, simpson_refine
+
+# rate evaluations the numeric inner integrals (non-integer exponents at
+# lam > 0) may spend in one gamma or solve_a_star call: every outer node
+# runs its own adaptive Simpson. One Gamma(1.2) at xi = 2 + 1e-12 takes 7.9e7;
+# at xi = 1.5 a single Gamma(2) passes 2.7e8 without converging.
+_INNER_EVALUATIONS = 2**27
+
+
+class _Budget:
+    """Rate evaluations left to the inner integrals of one call."""
+
+    def __init__(self, evaluations: int):
+        self.total = self.left = evaluations
+
+    def spend(self, k: int):
+        self.left -= k
+        if self.left < 0:
+            raise QuadratureError(f"quadrature budget of {self.total} inner rate evaluations exhausted")
 
 
 @dataclass
@@ -66,7 +84,7 @@ class InvariantResult:
         }
 
 
-def _inner_exponent(rate: RateFunction, a: float, lam: float, x, tol: float):
+def _inner_exponent(rate: RateFunction, a: float, lam: float, x, tol: float, budget: _Budget | None = None):
     """int_0^x f(y) / (a - lam y) dy, vectorized in x (x < a/lam)."""
     x = np.asarray(x, dtype=float)
     if lam == 0.0:
@@ -98,6 +116,8 @@ def _inner_exponent(rate: RateFunction, a: float, lam: float, x, tol: float):
         v1 = -math.log1p(-xi / r)
 
         def integrand(v):
+            if budget is not None:
+                budget.spend(v.size)
             return np.asarray(rate(r * (-np.expm1(-v))), dtype=float)
 
         out[i] = simpson_refine(integrand, 0.0, v1, tol * 0.1) / lam
@@ -119,14 +139,14 @@ def _tail_cut_lam0(rate: RateFunction, a: float, tol: float) -> float:
     raise RuntimeError("tail of the stationary density does not decay")
 
 
-def _tail_cut_v(rate: RateFunction, a: float, lam: float, tol: float) -> float:
+def _tail_cut_v(rate: RateFunction, a: float, lam: float, tol: float, budget: _Budget | None = None) -> float:
     """v beyond which the v-substituted outer integrals are below tol."""
     r = a / lam
     v = 1.0
     for _ in range(200):
         x = r * (-math.expm1(-v))
         fx = float(rate(x))
-        inner = float(_inner_exponent(rate, a, lam, x, tol))
+        inner = float(_inner_exponent(rate, a, lam, x, tol, budget))
         # d(inner)/dv = f(x(v))/lam and f is nondecreasing along v
         if fx > 0 and math.exp(-inner) * lam / fx < 0.1 * tol:
             return v
@@ -134,26 +154,31 @@ def _tail_cut_v(rate: RateFunction, a: float, lam: float, tol: float) -> float:
     raise RuntimeError("outer integrand does not decay near the support edge")
 
 
-def gamma(a: float, lam: float, rate: RateFunction, tol: float = 1e-10) -> float:
-    """The scalar monotone function whose unit root determines the invariant law."""
+def gamma(a: float, lam: float, rate: RateFunction, tol: float = 1e-10, budget: _Budget | None = None) -> float:
+    """The scalar monotone function whose unit root determines the invariant law.
+
+    Raises QuadratureError once its inner integrals spend more than
+    _INNER_EVALUATIONS rate evaluations (or the given budget runs out).
+    """
     if a <= 0:
         raise ValueError("gamma needs a > 0")
+    budget = budget or _Budget(_INNER_EVALUATIONS)
     if lam == 0.0:
         x_max = _tail_cut_lam0(rate, a, tol)
         return simpson_refine(
             lambda x: np.exp(-np.asarray(rate.antideriv(x), float) / a), 0.0, x_max, tol
         )
     r = a / lam
-    v_max = _tail_cut_v(rate, a, lam, tol)
+    v_max = _tail_cut_v(rate, a, lam, tol, budget)
 
     def integrand(v):
         x = r * (-np.expm1(-v))
-        return np.exp(-_inner_exponent(rate, a, lam, x, tol) - v)
+        return np.exp(-_inner_exponent(rate, a, lam, x, tol, budget) - v)
 
     return r * simpson_refine(integrand, 0.0, v_max, tol)
 
 
-def _moment_integrals(rate: RateFunction, a: float, lam: float, tol: float):
+def _moment_integrals(rate: RateFunction, a: float, lam: float, tol: float, budget: _Budget | None = None):
     """(Gamma, Gamma1, Gamma2) on a shared grid at the given a.
 
     Gamma1 = int 1/(a - lam x) exp(-inner) dx  (so p = 1/Gamma1) and
@@ -167,11 +192,11 @@ def _moment_integrals(rate: RateFunction, a: float, lam: float, tol: float):
         )
         return g, g / a, g2
     r = a / lam
-    v_max = _tail_cut_v(rate, a, lam, tol)
+    v_max = _tail_cut_v(rate, a, lam, tol, budget)
 
     def weight(v):
         x = r * (-np.expm1(-v))
-        return np.exp(-_inner_exponent(rate, a, lam, x, tol))
+        return np.exp(-_inner_exponent(rate, a, lam, x, tol, budget))
 
     g = r * simpson_refine(lambda v: weight(v) * np.exp(-v), 0.0, v_max, tol)
     g1 = simpson_refine(weight, 0.0, v_max, tol) / lam
@@ -191,16 +216,19 @@ def solve_a_star(
     Brackets [max(lam, eps), a_hi] with a_hi doubled until Gamma > 1
     (guaranteed since Gamma(lam) < 1 and Gamma(inf) = inf), bisects until
     |Gamma(a) - 1| <= root_abs, then recovers p and m from the companion
-    quadratures and cross-checks a* = lam*m + p.
+    quadratures and cross-checks a* = lam*m + p. All of it shares one
+    budget of _INNER_EVALUATIONS inner rate evaluations, past which it
+    raises QuadratureError.
     """
     report = validate_assumptions(rate, np.linspace(0.0, 10.0, 41))
     if not report.a1_pass:
         raise ValueError("rate function fails the basic structural assumptions")
+    budget = _Budget(_INNER_EVALUATIONS)
 
     lo = lam if lam > 0 else 0.0  # Gamma(lo) < 1 without evaluation
     hi = max(1.0, 2.0 * lam) if lam > 0 else 1.0
     for _ in range(200):
-        if gamma(hi, lam, rate, quadrature_abs) > 1.0:
+        if gamma(hi, lam, rate, quadrature_abs, budget) > 1.0:
             break
         lo = hi
         hi *= 2.0
@@ -209,7 +237,7 @@ def solve_a_star(
 
     a = 0.5 * (lo + hi)
     for _ in range(200):
-        val = gamma(a, lam, rate, quadrature_abs)
+        val = gamma(a, lam, rate, quadrature_abs, budget)
         if abs(val - 1.0) <= 0.5 * root_abs:  # margin for the finer recheck
             break
         if val > 1.0:
@@ -220,14 +248,14 @@ def solve_a_star(
     else:
         raise RuntimeError("bisection for Gamma(a)=1 did not converge (inconsistent quadrature?)")
 
-    g, g1, g2 = _moment_integrals(rate, a, lam, quadrature_abs)
+    g, g1, g2 = _moment_integrals(rate, a, lam, quadrature_abs, budget)
     p = 1.0 / g1
     m = p * g2
     support = m + p / lam if lam > 0 else math.inf
 
     if lam > 0:
         r = a / lam
-        vs = np.linspace(0.0, _tail_cut_v(rate, a, lam, quadrature_abs), density_nodes)
+        vs = np.linspace(0.0, _tail_cut_v(rate, a, lam, quadrature_abs, budget), density_nodes)
         xs = r * (-np.expm1(-vs))
     else:
         xs = np.linspace(0.0, _tail_cut_lam0(rate, a, quadrature_abs), density_nodes)
@@ -243,21 +271,21 @@ def solve_a_star(
         density_values=np.empty(0),
         residuals={},
     )
-    result.density_values = invariant_density(result, xs)
+    result.density_values = invariant_density(result, xs, budget)
 
     # residuals recomputed on a finer independent pass
     tol2 = quadrature_abs * 0.1
-    g_f, g1_f, g2_f = _moment_integrals(rate, a, lam, tol2)
+    g_f, g1_f, g2_f = _moment_integrals(rate, a, lam, tol2, budget)
     result.residuals = {
         "normalization": abs(p * g1_f - 1.0),
-        "self_consistency": abs(_mean_rate_under(result, tol2) - p),
+        "self_consistency": abs(_mean_rate_under(result, tol2, budget) - p),
         "fixed_point": abs(a - lam * m - p),
         "gamma_at_root": abs(g - 1.0),
     }
     return result
 
 
-def _mean_rate_under(result: InvariantResult, tol: float) -> float:
+def _mean_rate_under(result: InvariantResult, tol: float, budget: _Budget | None = None) -> float:
     """int f g, independent quadrature against the converged density."""
     rate, a, lam, p = result.rate, result.a_star, result.lam, result.p
     if lam == 0.0:
@@ -269,18 +297,18 @@ def _mean_rate_under(result: InvariantResult, tol: float) -> float:
             tol,
         )
     r = a / lam
-    v_max = _tail_cut_v(rate, a, lam, tol)
+    v_max = _tail_cut_v(rate, a, lam, tol, budget)
 
     def integrand(v):
         x = r * (-np.expm1(-v))
-        return np.asarray(rate(x), float) * np.exp(-_inner_exponent(rate, a, lam, x, tol))
+        return np.asarray(rate(x), float) * np.exp(-_inner_exponent(rate, a, lam, x, tol, budget))
 
     # g(x) dx = (p/lam) exp(-inner) dv under the substitution
     return (p / lam) * simpson_refine(integrand, 0.0, v_max, tol)
 
 
-def invariant_density(result: InvariantResult, x):
-    """Pointwise stationary density; zero outside the support."""
+def invariant_density(result: InvariantResult, x, budget: _Budget | None = None):
+    """Pointwise stationary density; zero outside the support (budget: see solve_a_star)."""
     a, lam, p, rate = result.a_star, result.lam, result.p, result.rate
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -292,7 +320,7 @@ def invariant_density(result: InvariantResult, x):
     else:
         r = a / lam
         mask = (xv >= 0) & (xv < r)
-        inner = _inner_exponent(rate, a, lam, xv[mask], 1e-12)
+        inner = _inner_exponent(rate, a, lam, xv[mask], 1e-12, budget)
         out[mask] = p / (a - lam * xv[mask]) * np.exp(-inner)
     return float(out[0]) if scalar else out
 

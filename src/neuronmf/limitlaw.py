@@ -528,14 +528,15 @@ class _LimitPaths:
 
     def propose(self, i: int, t: float, z: float):
         """(jumped, overshoot) of path i at the proposal (t, z), which re-anchors it."""
-        y = self.fe.flow(self.ta[i], t, self.ya[i], self.ia[i])
-        fy = float(self.rate(y))
-        overshoot = fy > self.by[i]
-        jumped = z <= fy
-        self.ya[i] = 0.0 if jumped else y
-        self.ta[i] = t
-        self.ia[i] = self.fe.integral_to(t)
-        self.by[i] = self._bounds(self.ya[i], t, self.ia[i])
+        i_t = self.fe.integral_to(t)
+        y = i_t + math.exp(-self.lam * (t - self.ta.item(i))) * (self.ya.item(i) - self.ia.item(i))
+        fy = self.rate(y)
+        jumped, overshoot = z <= fy, fy > self.by.item(i)
+        y = 0.0 if jumped else y
+        self.ya[i], self.ta[i], self.ia[i] = y, t, i_t
+        lam = self.lam
+        rise = self.i_w - i_t if lam == 0.0 else -math.expm1(-lam * (self.w - t)) * max(self.abar / lam - y, 0.0)
+        self.by[i] = self.rate(y + rise + self.slack)
         return jumped, overshoot
 
 
@@ -631,12 +632,10 @@ def simulate_coupled(
     with B_i the larger of the two bounds, and each process jumps iff z
     undercuts its own current rate, which realizes one shared driving
     measure per index. Kicks reach only the particles; the limit paths
-    ride the solved drift. Their bounds hold up to window ends 1/(16 abar)
-    apart (abar = max drift): y' <= abar - lam y bounds a path's rise
-    within a window by 1/16, and at each window end all paths are
-    re-anchored and re-bounded. Any dominating envelope thins the same
-    Poisson measure (Lewis-Shedler), so the windows change the proposal
-    sequence, not the coupling's law.
+    ride the solved drift, bounded per window of drift mass 1/16
+    (_LimitPaths). Any dominating envelope thins the same Poisson measure
+    (Lewis-Shedler), so the windows and the particles' bound epochs change
+    the proposal sequence, not the coupling's law.
     """
     snap_times = np.asarray(sorted(float(t) for t in snapshot_times), dtype=float)
     if snap_times.size == 0:

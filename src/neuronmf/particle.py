@@ -3,17 +3,20 @@
 Each of the N neurons carries a membrane potential x_i >= 0, spikes at rate
 f(x_i), resets to 0 at its own spike, gains 1/N at every other spike, and
 drifts toward the instantaneous empirical mean at speed lam. Between spikes
-the mean is constant and every potential moves monotonically toward it, so
+the mean is constant and every potential moves monotonically toward it,
 
     x_i(t) = xbar + exp(-lam (t - t_anchor)) (x_i(t_anchor) - xbar),
 
-which makes f(max(x_i(t_anchor), xbar)) a valid dominating rate until the
-next spike. Simulation is by thinning against these per-neuron dominating
-rates, realized as one proposal clock per neuron (its own substream, whose
-first draw is the neuron's initial potential) so that permuting neuron
-stream labels exactly permutes trajectories. Pending proposal times are
-rescaled in place when a bound changes, which preserves the exponential
-law without consuming extra randomness.
+one affine map shared by all neurons, as is a kick, so the engine keeps
+x_j = amp * (y_j + shift) and a spike costs O(1). max(x_i, xbar) never
+rises between spikes and rises by at most 1/N at one, so at lam > 0
+f(max(x_i, xbar) + (m-1)/N) dominates neuron i's rate up to the m-th spike
+after it was taken: bounds are rebuilt once per epoch of m ~ N/64 spikes
+(at every spike, tight, at lam = 0). Simulation is by thinning against
+them, with one proposal clock per neuron (its own substream, whose first
+draw is the neuron's initial potential) so that permuting neuron stream
+labels exactly permutes trajectories. Pending proposal times are rescaled
+in place when the bounds change, which keeps them exact by memorylessness.
 
 _event_loop is the package's one exact event engine: simulate runs it
 alone, and limitlaw.simulate_coupled runs it with the N coupled limit
@@ -29,6 +32,10 @@ import numpy as np
 
 from .model import ConfigError, SystemConfig
 from .rng import substream
+
+
+_EPOCH_DRIFT = 1.0 / 64.0  # lam > 0 bound epoch in spikes per neuron: the most a bound sits above x
+_RATE_FLOOR = 1e-300  # floor of every bound: clocks stay finite, rescales stay ratios
 
 
 class EventBudgetExceededError(RuntimeError):
@@ -78,6 +85,7 @@ class EventLog:
     proposals: int
     initial_values: np.ndarray
     bound_overshoots: int = 0  # proposals whose rate exceeded its bound; > 0 means inexact thinning
+    rebuilds: int = 0  # O(N) passes over bounds and clocks: the first, one per epoch, one per shadow window
 
     @property
     def spikes(self) -> int:
@@ -168,68 +176,93 @@ def simulate(
 def _event_loop(config, labels, snap_times, observe, event_budget, log_events, shadow=None):
     """The thinning loop behind simulate and limitlaw.simulate_coupled.
 
+    Potentials are x_j = amp * (y_j + shift) at the last spike time ta; a
+    spike moves amp, shift, xbar and y_i. Bounds are rebuilt, and clocks
+    rescaled, in one O(N) pass per epoch of m = max(1, floor(_EPOCH_DRIFT
+    N)) spikes at lam > 0 and per spike at lam = 0; in between, the spiker
+    keeps its bound (its reset potential lies below it).
+
     observe(k, t, x) receives the (unsorted) potentials at the k-th
-    snapshot time. A shadow -- the coupling's N limit paths -- is started
-    on the initial draws, sees the mark z = u * B_i of every proposal
-    through shadow.propose(i, tau, z), and keeps its own bound array
-    shadow.by, valid up to the window end shadow.w; proposals then run at
-    max(bx, by) instead of the particle bounds bx alone. When the next
-    proposal lies past shadow.w, the shadow moves to its next window and
-    the pending clocks are rescaled to the new bounds. Returns the EventLog.
+    snapshot time. A shadow -- the coupling's N limit paths, started on
+    the initial draws -- sees the mark z = u * B_i of every proposal
+    through shadow.propose(i, tau, z) and keeps bounds shadow.by valid up
+    to its window end shadow.w; proposals run at max(bx, by), and past
+    shadow.w the shadow moves to its next window and the bounds are
+    rebuilt. Returns the EventLog.
     """
-    lam = config.lam
-    f = config.rate
-    horizon = config.horizon
+    lam, f, horizon, n = config.lam, config.rate, config.horizon, config.n
+    m = 1 if lam == 0.0 else max(1, int(_EPOCH_DRIFT * n))
+    slack = (m - 1) / n
 
     # one stream per neuron: its initial potential, then its proposals
     rngs = [substream(config.seed, "prop", lab) for lab in labels]
     state = _initial_state(config, rngs)
-    x0 = state.anchor_x.copy()
-    propose = None
+    x0, xbar = state.anchor_x, state.xbar
+    y, amp, shift, ta = x0.copy(), 1.0, 0.0, 0.0
     if shadow is not None:
         shadow.start(x0)
-        propose = shadow.propose
 
-    bx = _dominating_rates(f, lam, state.anchor_x, state.xbar)
-    bounds = bx if shadow is None else np.maximum(bx, shadow.by)
-    next_time = np.array([_fresh_clock(rng, 0.0, b) for rng, b in zip(rngs, bounds)])
+    def dominating_rates():
+        x = y + shift
+        if lam != 0.0:
+            x *= amp
+            np.maximum(x, xbar, out=x)
+            x += slack
+        b = f(x)
+        return np.maximum(b, _RATE_FLOOR, out=b)
+
+    def rebound(now):  # bounds from bx (and by), pending clocks rescaled to them
+        nonlocal bounds, next_time, rebuilds
+        old = bounds
+        bounds = bx if shadow is None else np.maximum(bx, shadow.by)
+        next_time -= now
+        next_time *= old
+        next_time /= bounds
+        next_time += now
+        rebuilds += 1
+
+    bx = dominating_rates()
+    bounds, next_time, rebuilds = 1.0, np.array([rng.exponential() for rng in rngs]), 0
+    rebound(0.0)  # unit-rate clocks drawn at time 0
 
     ev_times, ev_idx, ev_pre = [], [], []
-    proposals = 0
-    overshoots = 0
-    spikes = 0
+    proposals = overshoots = spikes = 0
+    snaps = snap_times.tolist() + [math.inf]
     snap_i = 0
 
     def emit_until(limit: float):
         nonlocal snap_i
-        while snap_i < snap_times.size and snap_times[snap_i] <= limit + 1e-15:
-            observe(snap_i, snap_times[snap_i], state.positions(snap_times[snap_i]))
+        while snap_i < snap_times.size and snaps[snap_i] <= limit + 1e-15:
+            x = y + shift  # at lam = 0 (amp = 1) the potentials rest at their anchors
+            if lam != 0.0:
+                x = xbar + math.exp(-lam * (snaps[snap_i] - ta)) * (amp * x - xbar)
+            observe(snap_i, snap_times[snap_i], x)
             snap_i += 1
 
     while True:
         i = int(next_time.argmin())
-        tau = float(next_time[i])
+        tau = next_time.item(i)
         if shadow is not None and tau > shadow.w and shadow.w < horizon:
             w = shadow.w
             emit_until(w)
             shadow.next_window()
-            old = bounds
-            bounds = np.maximum(bx, shadow.by)
-            next_time = _rescale_clocks(next_time, w, old, bounds, rngs)
+            rebound(w)
             continue
-        if tau > horizon or not math.isfinite(tau):
+        if not tau <= horizon:
             emit_until(math.inf)  # snapshot times may pass the horizon by rounding
             break
-        emit_until(tau)
+        if snaps[snap_i] <= tau + 1e-15:
+            emit_until(tau)
         proposals += 1
-        xi = state.anchor_x[i]
+        xi = amp * (y.item(i) + shift)
+        decay = math.exp(-lam * (tau - ta))
         if lam != 0.0:  # at lam = 0 the potential rests at its anchor, exactly where its bound was taken
-            xi = state.xbar + math.exp(-lam * (tau - state.anchor_time)) * (xi - state.xbar)
+            xi = xbar + decay * (xi - xbar)
         fx = f(xi)
-        overshoot = fx > bx[i]
-        z = rngs[i].random() * bounds[i]
-        if propose is not None:
-            overshoot |= propose(i, tau, z)[1]
+        overshoot = fx > bx.item(i)
+        z = rngs[i].random() * bounds.item(i)
+        if shadow is not None and shadow.propose(i, tau, z)[1]:
+            overshoot = True
         overshoots += bool(overshoot)
         if z <= fx:
             spikes += 1
@@ -239,54 +272,26 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
                 ev_times.append(tau)
                 ev_idx.append(i)
                 ev_pre.append(xi)
-            state.t = tau
-            state = apply_spike(state, i)
+            # all drift to tau (decay = 1 at lam = 0) and take the kick 1/N; i resets to 0
+            if amp * decay < 1e-100:  # fold the drift into y, long before amp can underflow
+                y, amp, shift, decay = xbar + decay * (amp * (y + shift) - xbar), 1.0, 0.0, 1.0
+            amp *= decay
+            shift += ((1.0 - decay) * xbar + 1.0 / n) / amp
+            y[i] = -shift
+            xbar += ((n - 1) / n - xi) / n
+            ta = tau
             if spikes % 4096 == 0:
-                state.xbar = float(np.sort(state.anchor_x).mean())  # cap float drift of the running mean
-            old = bounds
-            bx = _dominating_rates(f, lam, state.anchor_x, state.xbar)
-            bounds = bx if shadow is None else np.maximum(bx, shadow.by)
-            next_time = _rescale_clocks(next_time, tau, old, bounds, rngs)
-        elif shadow is not None:
-            bounds[i] = max(bx[i], shadow.by[i])  # the proposal re-anchored limit path i
-        next_time[i] = _fresh_clock(rngs[i], tau, bounds[i])
+                y, amp, shift = amp * (y + shift), 1.0, 0.0  # fold the affine map into y
+                xbar = float(np.sort(y).mean())  # cap float drift of the running mean
+            if spikes % m == 0:
+                bx = dominating_rates()
+                rebound(tau)
+        if shadow is not None:
+            bounds[i] = max(bx.item(i), shadow.by.item(i))  # the proposal re-anchored limit path i
+        next_time[i] = tau + rngs[i].exponential() / bounds.item(i)
 
-    return EventLog(
-        times=np.asarray(ev_times),
-        indices=np.asarray(ev_idx, dtype=int),
-        pre_potentials=np.asarray(ev_pre),
-        proposals=proposals,
-        initial_values=x0,
-        bound_overshoots=overshoots,
-    )
-
-
-def _rescale_clocks(next_time, now, old, new, rngs):
-    """Pending exponential clocks moved from rates old to rates new at time now.
-
-    Memorylessness makes the rescaled residual times exact; clocks that
-    were dormant (zero bound) get a fresh draw instead.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(new > 0, old / new, np.inf)
-        next_time = now + (next_time - now) * ratio
-    for j in np.nonzero((old <= 0) & (new > 0))[0]:
-        next_time[j] = _fresh_clock(rngs[j], now, new[j])
-    return next_time
-
-
-def _dominating_rates(f, lam: float, anchor_x: np.ndarray, xbar: float) -> np.ndarray:
-    # lam = 0: no motion between spikes, so the bound is tight and every
-    # proposal is accepted; lam > 0: monotone motion toward the mean.
-    if lam == 0.0:
-        return np.asarray(f(anchor_x), dtype=float)
-    return np.asarray(f(np.maximum(anchor_x, xbar)), dtype=float)
-
-
-def _fresh_clock(rng: np.random.Generator, now: float, bound: float) -> float:
-    if bound <= 0.0:
-        return math.inf
-    return now + rng.exponential() / bound
+    ev = (np.asarray(ev_times), np.asarray(ev_idx, dtype=int), np.asarray(ev_pre))
+    return EventLog(*ev, proposals, x0, bound_overshoots=overshoots, rebuilds=rebuilds)
 
 
 def check_apriori(log: EventLog, snapshots, config: SystemConfig) -> BoundReport:

@@ -168,6 +168,28 @@ class TestInvariantCommand:
         assert peak < 256 * 2**20
 
 
+    def test_fractional_exponent_stops_at_budget(self, tmp_path, capsys, monkeypatch):
+        # xi = 1.5 at lambda 1: each outer node runs its own adaptive Simpson and
+        # a single Gamma(2) does not converge; the evaluation budget ends the solve
+        import neuronmf.invariant as inv
+
+        evaluations = [0]
+        call = RateFunction.__call__
+
+        def counting(self, x):
+            evaluations[0] += np.size(x)
+            return call(self, x)
+
+        monkeypatch.setattr(RateFunction, "__call__", counting)
+        sys1 = {"lambda": 1.0, "rate": {"kind": "power", "c": 1.0, "xi": 1.5},
+                "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 1.0, "seed": 1}
+        cfg = write_cfg(tmp_path, "c.json", {"command": "invariant", "system": sys1})
+        assert main(["invariant", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tolerance violated: quadrature budget") and err.count("\n") == 1
+        assert evaluations[0] <= 1.01 * inv._INNER_EVALUATIONS
+
+
 class TestSolveLimitCommand:
     def test_residual_memory_bounded(self):
         # the survival check integrates its 2000 initial nodes in bounded chunks

@@ -19,6 +19,7 @@ from neuronmf import (
     survival,
 )
 from neuronmf.limitlaw import _WINDOW_DRIFT, _LimitPaths
+from neuronmf.particle import _EPOCH_DRIFT, _event_loop
 from oracles import upwind_marginals
 
 FX = RateFunction.power(1, 1)
@@ -295,6 +296,19 @@ class TestSimulateCoupled:
             coupled += simulate_coupled(cfg, sol, [1.0, 2.0]).proposals
             plain += simulate(cfg, [1.0, 2.0], log_events=False)[0].proposals
         assert coupled <= 1.25 * plain
+
+    def test_rebuilds_per_epoch_and_window(self):
+        # the coupled engine's O(N) passes: one per particle bound epoch and
+        # one per limit-path window end, plus the first
+        n = 400
+        cfg = SystemConfig(n=n, lam=1.0, rate=FX2, initial=InitialLaw.exponential(1.0), horizon=2.0, seed=101)
+        sol = solve_marginals(exp_config(lam=1.0), snapshot_times=[2.0])
+        paths = _LimitPaths(sol.drift(), FX2, 1.0, t_end=2.0, window=_WINDOW_DRIFT)
+        log = _event_loop(cfg, range(n), np.array([2.0]), lambda k, t, x: None, 10**8, True, shadow=paths)
+        m = max(1, int(_EPOCH_DRIFT * n))
+        windows = paths.k - 1
+        assert m > 1 and windows > 0 and log.bound_overshoots == 0
+        assert log.rebuilds <= log.spikes / m + windows + 1
 
     def test_combine_weighting(self):
         a = CoupledStats(n=2, snapshot_times=np.array([1.0]), mean_abs_diff=np.array([1.0]),

@@ -16,6 +16,7 @@ from neuronmf import (
     init_system,
     simulate,
 )
+from neuronmf.particle import _EPOCH_DRIFT
 
 FX = RateFunction.power(1, 1)
 FX2 = RateFunction.power(1, 2)
@@ -158,6 +159,62 @@ class TestSimulate:
             proposals += log.proposals
             assert log.bound_overshoots == 0, f"n={n}"
         assert proposals > 0
+
+
+class TestEngineAgainstReference:
+    """The engine's O(1) affine spike update against the one-spike definition."""
+
+    @staticmethod
+    def replay(log, snaps, lam):
+        # apply_spike and ParticleState.positions, replayed over the logged
+        # spikes, give the logged pre-spike potentials and the snapshots
+        x0 = log.initial_values
+        state = ParticleState(t=0.0, lam=lam, xbar=float(np.sort(x0).mean()), anchor_time=0.0, anchor_x=x0.copy())
+        k = 0
+        for snap in snaps:
+            while k < log.spikes and log.times[k] <= snap.time:
+                state.t = log.times[k]
+                pre = state.positions()[log.indices[k]]
+                assert abs(pre - log.pre_potentials[k]) <= 1e-12, f"spike {k}"
+                state = apply_spike(state, int(log.indices[k]))
+                k += 1
+            replayed = np.sort(state.positions(snap.time))
+            assert np.max(np.abs(replayed - snap.sorted_values)) <= 1e-12, f"t={snap.time}"
+        assert k == log.spikes
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("rate", [FX2, RateFunction.polynomial([1.0, 1.0])])
+    @pytest.mark.parametrize("n", [1, 2, 50, 400])
+    def test_replay_through_apply_spike(self, lam, rate, n):
+        log, snaps = simulate(make_config(n=n, lam=lam, rate=rate, seed=101), [0.5, 1.0, 2.0])
+        self.replay(log, snaps, lam)
+
+    def test_replay_across_long_quiet_gaps(self):
+        # decays below 1e-100 between spikes: the affine scale is folded into y
+        # instead of underflowing
+        cfg = make_config(n=3, lam=40.0, rate=RateFunction.power(0.05, 1), horizon=200.0, seed=3)
+        log, snaps = simulate(cfg, [50.0, 100.0, 200.0])
+        gaps = np.diff(np.concatenate([[0.0], log.times]))
+        assert np.max(gaps) * cfg.lam > 745  # exp(-lam * gap) underflows to 0
+        self.replay(log, snaps, cfg.lam)
+
+    def test_reset_neuron_alone_never_proposes(self):
+        # N=1: an epoch is one spike with slack (M-1)/N = 0, so after its spike
+        # the neuron rests at rate 0 (a slack of 1/N proposes at rate f(1))
+        cfg = make_config(n=1, lam=2.0, initial=InitialLaw.point_mass(1.5), horizon=400.0)
+        log, _ = simulate(cfg, [])
+        assert (log.proposals, log.spikes) == (1, 1)
+
+    def test_bounds_rebuilt_once_per_epoch(self):
+        n = 400
+        m = max(1, int(_EPOCH_DRIFT * n))
+        log, _ = simulate(make_config(n=n, lam=1.0), [2.0])
+        assert m > 1 and log.spikes > 10 * m
+        assert log.rebuilds <= log.spikes / m + 1
+
+    def test_bounds_rebuilt_every_spike_without_drift(self):
+        log, _ = simulate(make_config(n=400, lam=0.0), [2.0])
+        assert log.rebuilds == log.spikes + 1
 
 
 class TestCheckApriori:
