@@ -321,13 +321,17 @@ class InitialLaw:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
+    def quantile(self, u) -> np.ndarray:
+        """The inverse cdf at uniforms u in [0, 1): the one sampling rule of the law."""
+        u = np.asarray(u, dtype=float)
         if self.kind == "point_mass":
-            return np.full(n, self.x0)
+            return np.full(u.shape, self.x0)
         if self.kind == "exponential":
-            return rng.exponential(1.0 / self.rate, size=n)
-        u = rng.random(n)
+            return -np.log1p(-u) / self.rate
         return np.interp(u, self._cdf / self._cdf[-1], self.xs)
+
+    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
+        return self.quantile(rng.random(n))
 
     # -- densities and moments ----------------------------------------------
 

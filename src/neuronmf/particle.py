@@ -13,10 +13,13 @@ rises between spikes and rises by at most 1/N at one, so at lam > 0
 f(max(x_i, xbar) + (m-1)/N) dominates neuron i's rate up to the m-th spike
 after it was taken: bounds are rebuilt once per epoch of m ~ N/64 spikes
 (at every spike, tight, at lam = 0). Simulation is by thinning against
-them, with one proposal clock per neuron (its own substream, whose first
-draw is the neuron's initial potential) so that permuting neuron stream
-labels exactly permutes trajectories. Pending proposal times are rescaled
-in place when the bounds change, which keeps them exact by memorylessness.
+them, with one proposal clock per neuron. Neuron i reads its own
+counter-based uniform stream (rng.uniform_blocks, keyed by the seed and
+its integer label): uniform 0 is its initial potential, uniform 1 its
+first clock, and each proposal takes the next pair (mark, next clock), so
+that permuting neuron stream labels exactly permutes trajectories.
+Pending proposal times are rescaled in place when the bounds change,
+which keeps them exact by memorylessness.
 
 _event_loop is the package's one exact event engine: simulate runs it
 alone, and limitlaw.simulate_coupled runs it with the N coupled limit
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ConfigError, SystemConfig
-from .rng import substream
+from .rng import BLOCK_UNIFORMS, stream_key, substream, uniform_blocks
 
 
 _EPOCH_DRIFT = 1.0 / 64.0  # lam > 0 bound epoch in spikes per neuron: the most a bound sits above x
@@ -111,13 +114,30 @@ class BoundReport:
 
 def init_system(config: SystemConfig, stream_labels=None) -> ParticleState:
     """Draw N i.i.d. initial potentials, one substream per neuron."""
-    labels = range(config.n) if stream_labels is None else stream_labels
-    return _initial_state(config, [substream(config.seed, "init", lab) for lab in labels])
+    labels = _stream_labels(config, stream_labels)
+    return _initial_state(config, [substream(config.seed, "init", lab).random() for lab in labels])
 
 
-def _initial_state(config: SystemConfig, rngs) -> ParticleState:
-    """The state at time 0, neuron i starting at the next draw of rngs[i]."""
-    x = np.array([config.initial.sample(rng, 1)[0] for rng in rngs], dtype=float)
+def _stream_labels(config: SystemConfig, stream_labels) -> list:
+    """The neurons' stream labels: N distinct ints, by default the neuron indices."""
+    if stream_labels is None:
+        return list(range(config.n))
+    labels = list(stream_labels)
+    if len(labels) != config.n:
+        raise ConfigError("need one stream label per neuron")
+    if not all(isinstance(lab, (int, np.integer)) and not isinstance(lab, bool) for lab in labels):
+        raise ConfigError("stream labels must be ints")
+    labels = [int(lab) for lab in labels]
+    if not all(-(2**63) <= lab < 2**63 for lab in labels):
+        raise ConfigError("stream labels must lie in [-2^63, 2^63)")
+    if len(set(labels)) != len(labels):
+        raise ConfigError("stream labels must be distinct")
+    return labels
+
+
+def _initial_state(config: SystemConfig, u) -> ParticleState:
+    """The state at time 0, neuron i starting at the initial law's quantile of u[i]."""
+    x = config.initial.quantile(u)
     # summing in sorted order makes the mean independent of the labeling,
     # so permuting stream labels permutes trajectories bitwise
     return ParticleState(t=0.0, lam=config.lam, xbar=float(np.sort(x).mean()), anchor_time=0.0, anchor_x=x)
@@ -149,17 +169,18 @@ def simulate(
 ):
     """Exact simulation up to the horizon; returns (EventLog, snapshots).
 
-    snapshot_times must be sorted within [0, horizon]. Deterministic given
-    config.seed and the stream labels (default: neuron index).
+    snapshot_times must be sorted within [0, horizon]. stream_labels are N
+    distinct ints (default: the neuron indices): neuron i runs on the
+    stream of stream_labels[i], so the run is deterministic given
+    config.seed and the labels, and permuting the labels permutes the
+    neurons' trajectories.
     """
     snap_times = np.asarray(list(snapshot_times), dtype=float)
     if snap_times.size and (snap_times[0] < 0 or snap_times[-1] > config.horizon + 1e-12):
         raise ConfigError("snapshot times must lie in [0, horizon]")
     if np.any(np.diff(snap_times) < 0):
         raise ConfigError("snapshot times must be sorted")
-    labels = list(range(config.n)) if stream_labels is None else list(stream_labels)
-    if len(labels) != config.n:
-        raise ConfigError("need one stream label per neuron")
+    labels = _stream_labels(config, stream_labels)
 
     f = config.rate
     snapshots: list[Snapshot] = []
@@ -194,9 +215,12 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
     m = 1 if lam == 0.0 else max(1, int(_EPOCH_DRIFT * n))
     slack = (m - 1) / n
 
-    # one stream per neuron: its initial potential, then its proposals
-    rngs = [substream(config.seed, "prop", lab) for lab in labels]
-    state = _initial_state(config, rngs)
+    # one uniform stream per neuron: its initial potential, its first clock,
+    # then (mark, next clock) per proposal; used[i] counts what neuron i read
+    key = stream_key(config.seed, "prop")
+    draws = uniform_blocks(key, labels, 0, 2)
+    used = [2] * n
+    state = _initial_state(config, [row[0] for row in draws])
     x0, xbar = state.anchor_x, state.xbar
     y, amp, shift, ta = x0.copy(), 1.0, 0.0, 0.0
     if shadow is not None:
@@ -222,7 +246,7 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
         rebuilds += 1
 
     bx = dominating_rates()
-    bounds, next_time, rebuilds = 1.0, np.array([rng.exponential() for rng in rngs]), 0
+    bounds, next_time, rebuilds = 1.0, np.array([-math.log1p(-row[1]) for row in draws]), 0
     rebound(0.0)  # unit-rate clocks drawn at time 0
 
     ev_times, ev_idx, ev_pre = [], [], []
@@ -260,7 +284,11 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
             xi = xbar + decay * (xi - xbar)
         fx = f(xi)
         overshoot = fx > bx.item(i)
-        z = rngs[i].random() * bounds.item(i)
+        k, row = used[i], draws[i]
+        if k == len(row):  # doubles the neuron's blocks; other rows are untouched
+            row += uniform_blocks(key, labels[i : i + 1], k // BLOCK_UNIFORMS, k // BLOCK_UNIFORMS)[0]
+        used[i] = k + 2
+        z = row[k] * bounds.item(i)
         if shadow is not None and shadow.propose(i, tau, z)[1]:
             overshoot = True
         overshoots += bool(overshoot)
@@ -288,7 +316,7 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
                 rebound(tau)
         if shadow is not None:
             bounds[i] = max(bx.item(i), shadow.by.item(i))  # the proposal re-anchored limit path i
-        next_time[i] = tau + rngs[i].exponential() / bounds.item(i)
+        next_time[i] = tau - math.log1p(-row[k + 1]) / bounds.item(i)
 
     ev = (np.asarray(ev_times), np.asarray(ev_idx, dtype=int), np.asarray(ev_pre))
     return EventLog(*ev, proposals, x0, bound_overshoots=overshoots, rebuilds=rebuilds)

@@ -1,17 +1,30 @@
 """Reproducible random streams keyed by a master seed and a label path.
 
-Every stochastic consumer derives its own counter-based generator from
-(seed, label, label, ...), so results are bitwise identical no matter how
-replicates are scheduled or parallelized.
+Two kinds of stream, both pure functions of (seed, label, label, ...), so
+results are bitwise identical no matter how replicates are scheduled or
+parallelized:
+
+* substream(seed, *labels) builds a numpy Generator (Philox keyed by the
+  path), for consumers that want numpy's samplers;
+* the event engine instead reads counter-based uniforms (Salmon et al.,
+  SC'11) with no per-neuron object: stream_key(seed, *labels) derives a
+  run key, and block b of integer label i is the 64-byte BLAKE2b digest of
+  (i, b) under that key. Its eight little-endian 64-bit words w are the
+  uniforms (w >> 11) 2^-53 in [0, 1), so draw k of label i is a pure
+  function of (run key, i, k), whatever else is read with it.
+  uniform_blocks reads any run of blocks for many labels in one call.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_BLOCK_MESSAGE = struct.Struct("<qQ")  # (label, block index) hashed into one block
+BLOCK_UNIFORMS = 8  # uniforms per block: one per 64-bit word of the digest
 
 
 def _key(seed: int, labels: tuple) -> int:
@@ -42,3 +55,25 @@ def substream(seed: int, *labels) -> np.random.Generator:
 def derive_seed(seed: int, *labels) -> int:
     """A 63-bit child seed for the path (seed, *labels), for nested derivation."""
     return _key(seed, labels) & ((1 << 63) - 1)
+
+
+def stream_key(seed: int, *labels) -> bytes:
+    """The 16-byte run key of the counter-based streams named (seed, *labels)."""
+    return _key(seed, labels).to_bytes(16, "little")
+
+
+def uniform_blocks(key: bytes, labels, first: int, count: int) -> list[list[float]]:
+    """Blocks [first, first + count) of each label's uniform stream under key.
+
+    Labels are ints in [-2^63, 2^63). Returns one list of
+    BLOCK_UNIFORMS * count uniforms per label, in label order.
+    """
+    keyed = hashlib.blake2b(key=key, digest_size=64)  # copying it skips re-absorbing the key
+    digests = []
+    for lab in labels:
+        for b in range(first, first + count):
+            h = keyed.copy()
+            h.update(_BLOCK_MESSAGE.pack(lab, b))
+            digests.append(h.digest())
+    words = np.frombuffer(b"".join(digests), dtype="<u8")
+    return ((words >> 11) * 2.0**-53).reshape(-1, BLOCK_UNIFORMS * count).tolist()

@@ -17,6 +17,7 @@ from neuronmf import (
     simulate,
 )
 from neuronmf.particle import _EPOCH_DRIFT
+from neuronmf.rng import BLOCK_UNIFORMS
 
 FX = RateFunction.power(1, 1)
 FX2 = RateFunction.power(1, 2)
@@ -26,6 +27,16 @@ def make_config(n=100, lam=1.0, rate=FX2, initial=None, horizon=2.0, seed=7):
     return SystemConfig(
         n=n, lam=lam, rate=rate, initial=initial or InitialLaw.exponential(1.0), horizon=horizon, seed=seed
     )
+
+
+# eight neurons at f = x + x^2 keep kicking each other into firing, so some
+# neuron reads past the first two blocks (16 uniforms) of its stream
+REFILL_CONFIG = make_config(n=8, lam=1.0, rate=RateFunction.polynomial([1.0, 1.0]), horizon=8.0)
+
+
+def assert_refills(log):
+    # neuron i reads 2 uniforms up front and 2 per proposal, and spikes <= proposals
+    assert 2 + 2 * np.bincount(log.indices).max() > 2 * BLOCK_UNIFORMS
 
 
 class TestInitSystem:
@@ -113,22 +124,45 @@ class TestSimulate:
             assert s.mean == pytest.approx(xbar_rec, abs=1e-11)
 
     def test_deterministic(self):
-        cfg = make_config()
-        log1, snaps1 = simulate(cfg, [1.0, 2.0])
-        log2, snaps2 = simulate(cfg, [1.0, 2.0])
-        assert np.array_equal(log1.times, log2.times)
-        assert all(np.array_equal(a.sorted_values, b.sorted_values) for a, b in zip(snaps1, snaps2))
+        for cfg in [make_config(), REFILL_CONFIG]:
+            snap_times = [cfg.horizon / 2, cfg.horizon]
+            log1, snaps1 = simulate(cfg, snap_times)
+            log2, snaps2 = simulate(cfg, snap_times)
+            assert np.array_equal(log1.times, log2.times)
+            assert all(np.array_equal(a.sorted_values, b.sorted_values) for a, b in zip(snaps1, snaps2))
+        assert_refills(log1)
 
-    @pytest.mark.parametrize("lam", [0.0, 1.0])
-    def test_exchangeability(self, lam):
-        cfg = make_config(n=60, lam=lam)
-        perm = np.random.default_rng(0).permutation(60).tolist()
-        log1, snaps1 = simulate(cfg, np.linspace(0, 2, 5))
-        log2, snaps2 = simulate(cfg, np.linspace(0, 2, 5), stream_labels=perm)
+    @pytest.mark.parametrize(
+        "cfg", [make_config(n=60, lam=0.0), make_config(n=60, lam=1.0), REFILL_CONFIG], ids=["0.0", "1.0", "refill"]
+    )
+    def test_exchangeability(self, cfg):
+        snap_times = np.linspace(0, cfg.horizon, 5)
+        perm = np.random.default_rng(0).permutation(cfg.n).tolist()
+        log1, snaps1 = simulate(cfg, snap_times)
+        log2, snaps2 = simulate(cfg, snap_times, stream_labels=perm)
         assert np.array_equal(log1.times, log2.times)
         for a, b in zip(snaps1, snaps2):
             assert np.array_equal(a.sorted_values, b.sorted_values)
             assert a.mean == b.mean
+        if cfg is REFILL_CONFIG:
+            assert_refills(log1)
+
+    @pytest.mark.parametrize("labels", [[0.5, 0.9, 2], [0, 1.0, 2], [True, False, 2], ["0", 1, 2]])
+    def test_non_int_stream_labels_rejected(self, labels):
+        # float labels would be truncated into colliding streams (0.5 and 0.9 both to 0)
+        with pytest.raises(ConfigError, match="ints"):
+            simulate(make_config(n=3), [1.0], stream_labels=labels)
+
+    def test_duplicate_stream_labels_rejected(self):
+        # a shared label would give two neurons the same potential and clocks
+        with pytest.raises(ConfigError, match="distinct"):
+            simulate(make_config(n=3), [1.0], stream_labels=[5, 5, 6])
+
+    def test_numpy_int_stream_labels_accepted(self):
+        labels = np.arange(3, dtype=np.int64)[::-1]
+        log1, _ = simulate(make_config(n=3), [1.0], stream_labels=labels)
+        log2, _ = simulate(make_config(n=3), [1.0], stream_labels=[2, 1, 0])
+        assert np.array_equal(log1.times, log2.times)
 
     def test_snapshot_sorted_and_nonnegative(self):
         _, snaps = simulate(make_config(), np.linspace(0, 2, 9))
