@@ -149,8 +149,12 @@ class MarginalSolution:
     m: np.ndarray
     snapshots: list
 
+    def __post_init__(self):
+        # one series per solution, so its flow cache serves every caller
+        self._drift = DriftSeries(times=self.times, a=self.a)
+
     def drift(self) -> DriftSeries:
-        return DriftSeries(times=self.times, a=self.a)
+        return self._drift
 
     def snapshot_at(self, t: float) -> TransportedDensity:
         for snap in self.snapshots:

@@ -11,13 +11,15 @@ one affine map shared by all neurons, as is a kick, so the engine keeps
 x_j = amp * (y_j + shift) and a spike costs O(1). max(x_i, xbar) never
 rises between spikes and rises by at most 1/N at one, so at lam > 0
 f(max(x_i, xbar) + (m-1)/N) dominates neuron i's rate up to the m-th spike
-after it was taken: bounds are rebuilt once per epoch of m ~ N/64 spikes
-(at every spike, tight, at lam = 0). Simulation is by thinning against
-them, with one proposal clock per neuron. Neuron i reads its own
-counter-based uniform stream (rng.uniform_blocks, keyed by the seed and
-its integer label): uniform 0 is its initial potential, uniform 1 its
-first clock, and each proposal takes the next pair (mark, next clock), so
-that permuting neuron stream labels exactly permutes trajectories.
+after it was taken. At lam = 0 there is no drift and only kicks raise a
+potential, so f(x_i + (m-1)/N) does the same. At every lam the bounds are
+rebuilt once per epoch of m = max(1, floor(N/64)) spikes, so at every
+spike below N = 128. Simulation is by thinning against them, with one
+proposal clock per neuron. Neuron i reads its own counter-based uniform
+stream (rng.uniform_blocks, keyed by the seed and its integer label):
+uniform 0 is its initial potential, uniform 1 its first clock, and each
+proposal takes the next pair (mark, next clock), so that permuting neuron
+stream labels exactly permutes trajectories.
 Pending proposal times are rescaled in place when the bounds change,
 which keeps them exact by memorylessness.
 
@@ -34,11 +36,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ConfigError, SystemConfig
-from .rng import BLOCK_UNIFORMS, stream_key, substream, uniform_blocks
+from .rng import BLOCK_UNIFORMS, stream_key, uniform_blocks
+from .rng import substream  # noqa: F401  (benchmark/tracing.py wraps this name)
 
 
-_EPOCH_DRIFT = 1.0 / 64.0  # lam > 0 bound epoch in spikes per neuron: the most a bound sits above x
+_EPOCH_DRIFT = 1.0 / 64.0  # bound epoch in spikes per neuron: the most a bound sits above x
 _RATE_FLOOR = 1e-300  # floor of every bound: clocks stay finite, rescales stay ratios
+# scale of a lam = 0 epoch bound's position x + (m-1)/N: the m - 1 kicks
+# summed into shift can land (m-1)/2 ulps of shift above it, and shift stays
+# below 4096/N, so that is under 5e-13 of the position
+_KICK_ROUNDING = 1.0 + 1e-12
 
 
 class EventBudgetExceededError(RuntimeError):
@@ -113,9 +120,14 @@ class BoundReport:
 
 
 def init_system(config: SystemConfig, stream_labels=None) -> ParticleState:
-    """Draw N i.i.d. initial potentials, one substream per neuron."""
+    """The state simulate(config, ..., stream_labels) starts from.
+
+    Neuron i starts at the initial law's quantile of uniform 0 of its
+    label's stream, so N i.i.d. potentials.
+    """
     labels = _stream_labels(config, stream_labels)
-    return _initial_state(config, [substream(config.seed, "init", lab).random() for lab in labels])
+    _, draws = _first_blocks(config, labels)
+    return _initial_state(config, [row[0] for row in draws])
 
 
 def _stream_labels(config: SystemConfig, stream_labels) -> list:
@@ -133,6 +145,12 @@ def _stream_labels(config: SystemConfig, stream_labels) -> list:
     if len(set(labels)) != len(labels):
         raise ConfigError("stream labels must be distinct")
     return labels
+
+
+def _first_blocks(config: SystemConfig, labels):
+    """(run key, each label's first block of uniforms) of the engine's streams."""
+    key = stream_key(config.seed, "prop")
+    return key, uniform_blocks(key, labels, 0, 1)
 
 
 def _initial_state(config: SystemConfig, u) -> ParticleState:
@@ -200,8 +218,8 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
     Potentials are x_j = amp * (y_j + shift) at the last spike time ta; a
     spike moves amp, shift, xbar and y_i. Bounds are rebuilt, and clocks
     rescaled, in one O(N) pass per epoch of m = max(1, floor(_EPOCH_DRIFT
-    N)) spikes at lam > 0 and per spike at lam = 0; in between, the spiker
-    keeps its bound (its reset potential lies below it).
+    N)) spikes, at every lam; in between, the spiker keeps its bound (its
+    reset potential lies below it).
 
     observe(k, t, x) receives the (unsorted) potentials at the k-th
     snapshot time. A shadow -- the coupling's N limit paths, started on
@@ -212,13 +230,13 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
     rebuilt. Returns the EventLog.
     """
     lam, f, horizon, n = config.lam, config.rate, config.horizon, config.n
-    m = 1 if lam == 0.0 else max(1, int(_EPOCH_DRIFT * n))
+    m = max(1, int(_EPOCH_DRIFT * n))
     slack = (m - 1) / n
 
     # one uniform stream per neuron: its initial potential, its first clock,
-    # then (mark, next clock) per proposal; used[i] counts what neuron i read
-    key = stream_key(config.seed, "prop")
-    draws = uniform_blocks(key, labels, 0, 2)
+    # then (mark, next clock) per proposal; each neuron's first block is read
+    # here and the rest on demand; used[i] counts what neuron i read
+    key, draws = _first_blocks(config, labels)
     used = [2] * n
     state = _initial_state(config, [row[0] for row in draws])
     x0, xbar = state.anchor_x, state.xbar
@@ -231,7 +249,9 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
         if lam != 0.0:
             x *= amp
             np.maximum(x, xbar, out=x)
-            x += slack
+        x += slack
+        if lam == 0.0 and m > 1:
+            x *= _KICK_ROUNDING
         b = f(x)
         return np.maximum(b, _RATE_FLOOR, out=b)
 
@@ -280,7 +300,7 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
         proposals += 1
         xi = amp * (y.item(i) + shift)
         decay = math.exp(-lam * (tau - ta))
-        if lam != 0.0:  # at lam = 0 the potential rests at its anchor, exactly where its bound was taken
+        if lam != 0.0:  # at lam = 0 the potential rests at its anchor
             xi = xbar + decay * (xi - xbar)
         fx = f(xi)
         overshoot = fx > bx.item(i)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neuronmf import InitialLaw, RateFunction, SystemConfig, solve_marginals
+from neuronmf import DriftSeries, InitialLaw, RateFunction, SystemConfig, solve_marginals
 from neuronmf.cli import _loidetau_residual, main
 
 
@@ -327,3 +327,30 @@ class TestChaosCommand:
         ra = json.loads((tmp_path / "a" / "chaos_report.json").read_text())
         rb = json.loads((tmp_path / "b" / "chaos_report.json").read_text())
         assert ra["per_n"] != rb["per_n"]
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_flow_grid_built_once_per_command(self, tmp_path, monkeypatch, lam):
+        # DriftSeries._accumulate runs only when _fine_grid misses its cache, once
+        # per miss at lambda 0 and once per refinement at lambda > 0; sharing the
+        # solution's drift makes the count independent of the replicate count
+        calls = []
+        accumulate = DriftSeries._accumulate
+
+        def counting(*args):
+            calls.append(args)
+            return accumulate(*args)
+
+        monkeypatch.setattr(DriftSeries, "_accumulate", staticmethod(counting))
+        sys0 = {"lambda": lam, "rate": {"kind": "power", "c": 1.0, "xi": 2.0},
+                "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 1.0, "seed": 3}
+        counts = []
+        for replicates in (1, 3):
+            body = {"command": "chaos", "system": sys0, "snapshot_times": [0.5, 1.0],
+                    "n_grid": [5, 10, 20], "replicates": replicates, "slope_band": [-9, 9], "r_squared_min": 0.0}
+            cfg = write_cfg(tmp_path, f"c{replicates}.json", body)
+            calls.clear()
+            assert main(["chaos", "--config", cfg, "--out", str(tmp_path / str(replicates))]) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        if lam == 0.0:
+            assert counts[0] == 1

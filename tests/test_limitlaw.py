@@ -84,6 +84,11 @@ class TestSolveMarginals:
         with pytest.raises(ValueError):
             sol.snapshot_at(1.0).density(-0.5)
 
+    def test_one_drift_per_solution(self):
+        # every caller shares the series, and with it the cached fine flow grid
+        sol = solve_marginals(exp_config(), snapshot_times=[1.0])
+        assert sol.drift() is sol.drift()
+
     def test_missing_snapshot(self):
         sol = solve_marginals(exp_config(), snapshot_times=[1.0])
         with pytest.raises(KeyError):

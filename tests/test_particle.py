@@ -30,7 +30,7 @@ def make_config(n=100, lam=1.0, rate=FX2, initial=None, horizon=2.0, seed=7):
 
 
 # eight neurons at f = x + x^2 keep kicking each other into firing, so some
-# neuron reads past the first two blocks (16 uniforms) of its stream
+# neuron reads past 16 uniforms of its stream: its row is refilled at least twice
 REFILL_CONFIG = make_config(n=8, lam=1.0, rate=RateFunction.polynomial([1.0, 1.0]), horizon=8.0)
 
 
@@ -52,6 +52,13 @@ class TestInitSystem:
     def test_zero_particles_rejected(self):
         with pytest.raises(ConfigError):
             make_config(n=0)
+
+    @pytest.mark.parametrize("labels", [None, [3, 0, 4, 1, 2]], ids=["default", "permuted"])
+    def test_is_the_state_simulate_starts_from(self, labels):
+        cfg = make_config(n=5)
+        state = init_system(cfg, labels)
+        log, _ = simulate(cfg, [], stream_labels=labels)
+        assert np.array_equal(state.anchor_x, log.initial_values)
 
 
 class TestParticleState:
@@ -239,16 +246,13 @@ class TestEngineAgainstReference:
         log, _ = simulate(cfg, [])
         assert (log.proposals, log.spikes) == (1, 1)
 
-    def test_bounds_rebuilt_once_per_epoch(self):
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_bounds_rebuilt_once_per_epoch(self, lam):
         n = 400
         m = max(1, int(_EPOCH_DRIFT * n))
-        log, _ = simulate(make_config(n=n, lam=1.0), [2.0])
+        log, _ = simulate(make_config(n=n, lam=lam), [2.0])
         assert m > 1 and log.spikes > 10 * m
         assert log.rebuilds <= log.spikes / m + 1
-
-    def test_bounds_rebuilt_every_spike_without_drift(self):
-        log, _ = simulate(make_config(n=400, lam=0.0), [2.0])
-        assert log.rebuilds == log.spikes + 1
 
 
 class TestCheckApriori:

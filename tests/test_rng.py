@@ -5,7 +5,7 @@ import struct
 import numpy as np
 
 import neuronmf.particle
-from neuronmf import InitialLaw, RateFunction, SystemConfig, simulate, simulate_coupled, solve_marginals
+from neuronmf import InitialLaw, RateFunction, SystemConfig, init_system, simulate, simulate_coupled, solve_marginals
 from neuronmf.rng import BLOCK_UNIFORMS, stream_key, uniform_blocks
 
 KEY = stream_key(7, "prop")
@@ -50,6 +50,7 @@ def test_engine_builds_no_generator(monkeypatch):
     log, _ = simulate(cfg, [1.0])
     stats = simulate_coupled(cfg, sol, [1.0])
     assert log.proposals > 0 and stats.proposals > 0
+    assert init_system(cfg).n == cfg.n
 
 
 
@@ -64,7 +65,8 @@ def test_engine_reads_the_documented_layout():
     # N=2 at lam=0 from 1.0: bounds are the rates, so every proposal spikes,
     # and the neurons take turns (a reset neuron has rate 0 until kicked).
     # Uniform 1 is a neuron's first clock and its k-th proposal reads the pair
-    # (2k, 2k + 1); 40 spikes read past two refills of the first 16 uniforms
+    # (2k, 2k + 1); 40 spikes read past 32 uniforms, so a row that starts at
+    # one block (8 uniforms) is refilled three times
     cfg = SystemConfig(n=2, lam=0.0, rate=FX2, initial=InitialLaw.point_mass(1.0), horizon=200.0, seed=5)
     log, _ = simulate(cfg, [])
     rows = uniform_blocks(stream_key(5, "prop"), [0, 1], 0, 16)
