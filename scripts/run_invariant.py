@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Nontrivial invariant density of the limit dynamics.
 
-Solves Gamma(a) = 1 by bracketing and bisection and writes the stationary
+Solves Gamma(a) = 1 by bracketing and a secant and writes the stationary
 summary (a*, p, m, support, residuals) plus the density grid as CSV.
 """
 

@@ -6,46 +6,114 @@ stationary mean potential) it reads
 
     g(x) = p / (a - lam x) * exp(-int_0^x f(y)/(a - lam y) dy),   0 <= x < a/lam,
 
-with the convention a/lam = inf when lam = 0, where a is the unique
-positive root of
+with a/lam = inf when lam = 0, where a is the unique positive root of
 
     Gamma(a) = int_0^{a/lam} exp(-int_0^x f(y)/(a - lam y) dy) dx = 1.
 
-Gamma is continuous and strictly increasing, and the root satisfies
-a* > lam, so a bracket-and-bisect solve is robust. The inner integral is
-evaluated in closed form for integer exponents, else numerically; the
-outer integrals use the substitution x = (a/lam)(1 - exp(-v)), which
-clusters quadrature nodes at the right end of the support where the
-integrand vanishes.
+Every integral is taken in v = int_0^x a/(a - lam y) dy, where
+x(v) = (a/lam)(1 - exp(-lam v/a)) (x = v at lam = 0) and the inner exponent
+is the running integral of f(x(v))/a: one cumulative pass, the same for
+every lam and exponent, gives it, Gamma and the moments on one grid, and
+never forms log(a/(a - lam x)), which x rounding to a/lam would spoil.
+Gamma increases from Gamma(lam) < 1; an Illinois secant finds its unit root.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import RateFunction, validate_assumptions
-from .quadrature import QuadratureError, simpson_refine
+from .quadrature import QuadratureError, cumulative_trapezoid
+from .quadrature import simpson_refine  # noqa: F401  (benchmark/tracing.py wraps this name)
 
-# rate evaluations the numeric inner integrals (non-integer exponents at
-# lam > 0) may spend in one gamma or solve_a_star call: every outer node
-# runs its own adaptive Simpson. One Gamma(1.2) at xi = 2 + 1e-12 takes 7.9e7;
-# at xi = 1.5 a single Gamma(2) passes 2.7e8 without converging.
-_INNER_EVALUATIONS = 2**27
+# a pass's first panel count, and its caps on 1.5x growths of V and on doublings
+_PANELS = 16
+_MAX_GROWTH = 120
+_MAX_DOUBLINGS = 14
 
 
-class _Budget:
-    """Rate evaluations left to the inner integrals of one call."""
+def _ratio(num, den):
+    """num/den, and 1 where den = 0 (the limit of every use below)."""
+    return np.divide(num, den, out=np.ones_like(den), where=den > 0)
 
-    def __init__(self, evaluations: int):
-        self.total = self.left = evaluations
 
-    def spend(self, k: int):
-        self.left -= k
-        if self.left < 0:
-            raise QuadratureError(f"quadrature budget of {self.total} inner rate evaluations exhausted")
+def _x_of_v(v, s):
+    """x(v) = (1 - exp(-s v))/s and x'(v) = exp(-s v), with s = lam/a."""
+    z = s * v
+    return v * _ratio(-np.expm1(-z), z), np.exp(-z)
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """One converged cumulative quadrature at a: the grid and its integrals."""
+
+    v: np.ndarray  # graded nodes on [0, V]
+    inner: np.ndarray  # inner exponent at the nodes
+    slope: np.ndarray  # its derivative f(x(v))/a, nondecreasing in v
+    gamma: float
+    gamma1: float
+    gamma2: float
+    gamma3: float  # int f g / p, which is 1 at any a
+    extra: np.ndarray
+
+    def inner_at(self, q):
+        """Cubic Hermite interpolant of the inner exponent; linear past V."""
+        v, y, d = self.v, self.inner, self.slope
+        k = np.clip(np.searchsorted(v, q, side="right") - 1, 0, v.size - 2)
+        h = v[k + 1] - v[k]
+        t = np.minimum((q - v[k]) / h, 1.0)
+        herm = (1 + 2 * t) * (1 - t) ** 2 * y[k] + t * t * (3 - 2 * t) * y[k + 1]
+        herm += h * t * (1 - t) * ((1 - t) * d[k] - t * d[k + 1])
+        return np.where(q > v[-1], y[-1] + d[-1] * (q - v[-1]), herm)
+
+
+def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, dx, fx, e: []) -> _Pass:
+    """Integrate at a on one graded grid v = V u^2, refined until converged.
+
+    Simpson's rule in u gives the running inner exponent and the outer
+    integrals; the grading makes fractional powers of x smooth at 0. V grows
+    1.5x until the tails past it are below tol/10, and the panels double
+    until every integral moves by less than tol. extra(x, x', f(x),
+    exp(-inner)) may return more integrands in v, whose integrals over
+    [0, V] come back in _Pass.extra.
+    """
+    s = lam / a
+    big_v, n, prev = 1.0, _PANELS, None
+    while True:
+        u = np.linspace(0.0, 1.0, n + 1)
+        v = big_v * u * u
+        x, dx = _x_of_v(v, s)
+        fx = np.asarray(rate(x), dtype=float)
+        jac = 2.0 * big_v * u  # dv/du
+        # running Simpson in u: whole panels at even nodes, a 3-point
+        # half-panel rule at odd ones
+        h = 1.0 / n
+        y = fx * jac / a
+        inner = np.zeros(n + 1)
+        np.cumsum(h / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2]), out=inner[2::2])
+        inner[1::2] = inner[:-2:2] + h / 12.0 * (5.0 * y[:-2:2] + 8.0 * y[1::2] - y[2::2])
+        e = np.exp(-inner)
+        # outer Simpson weights in u times dv/du, which is 0 at node 0
+        w = np.where(np.arange(n + 1) % 2, 4.0, 2.0) * jac * (h / 3.0)
+        w[-1] *= 0.5
+        vals = np.asarray([e * dx, e / a, e * x / a, e * fx / a] + extra(x, dx, fx, e)) @ w
+        # tails past V, from inner(v) >= inner(V) + g (v - V) with g = f(x(V))/a
+        # and x' <= 1: the int f g tail is exactly exp(-inner(V))
+        g = fx[-1] / a
+        vals[3] += e[-1]
+        tail = e[-1] / g * max(1.0, 1.0 / a, (x[-1] + 1.0 / g) / a)
+        if not tail < 0.1 * tol:
+            if big_v >= 1.5**_MAX_GROWTH:
+                raise QuadratureError(f"quadrature tail above {0.1 * tol} at V={big_v:.4g}")
+            big_v, prev = 1.5 * big_v, None
+        elif prev is not None and np.max(np.abs(vals - prev)) < tol:
+            return _Pass(v, inner, fx / a, *vals[:4], extra=vals[4:])
+        elif n >= _PANELS << _MAX_DOUBLINGS:
+            raise QuadratureError(f"quadrature did not reach tol={tol} in {n} panels on [0, {big_v:.4g}]")
+        else:
+            prev, n = vals, 2 * n
 
 
 @dataclass
@@ -61,16 +129,14 @@ class InvariantResult:
     density_xs: np.ndarray
     density_values: np.ndarray
     residuals: dict = field(default_factory=dict)
+    grid: _Pass | None = field(default=None, repr=False)
 
     def density(self, x):
         return invariant_density(self, x)
 
     def cdf_grid(self):
         """Piecewise-linear cdf representation on the stored grid."""
-        from .quadrature import cumulative_trapezoid
-
-        cdf = cumulative_trapezoid(self.density_values, self.density_xs)
-        return self.density_xs, cdf
+        return self.density_xs, cumulative_trapezoid(self.density_values, self.density_xs)
 
     def summary(self) -> dict:
         return {
@@ -84,124 +150,11 @@ class InvariantResult:
         }
 
 
-def _inner_exponent(rate: RateFunction, a: float, lam: float, x, tol: float, budget: _Budget | None = None):
-    """int_0^x f(y) / (a - lam y) dy, vectorized in x (x < a/lam)."""
-    x = np.asarray(x, dtype=float)
-    if lam == 0.0:
-        return np.asarray(rate.antideriv(x), dtype=float) / a
-    r = a / lam
-    terms = rate.integer_exponents()
-    if terms is not None:
-        # recursive antiderivative of y^n/(r - y):
-        #   int_0^x = r^n log(r/(r-x)) - sum_{k=0}^{n-1} r^k x^(n-k)/(n-k)
-        # x == r (float rounding at the support edge) gives +inf, which
-        # correctly maps to a vanishing density
-        out = np.zeros_like(x)
-        with np.errstate(divide="ignore"):
-            log_term = -np.log1p(-x / r)
-        for n, cn in terms:
-            acc = (r**n) * log_term
-            for k in range(n):
-                acc -= (r**k) * np.power(x, n - k) / (n - k)
-            out += (cn / lam) * acc
-        return out
-    # non-integer power: substitute u = -log(a - lam y), smooth bounded integrand
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    out = np.empty_like(xv)
-    for i, xi in enumerate(xv):
-        if xi <= 0:
-            out[i] = 0.0
-            continue
-        v1 = -math.log1p(-xi / r)
-
-        def integrand(v):
-            if budget is not None:
-                budget.spend(v.size)
-            return np.asarray(rate(r * (-np.expm1(-v))), dtype=float)
-
-        out[i] = simpson_refine(integrand, 0.0, v1, tol * 0.1) / lam
-    return float(out[0]) if scalar else out
-
-
-def _tail_cut_lam0(rate: RateFunction, a: float, tol: float) -> float:
-    """x beyond which the remaining integral of exp(-F(x)/a) is below tol.
-
-    Uses F(x) >= F(X) + f(X)(x - X) for x >= X (f nondecreasing), giving
-    the tail bound exp(-F(X)/a) * a / f(X).
-    """
-    x = 1.0
-    for _ in range(200):
-        fx = float(rate(x))
-        if fx > 0 and math.exp(-float(rate.antideriv(x)) / a) * a / fx < 0.1 * tol:
-            return x
-        x *= 1.5
-    raise RuntimeError("tail of the stationary density does not decay")
-
-
-def _tail_cut_v(rate: RateFunction, a: float, lam: float, tol: float, budget: _Budget | None = None) -> float:
-    """v beyond which the v-substituted outer integrals are below tol."""
-    r = a / lam
-    v = 1.0
-    for _ in range(200):
-        x = r * (-math.expm1(-v))
-        fx = float(rate(x))
-        inner = float(_inner_exponent(rate, a, lam, x, tol, budget))
-        # d(inner)/dv = f(x(v))/lam and f is nondecreasing along v
-        if fx > 0 and math.exp(-inner) * lam / fx < 0.1 * tol:
-            return v
-        v *= 1.5
-    raise RuntimeError("outer integrand does not decay near the support edge")
-
-
-def gamma(a: float, lam: float, rate: RateFunction, tol: float = 1e-10, budget: _Budget | None = None) -> float:
-    """The scalar monotone function whose unit root determines the invariant law.
-
-    Raises QuadratureError once its inner integrals spend more than
-    _INNER_EVALUATIONS rate evaluations (or the given budget runs out).
-    """
+def gamma(a: float, lam: float, rate: RateFunction, tol: float = 1e-10) -> float:
+    """The scalar monotone function whose unit root determines the invariant law."""
     if a <= 0:
         raise ValueError("gamma needs a > 0")
-    budget = budget or _Budget(_INNER_EVALUATIONS)
-    if lam == 0.0:
-        x_max = _tail_cut_lam0(rate, a, tol)
-        return simpson_refine(
-            lambda x: np.exp(-np.asarray(rate.antideriv(x), float) / a), 0.0, x_max, tol
-        )
-    r = a / lam
-    v_max = _tail_cut_v(rate, a, lam, tol, budget)
-
-    def integrand(v):
-        x = r * (-np.expm1(-v))
-        return np.exp(-_inner_exponent(rate, a, lam, x, tol, budget) - v)
-
-    return r * simpson_refine(integrand, 0.0, v_max, tol)
-
-
-def _moment_integrals(rate: RateFunction, a: float, lam: float, tol: float, budget: _Budget | None = None):
-    """(Gamma, Gamma1, Gamma2) on a shared grid at the given a.
-
-    Gamma1 = int 1/(a - lam x) exp(-inner) dx  (so p = 1/Gamma1) and
-    Gamma2 = int x/(a - lam x) exp(-inner) dx  (so m = p * Gamma2).
-    """
-    if lam == 0.0:
-        x_max = _tail_cut_lam0(rate, a, tol)
-        g = simpson_refine(lambda x: np.exp(-np.asarray(rate.antideriv(x), float) / a), 0.0, x_max, tol)
-        g2 = simpson_refine(
-            lambda x: x * np.exp(-np.asarray(rate.antideriv(x), float) / a) / a, 0.0, x_max, tol
-        )
-        return g, g / a, g2
-    r = a / lam
-    v_max = _tail_cut_v(rate, a, lam, tol, budget)
-
-    def weight(v):
-        x = r * (-np.expm1(-v))
-        return np.exp(-_inner_exponent(rate, a, lam, x, tol, budget))
-
-    g = r * simpson_refine(lambda v: weight(v) * np.exp(-v), 0.0, v_max, tol)
-    g1 = simpson_refine(weight, 0.0, v_max, tol) / lam
-    g2 = (r / lam) * simpson_refine(lambda v: weight(v) * (-np.expm1(-v)), 0.0, v_max, tol)
-    return g, g1, g2
+    return _pass(a, lam, rate, tol).gamma
 
 
 def solve_a_star(
@@ -211,118 +164,79 @@ def solve_a_star(
     quadrature_abs: float = 1e-10,
     density_nodes: int = 2000,
 ) -> InvariantResult:
-    """Find the nontrivial invariant measure by bisecting Gamma(a) = 1.
+    """Find the nontrivial invariant measure from the root of Gamma(a) = 1.
 
-    Brackets [max(lam, eps), a_hi] with a_hi doubled until Gamma > 1
-    (guaranteed since Gamma(lam) < 1 and Gamma(inf) = inf), bisects until
-    |Gamma(a) - 1| <= root_abs, then recovers p and m from the companion
-    quadratures and cross-checks a* = lam*m + p. All of it shares one
-    budget of _INNER_EVALUATIONS inner rate evaluations, past which it
-    raises QuadratureError.
+    Brackets the root in [lam, a_hi] with a_hi doubled until Gamma > 1
+    (Gamma(lam) < 1 and Gamma(inf) = inf), then runs an Illinois secant
+    until |Gamma(a) - 1| <= root_abs / 2. At the root m = Gamma2/Gamma1 and
+    p = a - lam m; the residuals come from a second pass at a tenth of
+    quadrature_abs: normalization |p Gamma1 - 1|, self-consistency
+    |int f g - p|, and the fixed point |a - lam m - p| with m and p = 1/Gamma1
+    of that pass. Raises QuadratureError when a pass, the bracket or the
+    secant fails.
     """
-    report = validate_assumptions(rate, np.linspace(0.0, 10.0, 41))
-    if not report.a1_pass:
+    if not validate_assumptions(rate, np.linspace(0.0, 10.0, 41)).a1_pass:
         raise ValueError("rate function fails the basic structural assumptions")
-    budget = _Budget(_INNER_EVALUATIONS)
 
-    lo = lam if lam > 0 else 0.0  # Gamma(lo) < 1 without evaluation
-    hi = max(1.0, 2.0 * lam) if lam > 0 else 1.0
+    # Gamma(lo) - 1 is only known to be negative; -1 seeds the secant
+    lo, f_lo = lam, -1.0
+    hi = max(1.0, 2.0 * lam)
     for _ in range(200):
-        if gamma(hi, lam, rate, quadrature_abs, budget) > 1.0:
+        f_hi = gamma(hi, lam, rate, quadrature_abs) - 1.0
+        if f_hi > 0.0:
             break
-        lo = hi
-        hi *= 2.0
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
     else:
-        raise RuntimeError("could not bracket the unit root of Gamma")
+        raise QuadratureError("quadrature found no a with Gamma(a) > 1")
 
-    a = 0.5 * (lo + hi)
+    last = 0.0
     for _ in range(200):
-        val = gamma(a, lam, rate, quadrature_abs, budget)
-        if abs(val - 1.0) <= 0.5 * root_abs:  # margin for the finer recheck
+        a = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        val = gamma(a, lam, rate, quadrature_abs) - 1.0
+        if abs(val) <= 0.5 * root_abs:  # margin for the finer recheck
             break
-        if val > 1.0:
-            hi = a
+        # Illinois: the value at an end kept twice in a row is halved
+        if val > 0.0:
+            hi, f_hi, f_lo = a, val, 0.5 * f_lo if last > 0.0 else f_lo
         else:
-            lo = a
-        a = 0.5 * (lo + hi)
+            lo, f_lo, f_hi = a, val, 0.5 * f_hi if last < 0.0 else f_hi
+        last = val
     else:
-        raise RuntimeError("bisection for Gamma(a)=1 did not converge (inconsistent quadrature?)")
+        raise QuadratureError("quadrature secant for Gamma(a) = 1 did not converge")
 
-    g, g1, g2 = _moment_integrals(rate, a, lam, quadrature_abs, budget)
-    p = 1.0 / g1
-    m = p * g2
-    support = m + p / lam if lam > 0 else math.inf
+    grid = _pass(a, lam, rate, quadrature_abs)
+    m = grid.gamma2 / grid.gamma1
+    p = a - lam * m
+    with np.errstate(divide="ignore"):
+        support = float(np.divide(a, lam))
+    # the output grid ends at lam v/a = 30: past it, nodes of x(v) round together at a/lam
+    v_out = grid.v[-1] / max(1.0, lam * grid.v[-1] / (30.0 * a))
+    xs = _x_of_v(np.linspace(0.0, v_out, density_nodes), lam / a)[0]
+    result = InvariantResult(lam, rate, a, p, m, support, xs, np.empty(0), grid=grid)
+    result.density_values = invariant_density(result, xs)
 
-    if lam > 0:
-        r = a / lam
-        vs = np.linspace(0.0, _tail_cut_v(rate, a, lam, quadrature_abs, budget), density_nodes)
-        xs = r * (-np.expm1(-vs))
-    else:
-        xs = np.linspace(0.0, _tail_cut_lam0(rate, a, quadrature_abs), density_nodes)
-
-    result = InvariantResult(
-        lam=lam,
-        rate=rate,
-        a_star=a,
-        p=p,
-        m=m,
-        support_right=support,
-        density_xs=xs,
-        density_values=np.empty(0),
-        residuals={},
-    )
-    result.density_values = invariant_density(result, xs, budget)
-
-    # residuals recomputed on a finer independent pass
-    tol2 = quadrature_abs * 0.1
-    g_f, g1_f, g2_f = _moment_integrals(rate, a, lam, tol2, budget)
+    fine = _pass(a, lam, rate, 0.1 * quadrature_abs)
     result.residuals = {
-        "normalization": abs(p * g1_f - 1.0),
-        "self_consistency": abs(_mean_rate_under(result, tol2, budget) - p),
-        "fixed_point": abs(a - lam * m - p),
-        "gamma_at_root": abs(g - 1.0),
+        "normalization": abs(p * fine.gamma1 - 1.0),
+        "self_consistency": abs(p * fine.gamma3 - p),
+        "fixed_point": abs(a - lam * fine.gamma2 / fine.gamma1 - 1.0 / fine.gamma1),
+        "gamma_at_root": abs(grid.gamma - 1.0),
     }
     return result
 
 
-def _mean_rate_under(result: InvariantResult, tol: float, budget: _Budget | None = None) -> float:
-    """int f g, independent quadrature against the converged density."""
-    rate, a, lam, p = result.rate, result.a_star, result.lam, result.p
-    if lam == 0.0:
-        x_max = _tail_cut_lam0(rate, a, tol)
-        return simpson_refine(
-            lambda x: np.asarray(rate(x), float) * np.exp(-np.asarray(rate.antideriv(x), float) / a),
-            0.0,
-            x_max,
-            tol,
-        )
-    r = a / lam
-    v_max = _tail_cut_v(rate, a, lam, tol, budget)
-
-    def integrand(v):
-        x = r * (-np.expm1(-v))
-        return np.asarray(rate(x), float) * np.exp(-_inner_exponent(rate, a, lam, x, tol, budget))
-
-    # g(x) dx = (p/lam) exp(-inner) dv under the substitution
-    return (p / lam) * simpson_refine(integrand, 0.0, v_max, tol)
-
-
-def invariant_density(result: InvariantResult, x, budget: _Budget | None = None):
-    """Pointwise stationary density; zero outside the support (budget: see solve_a_star)."""
-    a, lam, p, rate = result.a_star, result.lam, result.p, result.rate
+def invariant_density(result: InvariantResult, x):
+    """Pointwise stationary density; zero outside the support."""
+    a, lam, p = result.a_star, result.lam, result.p
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).astype(float)
-    out = np.zeros_like(xv)
-    if lam == 0.0:
-        mask = xv >= 0
-        out[mask] = np.exp(-np.asarray(rate.antideriv(xv[mask]), float) / p)
-    else:
-        r = a / lam
-        mask = (xv >= 0) & (xv < r)
-        inner = _inner_exponent(rate, a, lam, xv[mask], 1e-12, budget)
-        out[mask] = p / (a - lam * xv[mask]) * np.exp(-inner)
-    return float(out[0]) if scalar else out
+    xv = np.atleast_1d(x)
+    out = np.zeros(xv.shape)
+    mask = (xv >= 0) & (lam * xv < a)
+    xm = xv[mask]
+    y = (lam / a) * xm
+    v = xm * _ratio(-np.log1p(-y), y)
+    out[mask] = p / (a - lam * xm) * np.exp(-result.grid.inner_at(v))
+    return float(out[0]) if x.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -338,34 +252,19 @@ def stationarity_residual(result: InvariantResult, test_functions, tol: float = 
     """Max |generator pairing| over the test functions.
 
     For each phi, evaluates int [phi(0) - phi(x)] f(x) g(x) dx +
-    int phi'(x) (a - lam x) g(x) dx, which vanishes at stationarity.
+    int phi'(x) (a - lam x) g(x) dx, which vanishes at stationarity. In v,
+    g dx = (p/a) exp(-inner) dv and (a - lam x) g dx = p exp(-inner) x' dv.
     """
-    rate, a, lam, p = result.rate, result.a_star, result.lam, result.p
-    worst = 0.0
-    for tf in test_functions:
-        phi0 = float(np.asarray(tf.value(0.0), float))
-        if lam == 0.0:
-            x_max = _tail_cut_lam0(rate, a, tol)
+    a, p = result.a_star, result.p
 
-            def integrand(x):
-                g = np.exp(-np.asarray(rate.antideriv(x), float) / p)
-                jump = (phi0 - np.asarray(tf.value(x), float)) * np.asarray(rate(x), float) * g
-                drift = np.asarray(tf.deriv(x), float) * a * g
-                return jump + drift
+    def pairings(x, dx, fx, e):
+        rows = []
+        for tf in test_functions:
+            phi0 = float(np.asarray(tf.value(0.0), float))
+            jump = (phi0 - np.asarray(tf.value(x), float)) * fx * (p / a)
+            drift = np.asarray(tf.deriv(x), float) * p * dx
+            rows.append((jump + drift) * e)
+        return rows
 
-            res = simpson_refine(integrand, 0.0, x_max, tol)
-        else:
-            r = a / lam
-            v_max = _tail_cut_v(rate, a, lam, tol)
-
-            def integrand(v):
-                x = r * (-np.expm1(-v))
-                w = np.exp(-_inner_exponent(rate, a, lam, x, tol))
-                # g(x) dx = (p/lam) w dv and (a - lam x) g(x) dx = p w exp(-v) r dv
-                jump = (phi0 - np.asarray(tf.value(x), float)) * np.asarray(rate(x), float) * (p / lam) * w
-                drift = np.asarray(tf.deriv(x), float) * p * r * np.exp(-v) * w
-                return jump + drift
-
-            res = simpson_refine(integrand, 0.0, v_max, tol)
-        worst = max(worst, abs(res))
-    return worst
+    res = _pass(a, result.lam, result.rate, tol, extra=pairings).extra
+    return float(np.max(np.abs(res), initial=0.0))

@@ -1,7 +1,7 @@
 """Core model ingredients shared by the simulators and solvers.
 
-Holds the spiking-rate functions with their structural-assumption
-validators, the initial laws with samplers and moment accessors, the run
+Holds the spiking-rate functions with the grid check of assumption A1,
+the initial laws with samplers and moment accessors, the run
 configuration, and the deterministic inter-spike flow
 
     phi_{s,t}(x) = exp(-lam (t-s)) x + int_s^t exp(-lam (t-u)) a_u du
@@ -34,7 +34,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Spiking intensity f with derivatives.
+    """Spiking intensity f with its first derivative.
 
     Two kinds are supported, both satisfying f(0)=0, f nondecreasing and
     convex by construction:
@@ -97,39 +97,6 @@ class RateFunction:
                 out += ck * (k + 1) * np.power(x, k)
         return out if out.ndim else float(out)
 
-    def deriv2(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "power":
-            if self.xi == 1.0:
-                return np.zeros_like(x)
-            # x**(xi-2) diverges at 0 for xi in (1,2); report inf there
-            with np.errstate(divide="ignore"):
-                out = self.c * self.xi * (self.xi - 1.0) * np.power(x, self.xi - 2.0)
-            return out
-        out = np.zeros_like(x)
-        for k, ck in enumerate(self.coeffs):
-            if ck and k >= 1:
-                out += ck * (k + 1) * k * np.power(x, k - 1)
-        return out
-
-    def antideriv(self, x):
-        """F(x) = int_0^x f(y) dy, exact for both kinds."""
-        if self.kind == "power":
-            return self.c * np.power(x, self.xi + 1.0) / (self.xi + 1.0)
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for k, ck in enumerate(self.coeffs):
-            if ck:
-                out += ck * np.power(x, k + 2) / (k + 2)
-        return out if out.ndim else float(out)
-
-    def integer_exponents(self):
-        """Exponent/coefficient pairs when all exponents are integers, else None."""
-        if self.kind == "polynomial":
-            return [(k + 1, ck) for k, ck in enumerate(self.coeffs) if ck]
-        if abs(self.xi - round(self.xi)) < 1e-12:
-            return [(int(round(self.xi)), self.c)]
-        return None
-
     def describe(self) -> dict:
         if self.kind == "power":
             return {"kind": "power", "c": self.c, "xi": self.xi}
@@ -138,36 +105,22 @@ class RateFunction:
 
 @dataclass
 class ValidationReport:
-    """Grid-based check of the structural assumptions on a rate function.
+    """Grid-based check of assumption A1 on a rate function.
 
     A pass means "no counterexample on the supplied grid"; nothing is
     verified symbolically.
     """
 
     a1_pass: bool
-    a2_pass: bool
-    a3_pass: bool
-    a4_pass: bool
-    sup_deriv_over_f: float
-    sup_deriv2_over_deriv: float
-    a3_constant: float
-    a4_xi: float
-    a4_zeta: float
-    a4_lower_c: float
-    a4_upper_c: float
     failures: list = field(default_factory=list)
-
-    @property
-    def all_pass(self) -> bool:
-        return self.a1_pass and self.a2_pass and self.a3_pass and self.a4_pass
 
 
 def validate_assumptions(rate: RateFunction, grid) -> ValidationReport:
-    """Check the rate-function assumptions on a sample grid.
+    """Check assumption A1 (f(0) = 0, f positive on (0, inf) and nondecreasing) on a sample grid.
 
     The grid must be non-empty, sorted and contained in [0, 1e3]. Raises
-    ConfigError when f(0) != 0 or a sampled derivative is negative; softer
-    failures are reported in the returned ValidationReport.
+    ConfigError when f(0) != 0 or a sampled derivative is negative; a
+    softer failure is reported in the returned ValidationReport.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -182,74 +135,9 @@ def validate_assumptions(rate: RateFunction, grid) -> ValidationReport:
     if np.any(d1 < 0):
         raise ConfigError("negative derivative sample")
 
-    failures = []
     fv = np.asarray(rate(grid), dtype=float)
-
-    # A1: f(0)=0 (checked above), positive on (0, inf), nondecreasing
     a1 = bool(np.all(fv[grid > 0] > 0) and np.all(np.diff(fv) >= 0))
-    if not a1:
-        failures.append("A1: not positive/nondecreasing on grid")
-
-    # A2: convex increasing with sup_{x>=1} [f'/f + f''/f'] finite.
-    # Power rates with xi >= 1 are convex analytically; polynomials have
-    # deriv2 >= 0 by nonnegative coefficients, sampled anyway.
-    d2 = np.asarray(rate.deriv2(grid), dtype=float)
-    convex = bool(np.all(d2[np.isfinite(d2)] >= 0))
-    hi = grid[grid >= 1.0]
-    if hi.size:
-        fh = np.asarray(rate(hi), dtype=float)
-        d1h = np.asarray(rate.deriv1(hi), dtype=float)
-        d2h = np.asarray(rate.deriv2(hi), dtype=float)
-        sup1 = float(np.max(d1h / fh))
-        sup2 = float(np.max(d2h / d1h)) if np.all(d1h > 0) else math.inf
-    else:
-        sup1 = math.nan
-        sup2 = math.nan
-    a2 = convex and not (sup1 == math.inf or sup2 == math.inf)
-    if not a2:
-        failures.append("A2: convexity or derivative-ratio bound fails on grid")
-
-    # A3: f(x+y) <= C (1 + f(x) + f(y)); report the smallest C on grid pairs
-    xs, ys = np.meshgrid(grid, grid)
-    ratio = np.asarray(rate(xs + ys), dtype=float) / (1.0 + np.asarray(rate(xs), dtype=float) + np.asarray(rate(ys), dtype=float))
-    a3_c = float(np.max(ratio))
-    a3 = math.isfinite(a3_c)
-
-    # A4: c x^xi <= f(x) <= C (x^(xi-1) + x^zeta) with xi from the lowest
-    # and zeta from the highest exponent of the kind, plus the tail
-    # condition f'(x)/f(x) < 1 at the right end of the grid.
-    if rate.kind == "power":
-        xi4 = zeta4 = rate.xi
-    else:
-        degs = [k + 1 for k, ck in enumerate(rate.coeffs) if ck]
-        xi4, zeta4 = float(min(degs)), float(max(degs))
-    pos = grid[grid > 0]
-    if pos.size:
-        fp = np.asarray(rate(pos), dtype=float)
-        lower = float(np.min(fp / np.power(pos, xi4)))
-        upper = float(np.max(fp / (np.power(pos, xi4 - 1.0) + np.power(pos, zeta4))))
-    else:
-        lower, upper = math.nan, math.nan
-    xmax = grid[-1]
-    tail_ok = xmax <= 0 or float(rate.deriv1(xmax)) < float(rate(xmax)) or xmax < 1.0
-    a4 = bool(zeta4 >= xi4 - 1 and (not pos.size or (lower > 0 and math.isfinite(upper))) and tail_ok)
-    if not a4:
-        failures.append("A4: power envelope or tail ratio fails on grid")
-
-    return ValidationReport(
-        a1_pass=a1,
-        a2_pass=a2,
-        a3_pass=a3,
-        a4_pass=a4,
-        sup_deriv_over_f=sup1,
-        sup_deriv2_over_deriv=sup2,
-        a3_constant=a3_c,
-        a4_xi=xi4,
-        a4_zeta=zeta4,
-        a4_lower_c=lower,
-        a4_upper_c=upper,
-        failures=failures,
-    )
+    return ValidationReport(a1_pass=a1, failures=[] if a1 else ["A1: not positive/nondecreasing on grid"])
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,55 @@ class TestGamma:
             gamma(0.0, 1.0, FX)
 
     def test_fractional_exponent_consistent_with_integer_path(self):
-        # the numeric inner integral must agree with the closed form at xi=2
+        # xi = 2 + 1e-12 takes np.power where xi = 2 takes x * x: the same Gamma
         frac = RateFunction.power(1.0, 2.0 + 1e-12)
-        assert frac.integer_exponents() is None
         assert gamma(1.2, 1.0, frac) == pytest.approx(gamma(1.2, 1.0, FX2), abs=1e-7)
+
+
+def _a_star_reference(f, lam):
+    """Root of Gamma(a) = 1 by scipy alone (lam > 0).
+
+    Gamma = r int_0^inf exp(-w - I(w)) dw with r = a/lam, x = r (1 - e^{-w})
+    and I(w) = int_0^w f(x(t)) dt / lam, each by nested quad.
+    """
+    from scipy import integrate, optimize
+
+    def gamma_ref(a):
+        r = a / lam
+
+        def inner(w):
+            return integrate.quad(lambda t: f(-r * math.expm1(-t)), 0.0, w, epsabs=1e-14, epsrel=1e-13, limit=200)[0] / lam
+
+        return r * integrate.quad(lambda w: math.exp(-w - inner(w)), 0.0, math.inf, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    hi = 2.0 * lam
+    while gamma_ref(hi) <= 1.0:
+        hi *= 2.0
+    return optimize.brentq(lambda a: gamma_ref(a) - 1.0, lam * (1.0 + 1e-9), hi, xtol=1e-12)
+
+
+SWEEP_RATES = {
+    "x": {"kind": "power", "c": 1.0, "xi": 1.0},
+    "x^2": {"kind": "power", "c": 1.0, "xi": 2.0},
+    "x^3": {"kind": "power", "c": 1.0, "xi": 3.0},
+    "x+x^2": {"kind": "polynomial", "coeffs": [1.0, 1.0]},
+    "x^1.5": {"kind": "power", "c": 1.0, "xi": 1.5},
+}
+
+
+class TestSweep:
+    @pytest.mark.parametrize("lam", [0.25 * k for k in range(17)])
+    @pytest.mark.parametrize("name", list(SWEEP_RATES))
+    def test_cli_gates_hold(self, tmp_path, name, lam):
+        from neuronmf.cli import cmd_invariant
+
+        cfg = {"command": "invariant", "system": {"lambda": lam, "rate": SWEEP_RATES[name]}}
+        assert cmd_invariant(cfg, tmp_path) == 0
+
+    @pytest.mark.parametrize("lam,xi", [(3.0, 1.0), (4.0, 1.0), (1.0, 1.5)])
+    def test_a_star_matches_scipy(self, lam, xi):
+        res = solve_a_star(lam, RateFunction.power(1.0, xi))
+        assert res.a_star == pytest.approx(_a_star_reference(lambda x: x**xi, lam), abs=1e-6)
 
 
 class TestSolveAStar:
@@ -90,6 +135,12 @@ class TestInvariantDensity:
         res = solve_a_star(1.0, FX)
         assert invariant_density(res, res.support_right + 1e-6) == 0.0
         assert invariant_density(res, res.support_right + 5.0) == 0.0
+
+    def test_grid_increasing_where_density_is_singular(self):
+        # lam 4, f = x: a*/lam^2 < 1, and x(v) rounds to a/lam once lam v/a passes ~37
+        res = solve_a_star(4.0, FX)
+        assert np.all(np.diff(res.density_xs) > 0)
+        assert np.all(np.isfinite(res.density_values))
 
     def test_normalized(self):
         res = solve_a_star(1.0, FX2)

