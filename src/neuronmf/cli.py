@@ -240,23 +240,37 @@ def _init_pool(state: dict):
     _POOL_STATE.update(state)
 
 
+# rows x neurons of one coupled batch. The batch keeps ~100 bytes per cell,
+# ~2 MB at the cap; at N=1600 a batch holds 12 replicates, at N <= 400 all 48
+_BATCH_CELLS = 20_000
+
+
+def _chaos_batches(n_grid, replicates):
+    """(n, first, stop): each size's replicates in the fewest batches of even size within _BATCH_CELLS."""
+    tasks = []
+    for n in n_grid:
+        count = -(-replicates // max(1, _BATCH_CELLS // n))
+        size = -(-replicates // count)
+        tasks += [(n, first, min(first + size, replicates)) for first in range(0, replicates, size)]
+    return tasks
+
+
 def _chaos_worker(args):
-    n, rep = args
+    n, first, stop = args
     base = _POOL_STATE["base"]
-    sol = _POOL_STATE["sol"]
-    snaps = _POOL_STATE["snaps"]
     master = _POOL_STATE["master"]
-    budget = _POOL_STATE["budget"]
+    seeds = [derive_seed(master, "chaos", n, rep) for rep in range(first, stop)]
     system = SystemConfig(
         n=n,
         lam=base.lam,
         rate=base.rate,
         initial=base.initial,
         horizon=base.horizon,
-        seed=derive_seed(master, "chaos", n, rep),
+        seed=seeds[0],
         tolerances=base.tolerances,
     )
-    return (n, rep), simulate_coupled(system, sol, snaps, event_budget=budget)
+    stats = simulate_coupled(system, _POOL_STATE["sol"], _POOL_STATE["snaps"], _POOL_STATE["budget"], seeds=seeds)
+    return n, first, stats
 
 
 def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
@@ -275,20 +289,21 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
     master = base.seed
     sol = solve_marginals(base, snapshot_times=snaps)
 
+    # one batch per chunk of a size's replicates; a replicate's stats do not
+    # depend on its batch, so neither do the reports
     state = dict(base=base, sol=sol, snaps=snaps, master=master, budget=budget)
-    tasks = [(n, rep) for n in n_grid for rep in range(replicates)]
+    tasks = _chaos_batches(n_grid, replicates)
     results: dict = {}
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=threads, initializer=_init_pool, initargs=(state,)
         ) as pool:
-            for key, stats in pool.map(_chaos_worker, tasks, chunksize=8):
-                results[key] = stats
+            batches = list(pool.map(_chaos_worker, tasks))
     else:
         _init_pool(state)
-        for task in tasks:
-            key, stats = _chaos_worker(task)
-            results[key] = stats
+        batches = [_chaos_worker(task) for task in tasks]
+    for n, first, stats in batches:
+        results.update(((n, first + r), part) for r, part in enumerate(stats))
 
     per_n = {}
     fit_pts = {"mean_abs_diff": [], "mean_h_diff": [], "w1": []}

@@ -20,9 +20,15 @@ a_t = lam * m_t + p_t, with per-slab survival factors accumulated
 multiplicatively, so the representation never diffuses numerically.
 
 The limit process itself is simulated by thinning against the same drift
-(_LimitPaths: one bound, one step and one position formula). A single
-path runs its own short loop; the particle/limit coupling hands N paths
-to particle's event loop, which drives them with the particles' marks.
+(_LimitPaths: one bound and one position formula). A single path runs
+its own short loop, one proposal at a time. The particle/limit coupling
+runs R
+replicates of the N-neuron system in lockstep on (R, N) arrays
+(_coupled_loop, on particle's engine rules): every proposal's mark is
+logged for its limit path, and the paths take the logged marks in one
+vectorized pass at each window end and snapshot, which all rows share.
+Each snapshot's W1 is one call for all rows, from the law's table
+(TransportedDensity.w1_table).
 """
 
 from __future__ import annotations
@@ -35,8 +41,16 @@ import numpy as np
 
 from .metrics import w1_samples_vs_law
 from .model import ConfigError, DriftSeries, RateFunction, SystemConfig
-from .particle import _event_loop
+from .particle import (
+    _EPOCH_DRIFT,
+    EventBudgetExceededError,
+    EventLog,
+    _dominating_rates,
+    _first_blocks,
+    _initial_state,
+)
 from .quadrature import cumulative_trapezoid
+from .rng import uniform_array
 from .rng import substream  # noqa: F401  (benchmark/tracing.py wraps this name)
 
 
@@ -121,6 +135,15 @@ class TransportedDensity:
         cdf = cdf / total
         self._cdf_cache = (ys, cdf)
         return self._cdf_cache
+
+    def w1_table(self):
+        """(ys, F, G): cdf_grid() and G = int F from its first node, for the rows form of
+        metrics.w1_samples_vs_law."""
+        cached = getattr(self, "_w1_cache", None)
+        if cached is None:
+            ys, cdf = self.cdf_grid()
+            cached = self._w1_cache = (ys, cdf, cumulative_trapezoid(cdf, ys))
+        return cached
 
     def support(self):
         hi = self.init_pos[-1] if self.init_x.size else self.splice
@@ -441,7 +464,7 @@ def _prune_nodes(pos: np.ndarray, dy_min: float) -> list:
 
 
 class _FlowEval:
-    """Fast scalar evaluation of I(t) = int_0^t exp(-lam (t-u)) a_u du."""
+    """Fast evaluation of I(t) = int_0^t exp(-lam (t-u)) a_u du, at one t or at many."""
 
     def __init__(self, drift: DriftSeries, lam: float, tol: float = 1e-10):
         ft, fa, nodes = drift._fine_grid(lam, tol)
@@ -451,6 +474,21 @@ class _FlowEval:
         self.lam = lam
         self.tol = tol
         self.t_end = float(ft[-1])
+        # per fine segment: start, I there, a there, a's rise over it, its length
+        self.inner = ft[1:-1]
+        self.segments = np.stack([ft[:-1], nodes[:-1], fa[:-1], np.diff(fa), np.diff(ft)], axis=1)
+
+    def integral_rows(self, t: np.ndarray) -> np.ndarray:
+        """integral_to at each entry of t, by the same per-segment Simpson rule."""
+        t0, node, a_lo, rise, seg = self.segments.take(self.inner.searchsorted(t, side="right"), axis=0).T
+        h = t - t0
+        frac = h / seg
+        a_t = a_lo + rise * frac
+        a_mid = a_lo + rise * 0.5 * frac
+        if self.lam == 0.0:  # exp(-lam h) = 1
+            return node + h / 6.0 * (a_lo + 4.0 * a_mid + a_t)
+        decay = np.exp(-self.lam * h)
+        return node * decay + h / 6.0 * (decay * a_lo + 4.0 * np.exp(-self.lam * 0.5 * h) * a_mid + a_t)
 
     def integral_to(self, t: float) -> float:
         ft = self.ft_list
@@ -473,6 +511,15 @@ class _FlowEval:
         return self.integral_to(t) + math.exp(-self.lam * (t - s)) * (x - i_s)
 
 
+# samples per block of a coupled batch's full (R, N) passes: bounds their temporaries
+_BLOCK_CELLS = 2**12
+
+
+def _row_blocks(rows: int, n: int) -> list:
+    """Slices of at most max(1, _BLOCK_CELLS // n) rows that cover rows rows."""
+    step = max(1, _BLOCK_CELLS // n)
+    return [slice(a, a + step) for a in range(0, rows, step)]
+
 # drift mass per window of the coupled limit paths: a path's bound sits at
 # most this far above its anchor, so few proposals are wasted on it
 _WINDOW_DRIFT = 1.0 / 16.0
@@ -481,15 +528,22 @@ _WINDOW_DRIFT = 1.0 / 16.0
 class _LimitPaths:
     """Paths of the limit process on a solved drift, thinned by outside marks.
 
-    Path i flows from its anchor (t_i, y_i) and jumps to 0 at a proposal
-    (t, z) iff z <= f(y_i(t)); every proposal re-anchors it. by[i]
-    dominates its jump rate up to the window end w: between jumps
-    y' = a - lam y <= abar - lam y, so by comparison y(t) <= y_i +
-    (1 - e^{-lam (w - t_i)}) (abar/lam - y_i)^+ on [t_i, w] for lam > 0,
-    and y(t) <= y_i + I(w) - I(t_i) for lam = 0 (f is nondecreasing);
-    the bound position carries a slack that covers the flow's quadrature.
-    Windows are window/abar long (one window up to t_end by default);
-    next_window re-anchors all paths at w and bounds them up to the next.
+    A path flows from its anchor and jumps to 0 at a proposal (t, z) iff
+    z <= f(y(t)). All paths share one anchor time t0 (with i0 = I(t0)), at
+    which path i sits at ya[i]. by[i] dominates its jump rate up to the
+    window end w: between jumps y' = a - lam y <= abar - lam y, so by
+    comparison y(t) <= ya + (1 - e^{-lam (w - t0)}) (abar/lam - ya)^+ on
+    [t0, w] for lam > 0, and y(t) <= ya + I(w) - I(t0) for lam = 0 (f is
+    nondecreasing); a path that jumps restarts at 0 below its anchor, so the
+    bound stays valid after jumps. The bound position carries a slack that
+    covers the flow's quadrature. Windows are window/abar long (one window
+    up to t_end by default).
+
+    Paths may take (R, N) shape, R replicates of N. advance applies a batch
+    of proposals and re-anchors all paths at a later time; next_window
+    does so at the window end and bounds the paths up to the next one. A
+    single path may instead take its proposals one at a time (propose),
+    each re-anchoring and re-bounding it.
     """
 
     def __init__(self, drift: DriftSeries, rate: RateFunction, lam: float, t_end=None, window=math.inf):
@@ -502,46 +556,93 @@ class _LimitPaths:
         self.h = window / self.abar if self.abar > 0 else math.inf
 
     def start(self, y0):
+        """Anchor the paths at y0 at time 0 and bound them up to the first window end."""
         self.ya = np.array(y0, dtype=float)
-        self.ta = np.zeros(self.ya.size)
-        self.ia = np.full(self.ya.size, self.fe.integral_to(0.0))
+        self.by = np.empty(self.ya.shape)
+        self.t0, self.i0 = 0.0, self.fe.integral_to(0.0)
         self.k = 0
-        self.next_window()
+        self._bound_window()
 
-    def next_window(self):
-        """Re-anchor every path at the current window end and bound it up to the next."""
-        if self.k:
-            w = self.w
-            self.ya = self.positions(w)
-            self.ta = np.full(self.ya.size, w)
-            self.ia = np.full(self.ya.size, self.fe.integral_to(w))
+    def _bound_window(self):
         self.k += 1
         self.w = min(self.k * self.h, self.t_end)
         self.i_w = self.fe.integral_to(self.w)
-        self.by = self._bounds(self.ya, self.ta, self.ia)
+        for rows in _row_blocks(*self.ya.shape) if self.ya.ndim == 2 else [...]:  # in place, by blocks
+            self.by[rows] = self._bounds(self.ya[rows], self.t0, self.i0)
 
     def _bounds(self, ya, ta, ia):
         if self.lam == 0.0:
-            rise = self.i_w - ia
-        else:
-            rise = -np.expm1(-self.lam * (self.w - ta)) * np.maximum(self.abar / self.lam - ya, 0.0)
-        return np.asarray(self.rate(ya + rise + self.slack), dtype=float)
+            x = ya + (self.i_w - ia)
+        else:  # ya + (1 - e^{-lam (w - ta)}) (abar/lam - ya)^+, in place
+            x = self.abar / self.lam - ya
+            np.maximum(x, 0.0, out=x)
+            x *= -np.expm1(-self.lam * (self.w - ta))
+            x += ya
+        x += self.slack
+        return np.asarray(self.rate(x), dtype=float)
 
     def positions(self, t: float) -> np.ndarray:
-        return self.fe.integral_to(t) + np.exp(-self.lam * (t - self.ta)) * (self.ya - self.ia)
+        """The paths at t, if no proposal came between their anchor and t."""
+        return self.fe.integral_to(t) + np.exp(-self.lam * (t - self.t0)) * (self.ya - self.i0)
 
-    def propose(self, i: int, t: float, z: float):
-        """(jumped, overshoot) of path i at the proposal (t, z), which re-anchors it."""
+    def advance(self, t1: float, cells=(), times=(), marks=()):
+        """Apply proposals (t, z) to the paths, then re-anchor every path at t1.
+
+        cells are flat path indices, with each path's proposals in time
+        order, times their times (none past t1) and marks their z. The
+        proposals of all paths are taken in rounds, the k-th of every path
+        in round k. Returns each proposal's overshoot flag: the path's rate
+        above its bound.
+        """
+        cells, times, marks = (np.asarray(a) for a in (cells, times, marks))
+        lam, i1 = self.lam, self.fe.integral_to(t1)
+        ya = self.ya.reshape(-1)
+        over = np.zeros(cells.size, dtype=bool)
+        if cells.size:
+            order = np.argsort(cells, kind="stable")
+            c = cells[order]
+            first = np.concatenate([[True], c[1:] != c[:-1]])
+            group = np.cumsum(first) - 1
+            starts = first.nonzero()[0]
+            rank = np.arange(c.size) - starts[group]
+            path = c[starts]
+            ay, at, ai = ya[path], np.full(path.size, self.t0), np.full(path.size, self.i0)
+            for k in range(int(rank.max()) + 1):
+                sel = (rank == k).nonzero()[0]
+                g, rec, t = group[sel], order[sel], times[order[sel]]
+                i_t = self.fe.integral_rows(t)
+                y = i_t + (ay[g] - ai[g]) if lam == 0.0 else i_t + np.exp(-lam * (t - at[g])) * (ay[g] - ai[g])
+                fy = self.rate(y)
+                over[rec] = fy > self.by.reshape(-1)[c[sel]]
+                y[marks[rec] <= fy] = 0.0  # the jumps
+                ay[g], at[g], ai[g] = y, t, i_t
+        # every path flows on to t1 from its anchor, in place: I(t1) + e^{-lam (t1 - t0)} (ya - I(t0))
+        ya -= self.i0
+        if lam != 0.0:
+            ya *= math.exp(-lam * (t1 - self.t0))
+        if cells.size:
+            ya[path] = ay - ai if lam == 0.0 else np.exp(-lam * (t1 - at)) * (ay - ai)
+        ya += i1
+        self.t0, self.i0 = t1, i1
+        return over
+
+    def next_window(self, cells=(), times=(), marks=()):
+        """advance to the window end, then bound every path up to the next; returns advance's flags."""
+        over = self.advance(self.w, cells, times, marks)
+        self._bound_window()
+        return over
+
+    def propose(self, t: float, z: float) -> bool:
+        """Whether a single path jumps at the proposal (t, z), which re-anchors and re-bounds it."""
         i_t = self.fe.integral_to(t)
-        y = i_t + math.exp(-self.lam * (t - self.ta.item(i))) * (self.ya.item(i) - self.ia.item(i))
-        fy = self.rate(y)
-        jumped, overshoot = z <= fy, fy > self.by.item(i)
+        y = i_t + math.exp(-self.lam * (t - self.t0)) * (self.ya.item(0) - self.i0)
+        jumped = z <= self.rate(y)
         y = 0.0 if jumped else y
-        self.ya[i], self.ta[i], self.ia[i] = y, t, i_t
+        self.ya[0], self.t0, self.i0 = y, t, i_t
         lam = self.lam
         rise = self.i_w - i_t if lam == 0.0 else -math.expm1(-lam * (self.w - t)) * max(self.abar / lam - y, 0.0)
-        self.by[i] = self.rate(y + rise + self.slack)
-        return jumped, overshoot
+        self.by[0] = self.rate(y + rise + self.slack)
+        return jumped
 
 
 @dataclass
@@ -584,7 +685,7 @@ def simulate_nonlinear_path(
         t = t + rng.exponential() / paths.by[0]
         if t >= paths.t_end:
             break
-        if paths.propose(0, t, rng.random() * paths.by[0])[0]:
+        if paths.propose(t, rng.random() * paths.by[0]):
             jumps.append(t)
     return NonlinearPath(y0=float(y0), jump_times=np.asarray(jumps), lam=lam, _flow=paths.fe)
 
@@ -627,50 +728,289 @@ def simulate_coupled(
     sol: MarginalSolution,
     snapshot_times,
     event_budget: int = 100_000_000,
-) -> CoupledStats:
-    """One replicate of the particle system coupled to N limit processes.
+    seeds=None,
+):
+    """Replicates of the particle system coupled to N limit processes.
 
-    Runs particle's event loop with the N limit paths as its shadow. Limit
-    path i starts at the same draw as particle i and consumes the same
-    proposal stream: each proposal (tau, u) carries the mark z = u * B_i
-    with B_i the larger of the two bounds, and each process jumps iff z
-    undercuts its own current rate, which realizes one shared driving
-    measure per index. Kicks reach only the particles; the limit paths
-    ride the solved drift, bounded per window of drift mass 1/16
-    (_LimitPaths). Any dominating envelope thins the same Poisson measure
-    (Lewis-Shedler), so the windows and the particles' bound epochs change
-    the proposal sequence, not the coupling's law.
+    Runs the coupled engine (_coupled_loop): limit path i starts at the
+    same draw as particle i and consumes the same proposal stream: each
+    proposal (tau, u) carries the mark z = u * B_i with B_i the larger of
+    the two bounds, and each process jumps iff z undercuts its own current
+    rate, which realizes one shared driving measure per index. Kicks reach
+    only the particles; the limit paths ride the solved drift, bounded per
+    window of drift mass 1/16 (_LimitPaths). Any dominating envelope thins
+    the same Poisson measure (Lewis-Shedler), so the windows and the
+    particles' bound epochs change the proposal sequence, not the
+    coupling's law.
+
+    Without seeds this is one replicate, on config.seed, and returns one
+    CoupledStats. With seeds it runs one replicate per seed as one batch in
+    lockstep (config.seed is ignored) and returns one CoupledStats per
+    seed, in order. Replicate r depends only on seeds[r]: its stats equal,
+    bitwise, those of the batch [seeds[r]] alone, whatever else the batch
+    holds. event_budget caps each replicate's spike count.
     """
+    single = seeds is None
+    seeds = [config.seed] if single else [int(seed) for seed in seeds]
     snap_times = np.asarray(sorted(float(t) for t in snapshot_times), dtype=float)
+    if not seeds:
+        raise ConfigError("coupled run needs at least one seed")
     if snap_times.size == 0:
         raise ConfigError("coupled run needs at least one snapshot time")
     if snap_times[-1] > config.horizon + 1e-12 or snap_times[0] < 0:
         raise ConfigError("snapshot times must lie in [0, horizon]")
     if sol.times[-1] < config.horizon - 1e-9:
         raise ConfigError("marginal solution must cover the run horizon")
-    laws = [sol.snapshot_at(ts).cdf_grid() for ts in snap_times]
+    laws = [sol.snapshot_at(ts) for ts in snap_times]
 
     f = config.rate
     paths = _LimitPaths(sol.drift(), f, config.lam, t_end=config.horizon, window=_WINDOW_DRIFT)
-    mean_abs = np.zeros(snap_times.size)
-    mean_h = np.zeros(snap_times.size)
-    w1s = np.zeros(snap_times.size)
+    mean_abs, mean_h, w1s = np.zeros((3, len(seeds), snap_times.size))
 
-    def observe(k, ts, xv):
-        yv = paths.positions(ts)
-        mean_abs[k] = float(np.mean(np.abs(xv - yv)))
-        hx = np.asarray(f(xv), float) + np.arctan(xv)
-        hy = np.asarray(f(yv), float) + np.arctan(yv)
-        mean_h[k] = float(np.mean(np.abs(hx - hy)))
-        w1s[k] = w1_samples_vs_law(np.sort(xv), laws[k])
+    def observe(k, rows, x, y):  # in place where it can
+        d = x - y
+        mean_abs[rows, k] = np.abs(d, out=d).mean(axis=1)
+        hx, hy = f(x), f(y)
+        hx += np.arctan(x)
+        hy += np.arctan(y)
+        hx -= hy
+        mean_h[rows, k] = np.abs(hx, out=hx).mean(axis=1)
+        w1s[rows, k] = w1_samples_vs_law(x, laws[k])
 
-    log = _event_loop(config, range(config.n), snap_times, observe, event_budget, log_events=False, shadow=paths)
-    return CoupledStats(
-        n=config.n,
-        snapshot_times=snap_times,
-        mean_abs_diff=mean_abs,
-        mean_h_diff=mean_h,
-        w1=w1s,
-        proposals=log.proposals,
-        bound_overshoots=log.bound_overshoots,
-    )
+    logs, _ = _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_events=False)
+    stats = [
+        CoupledStats(
+            n=config.n,
+            snapshot_times=snap_times,
+            mean_abs_diff=mean_abs[r],
+            mean_h_diff=mean_h[r],
+            w1=w1s[r],
+            proposals=log.proposals,
+            bound_overshoots=log.bound_overshoots,
+        )
+        for r, log in enumerate(logs)
+    ]
+    return stats[0] if single else stats
+
+
+# rows of the coupled engine's per-neuron array: the particle's stored value
+# y, its bound bx and the number of proposals the neuron made; proposals run
+# at max(bx, by), with by the limit path's bound
+_Y, _BX, _DRAWN = range(3)
+# and of its per-row array: the affine map x = amp * (y + shift), the mean
+# xbar and the time of the row's last spike
+_AMP, _SHIFT, _XBAR, _LAST = range(4)
+
+
+def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_events):
+    """The coupled engine: R = len(seeds) replicates of config in lockstep on (R, N) arrays.
+
+    Row r is particle's engine on the streams of (seeds[r], "prop"), on
+    the rules it shares with particle._event_loop, with its own run key,
+    affine map, spike count, bound epochs and draws, and with the N limit
+    paths of paths (started here, shape (R, N)) as its shadow. Proposals
+    run at B = max(bx, by), where by bounds the paths up to the window end
+    paths.w, and each proposal's mark z = u * B_i is logged for limit path
+    i, which takes it when the paths next advance (_LimitPaths.advance).
+
+    Window ends and snapshot times are common to all rows. Each step takes
+    one proposal in every row whose next proposal comes before both (a
+    snapshot within 1e-15 of a proposal is observed first); the other rows
+    idle. Once every row idles, the earliest common time is handled once
+    for the batch: the limit paths advance to it, then a snapshot observes
+    every row, and a window end rebounds the paths and rescales all clocks
+    in one O(R N) pass. Epoch rebuilds, refills, folds and the event budget
+    stay per row, so no row's arithmetic depends on another's.
+
+    observe(k, rows, x, y) receives the potentials of the particles and of
+    the limit paths at the k-th snapshot time, for the rows of the slice
+    rows, block by block (_row_blocks). Returns (one EventLog per row, the
+    number of window ends); a row's rebuilds count its first bound pass and
+    its epoch passes, and its spikes are logged only with log_events.
+    """
+    lam, f, horizon, n = config.lam, config.rate, config.horizon, config.n
+    rows = len(seeds)
+    m = max(1, int(_EPOCH_DRIFT * n))
+    labels = list(range(n))
+
+    # neuron j of the flattened (R, N) state reads its stream as pairs (mark,
+    # clock): pair 0 is its initial potential and first clock, pairs 1-3 end
+    # its first block, and later pairs come one block at a time (late_pair);
+    # a clock is kept as its unit exponential -log1p(-u)
+    cells = np.zeros((3, rows * n))
+    y, bx, drawn = cells.reshape(3, rows, n)  # (R, N) views
+    keys, xbar0 = [], np.empty(rows)
+    next_time, pairs = np.empty((rows, n)), np.empty((rows, n, 3, 2))
+    for r, seed in enumerate(seeds):
+        key, block = _first_blocks(seed, labels)
+        start = _initial_state(config, block[:, 0])
+        clocks = -np.log1p(-block[:, 1::2])
+        keys.append(key)
+        y[r], xbar0[r], next_time[r] = start.anchor_x, start.xbar, clocks[:, 0]
+        pairs[r, :, :, 0], pairs[r, :, :, 1] = block[:, 2::2], clocks[:, 1:]
+    pairs = pairs.reshape(-1, 2)
+    # a neuron past its first block holds one later block at a time, in a slot
+    # of late (chunks of 256 slots, so that a refill never copies the others)
+    late_row, late, held = np.full(rows * n, -1, dtype=np.int32), [], 0
+
+    def late_pair(jj, p):  # pair p >= 4 of neuron jj, read block by block, in order
+        nonlocal held
+        k = int(late_row[jj])
+        if k < 0:
+            k = late_row[jj] = held
+            held += 1
+            if k % 256 == 0:
+                late.append(np.empty((256, 4, 2)))
+        slot = late[k // 256][k % 256]
+        if p % 4 == 0:
+            r, i = divmod(jj, n)
+            slot[:] = uniform_array(keys[r], [i], p // 4, 1).reshape(4, 2)
+            slot[:, 1] = -np.log1p(-slot[:, 1])
+        return slot[p % 4]
+
+    x0 = y.copy() if log_events else np.zeros((rows, 0))
+    paths.start(y)
+    state = np.zeros((4, rows))
+    amp, shift, xbar, last = state
+    amp[:], xbar[:] = 1.0, xbar0
+    blocks = _row_blocks(rows, n)
+    for sl in blocks:  # unit-rate clocks drawn at time 0
+        bx[sl] = _dominating_rates(f, lam, n, y[sl], shift[sl, None], amp[sl, None], xbar[sl, None])
+        next_time[sl] /= np.maximum(bx[sl], paths.by[sl])
+    ntf, row_base = next_time.reshape(-1), np.arange(rows) * n
+
+    def rebuild(e, now):  # bound pass of rows e at their times now
+        new_bx = _dominating_rates(f, lam, n, y[e], shift[e, None], amp[e, None], xbar[e, None])
+        by = paths.by[e]
+        nt = next_time[e]
+        nt -= now[:, None]
+        nt *= np.maximum(bx[e], by)
+        nt /= np.maximum(new_bx, by)
+        nt += now[:, None]
+        bx[e], next_time[e] = new_bx, nt
+        rebuilds[e] += 1
+
+    overshoots, spikes, rebuilds = np.zeros((3, rows), dtype=np.int64)
+    rebuilds += 1
+    total_spikes = windows = snap_i = 0
+    events, pending = [], []  # spikes to log; proposals the limit paths have not taken
+    snaps = snap_times.tolist() + [math.inf]
+
+    def catch_up(over):  # limit overshoots of the pending proposals, counted per row
+        if np.count_nonzero(over):
+            overshoots[:] += np.bincount(np.concatenate([c[0] for c in pending])[over] // n, minlength=rows)
+        pending.clear()
+
+    def pending_proposals():
+        return [np.concatenate(c) for c in zip(*pending)] if pending else ()
+
+    edge = min(paths.w, math.nextafter(snaps[0] - 1e-15, -math.inf))  # last time a proposal is taken
+    while True:
+        idx = next_time.argmin(axis=1)
+        flat = row_base + idx
+        tau = ntf.take(flat)
+        act = (tau <= edge).nonzero()[0]
+        if act.size == 0:
+            w = paths.w
+            if snaps[snap_i] <= w + 1e-15 or w >= horizon:
+                if snap_i == snap_times.size:
+                    catch_up(paths.advance(horizon, *pending_proposals()))
+                    break
+                ts = snaps[snap_i]
+                catch_up(paths.advance(ts, *pending_proposals()))
+                for sl in blocks:
+                    x = y[sl] + shift[sl, None]  # at lam = 0 (amp = 1) the potentials rest at their anchors
+                    if lam != 0.0:  # xbar + decay * (amp * x - xbar), in place
+                        x *= amp[sl, None]
+                        x -= xbar[sl, None]
+                        x *= np.exp(-lam * (ts - last[sl]))[:, None]
+                        x += xbar[sl, None]
+                    observe(snap_i, sl, x, paths.ya[sl])
+                snap_i += 1
+            else:  # the window end: the paths advance and rebound, all clocks rescale
+                for sl in blocks:
+                    next_time[sl] -= w
+                    next_time[sl] *= np.maximum(bx[sl], paths.by[sl])
+                catch_up(paths.next_window(*pending_proposals()))
+                for sl in blocks:
+                    next_time[sl] /= np.maximum(bx[sl], paths.by[sl])
+                    next_time[sl] += w
+                windows += 1
+            edge = min(paths.w, math.nextafter(snaps[snap_i] - 1e-15, -math.inf))
+            continue
+
+        # one proposal in each active row: neuron i at time t, cell j
+        t, j = tau.take(act), flat.take(act)
+        g = cells.take(j, axis=1)
+        r = state.take(act, axis=1)
+        xi = r[_AMP] * (g[_Y] + r[_SHIFT])
+        if lam != 0.0:  # xbar + decay * (xi - xbar); at lam = 0 the potential rests at its anchor
+            decay = np.exp(-lam * (t - r[_LAST]))
+            xi -= r[_XBAR]
+            xi *= decay
+            xi += r[_XBAR]
+        fx = f(xi)
+        p = g[_DRAWN].astype(np.intp)
+        draws = pairs.take(j * 3 + p, axis=0, mode="clip")
+        for q in (p >= 3).nonzero()[0].tolist():
+            draws[q] = late_pair(int(j[q]), int(p[q]) + 1)
+        bound = np.maximum(g[_BX], paths.by.take(j))
+        z = draws[:, 0] * bound
+        pending.append((j, t, z))
+        over = fx > g[_BX]
+        if np.count_nonzero(over):
+            overshoots[act[over]] += 1
+        g[_DRAWN] += 1.0
+        hit = (z <= fx).nonzero()[0]
+        if hit.size == 0:
+            cells[:, j] = g
+            ntf[j] = t + draws[:, 1] / bound
+            continue
+
+        # the spikes: each spiking row drifts to t and takes the kick 1/N; its spiker resets to 0
+        srows, th, xh = act.take(hit), t.take(hit), xi.take(hit)
+        rh = r.take(hit, axis=1)
+        a_h, s_h, m_h, t_h = rh
+        if lam != 0.0:
+            d = decay.take(hit)
+            # fold the drift into y, long before amp can underflow (amp * d >= e^{-lam horizon})
+            for q in (a_h * d < 1e-100).nonzero()[0].tolist() if lam * horizon > 200.0 else ():
+                k = srows[q]
+                y[k] = m_h[q] + d[q] * (a_h[q] * (y[k] + s_h[q]) - m_h[q])
+                a_h[q], s_h[q], d[q] = 1.0, 0.0, 1.0
+            a_h *= d
+            s_h += ((1.0 - d) * m_h + 1.0 / n) / a_h
+            t_h[:] = th
+        else:  # amp stays 1
+            s_h += 1.0 / n
+        m_h += ((n - 1) / n - xh) / n
+        state[:, srows] = rh
+        g[_Y, hit] = -s_h
+        cells[:, j] = g
+        count = spikes.take(srows) + 1
+        spikes[srows] = count
+        total_spikes += hit.size
+        if total_spikes > event_budget and count.max() > event_budget:
+            raise EventBudgetExceededError(f"more than {event_budget} spikes")
+        if log_events:
+            events.append((srows, th, idx.take(srows), xh))
+        for k in srows[count % 4096 == 0].tolist() if total_spikes >= 4096 else ():
+            y[k] = amp[k] * (y[k] + shift[k])  # fold the affine map into y
+            amp[k], shift[k] = 1.0, 0.0
+            xbar[k] = float(np.sort(y[k]).mean())  # cap float drift of the running mean
+        due = (count % m == 0).nonzero()[0]  # rows whose bound epoch ends
+        if due.size:
+            rebuild(srows.take(due), th.take(due))
+        ntf[j] = t + draws[:, 1] / (np.maximum(bx.take(j), paths.by.take(j)) if due.size else bound)
+
+    # each row's spikes, in time order: a stable sort by row keeps the step order
+    ev_rows, ev_t, ev_i, ev_x = (np.concatenate(c) for c in zip(*events)) if events else np.zeros((4, 0))
+    order = np.argsort(ev_rows, kind="stable")
+    cuts = np.cumsum(np.bincount(ev_rows.astype(int), minlength=rows))[:-1]
+    per_row = zip(*(np.split(c[order], cuts) for c in (ev_t, ev_i.astype(int), ev_x)))
+    proposals = drawn.sum(axis=1).astype(np.int64)  # each proposal moved its neuron one pair on
+    logs = [
+        EventLog(times, i_r, pre, int(proposals[r]), x0[r], int(overshoots[r]), int(rebuilds[r]))
+        for r, (times, i_r, pre) in enumerate(per_row)
+    ]
+    return logs, windows

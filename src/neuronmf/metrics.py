@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import cumulative_trapezoid
+
 
 def w1_samples(u, v) -> float:
     """W1 between two equal-length empirical measures.
@@ -20,15 +22,22 @@ def w1_samples(u, v) -> float:
     return float(np.mean(np.abs(u - v)))
 
 
-def w1_samples_vs_law(samples, law) -> float:
+def w1_samples_vs_law(samples, law):
     """W1 between an empirical measure and a law with piecewise-linear cdf.
 
-    Computes int |F_n - F| dx exactly on the merged breakpoints of the
-    empirical cdf (steps at the sorted samples) and the law's cdf grid,
-    splitting cells where the linear cdf crosses the empirical level.
+    For 1-d samples, computes int |F_n - F| dx exactly on the merged
+    breakpoints of the empirical cdf (steps at the sorted samples) and the
+    law's cdf grid, splitting cells where the linear cdf crosses the
+    empirical level, and returns a float.
+
+    For 2-d samples, each row is one empirical measure, and the result is
+    the array of the rows' W1, computed in quantile form from the law's
+    table (_w1_rows): one call for all rows, and row r's value does not
+    depend on the other rows.
 
     law is either an (xs, F) pair or an object with a cdf_grid() method;
-    F must increase from 0 to 1.
+    F must increase from 0 to 1. An object may also cache its table by a
+    w1_table() method returning (xs, F, G) with G = cumulative_trapezoid(F, xs).
     """
     xs, F = law if isinstance(law, tuple) else law.cdf_grid()
     xs = np.asarray(xs, dtype=float)
@@ -36,9 +45,12 @@ def w1_samples_vs_law(samples, law) -> float:
     if abs(F[-1] - 1.0) > 1e-9 or F[0] < -1e-12 or np.any(np.diff(F) < -1e-12):
         raise ValueError("law cdf must increase from 0 to 1")
     s = np.sort(np.asarray(samples, dtype=float))
-    n = s.size
+    n = s.shape[-1]
     if n == 0:
         raise ValueError("need at least one sample")
+    if s.ndim == 2:
+        G = law.w1_table()[2] if hasattr(law, "w1_table") else cumulative_trapezoid(F, xs)
+        return _w1_rows(s, xs, F, G)
 
     # merged breakpoints over the union of both supports
     grid = np.union1d(xs, s)
@@ -62,6 +74,63 @@ def w1_samples_vs_law(samples, law) -> float:
         0.5 * (d_left**2 + d_right**2) / np.maximum(np.abs(d_right - d_left), 1e-300) * h,
     )
     return float(np.sum(area))
+
+
+def _w1_rows(s, xs, F, G):
+    """W1 of each sorted row of s against the law (xs, F), G = int F from xs[0].
+
+    W1 = sum_k int_{u0}^{u1} |s_k - Q(u)| du over the levels u0 = (k-1)/n,
+    u1 = k/n, with Q the law's quantile. With H(u) = int_0^u Q and u* the
+    cdf F(s_k) clipped into [u0, u1], the k-th term is
+    s_k (2 u* - u0 - u1) - 2 H(u*) + H(u0) + H(u1), and H(F(c)) = c F(c) - G(c)
+    when u* is not clipped. Beyond the grid F is 0 below and 1 above. The
+    (R, n) work runs in place, so a call holds a few arrays of s's size.
+    """
+    n, last = s.shape[1], xs.size - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # F and G at the samples; an atom's zero-width segment serves only samples off the grid
+        slope = np.diff(F) / np.diff(xs)
+        j = np.searchsorted(xs, s, side="right")
+        j -= 1
+        np.clip(j, 0, max(last - 1, 0), out=j)
+        dx = s - xs[j]
+        fj = F[j]
+        fc = slope[j]
+        fc *= dx
+        fc += fj
+        gc = fj
+        gc += fc
+        gc *= 0.5
+        gc *= dx
+        gc += G[j]
+        below, above = s < xs[0], s >= xs[-1]
+        fc[below], gc[below] = 0.0, 0.0
+        fc[above], gc[above] = 1.0, G[-1] + (s[above] - xs[-1])
+
+        # H at the levels k/n through the quantile: F[q-1] < u <= F[q]
+        u = np.arange(n + 1) / n
+        q = np.searchsorted(F, u, side="left")
+        qi = np.clip(q, 1, max(last, 1))
+        f0, x0 = F[qi - 1], xs[qi - 1]
+        qu = x0 + (u - f0) * (xs[qi] - x0) / (F[qi] - f0)
+        h = u * qu - (G[qi - 1] + (qu - x0) * 0.5 * (f0 + u))
+        h = np.where(q == 0, u * xs[0], np.where(q > last, u * xs[-1] - G[-1], h))
+
+    u0, u1, h0, h1 = u[:-1], u[1:], h[:-1], h[1:]
+    hstar = s * fc
+    hstar -= gc
+    np.copyto(hstar, h0, where=fc < u0)
+    np.copyto(hstar, h1, where=fc > u1)
+    ustar = np.clip(fc, u0, u1, out=fc)
+    ustar *= 2.0
+    ustar -= u0
+    ustar -= u1
+    ustar *= s
+    hstar *= 2.0
+    ustar -= hstar
+    ustar += h0
+    ustar += h1
+    return ustar.sum(axis=1)
 
 
 def tv_densities(d1, d2, grid) -> float:

@@ -23,9 +23,10 @@ stream labels exactly permutes trajectories.
 Pending proposal times are rescaled in place when the bounds change,
 which keeps them exact by memorylessness.
 
-_event_loop is the package's one exact event engine: simulate runs it
-alone, and limitlaw.simulate_coupled runs it with the N coupled limit
-paths as a shadow that shares every proposal's mark.
+_event_loop is the package's plain exact event engine, behind simulate.
+The coupled engine, limitlaw._coupled_loop, runs replicates in lockstep
+with their limit paths on the same rules: _first_blocks, _initial_state,
+_dominating_rates and the constants below are shared by both.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ConfigError, SystemConfig
-from .rng import BLOCK_UNIFORMS, stream_key, uniform_blocks
+from .rng import BLOCK_UNIFORMS, stream_key, uniform_array, uniform_blocks
 from .rng import substream  # noqa: F401  (benchmark/tracing.py wraps this name)
 
 
@@ -95,7 +96,7 @@ class EventLog:
     proposals: int
     initial_values: np.ndarray
     bound_overshoots: int = 0  # proposals whose rate exceeded its bound; > 0 means inexact thinning
-    rebuilds: int = 0  # O(N) passes over bounds and clocks: the first, one per epoch, one per shadow window
+    rebuilds: int = 0  # O(N) passes over bounds and clocks: the first and one per epoch
 
     @property
     def spikes(self) -> int:
@@ -126,8 +127,8 @@ def init_system(config: SystemConfig, stream_labels=None) -> ParticleState:
     label's stream, so N i.i.d. potentials.
     """
     labels = _stream_labels(config, stream_labels)
-    _, draws = _first_blocks(config, labels)
-    return _initial_state(config, [row[0] for row in draws])
+    _, first = _first_blocks(config.seed, labels)
+    return _initial_state(config, first[:, 0])
 
 
 def _stream_labels(config: SystemConfig, stream_labels) -> list:
@@ -147,10 +148,10 @@ def _stream_labels(config: SystemConfig, stream_labels) -> list:
     return labels
 
 
-def _first_blocks(config: SystemConfig, labels):
-    """(run key, each label's first block of uniforms) of the engine's streams."""
-    key = stream_key(config.seed, "prop")
-    return key, uniform_blocks(key, labels, 0, 1)
+def _first_blocks(seed: int, labels):
+    """(run key, each label's first block of uniforms as one row) of the engine's streams under seed."""
+    key = stream_key(seed, "prop")
+    return key, uniform_array(key, labels, 0, 1)
 
 
 def _initial_state(config: SystemConfig, u) -> ParticleState:
@@ -159,6 +160,24 @@ def _initial_state(config: SystemConfig, u) -> ParticleState:
     # summing in sorted order makes the mean independent of the labeling,
     # so permuting stream labels permutes trajectories bitwise
     return ParticleState(t=0.0, lam=config.lam, xbar=float(np.sort(x).mean()), anchor_time=0.0, anchor_x=x)
+
+
+def _dominating_rates(f, lam: float, n: int, y, shift, amp, xbar):
+    """Rate bounds that hold for an epoch of m spikes from x = amp * (y + shift), mean xbar.
+
+    Broadcasts: y is (N,) with scalar shift, amp and xbar, or (R, N) with
+    (R, 1) columns, one row per replicate.
+    """
+    m = max(1, int(_EPOCH_DRIFT * n))
+    x = y + shift
+    if lam != 0.0:
+        x *= amp
+        np.maximum(x, xbar, out=x)
+    x += (m - 1) / n
+    if lam == 0.0 and m > 1:
+        x *= _KICK_ROUNDING
+    b = f(x)
+    return np.maximum(b, _RATE_FLOOR, out=b)
 
 
 def apply_spike(state: ParticleState, i: int) -> ParticleState:
@@ -212,8 +231,8 @@ def simulate(
     return _event_loop(config, labels, snap_times, observe, event_budget, log_events), snapshots
 
 
-def _event_loop(config, labels, snap_times, observe, event_budget, log_events, shadow=None):
-    """The thinning loop behind simulate and limitlaw.simulate_coupled.
+def _event_loop(config, labels, snap_times, observe, event_budget, log_events):
+    """The thinning loop behind simulate.
 
     Potentials are x_j = amp * (y_j + shift) at the last spike time ta; a
     spike moves amp, shift, xbar and y_i. Bounds are rebuilt, and clocks
@@ -222,50 +241,32 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
     reset potential lies below it).
 
     observe(k, t, x) receives the (unsorted) potentials at the k-th
-    snapshot time. A shadow -- the coupling's N limit paths, started on
-    the initial draws -- sees the mark z = u * B_i of every proposal
-    through shadow.propose(i, tau, z) and keeps bounds shadow.by valid up
-    to its window end shadow.w; proposals run at max(bx, by), and past
-    shadow.w the shadow moves to its next window and the bounds are
-    rebuilt. Returns the EventLog.
+    snapshot time. Returns the EventLog.
     """
     lam, f, horizon, n = config.lam, config.rate, config.horizon, config.n
     m = max(1, int(_EPOCH_DRIFT * n))
-    slack = (m - 1) / n
 
     # one uniform stream per neuron: its initial potential, its first clock,
     # then (mark, next clock) per proposal; each neuron's first block is read
     # here and the rest on demand; used[i] counts what neuron i read
-    key, draws = _first_blocks(config, labels)
+    key, first = _first_blocks(config.seed, labels)
+    draws = first.tolist()
     used = [2] * n
-    state = _initial_state(config, [row[0] for row in draws])
+    state = _initial_state(config, first[:, 0])
     x0, xbar = state.anchor_x, state.xbar
     y, amp, shift, ta = x0.copy(), 1.0, 0.0, 0.0
-    if shadow is not None:
-        shadow.start(x0)
 
-    def dominating_rates():
-        x = y + shift
-        if lam != 0.0:
-            x *= amp
-            np.maximum(x, xbar, out=x)
-        x += slack
-        if lam == 0.0 and m > 1:
-            x *= _KICK_ROUNDING
-        b = f(x)
-        return np.maximum(b, _RATE_FLOOR, out=b)
-
-    def rebound(now):  # bounds from bx (and by), pending clocks rescaled to them
+    def rebound(now):  # bounds from bx, pending clocks rescaled to them
         nonlocal bounds, next_time, rebuilds
         old = bounds
-        bounds = bx if shadow is None else np.maximum(bx, shadow.by)
+        bounds = bx
         next_time -= now
         next_time *= old
         next_time /= bounds
         next_time += now
         rebuilds += 1
 
-    bx = dominating_rates()
+    bx = _dominating_rates(f, lam, n, y, shift, amp, xbar)
     bounds, next_time, rebuilds = 1.0, np.array([-math.log1p(-row[1]) for row in draws]), 0
     rebound(0.0)  # unit-rate clocks drawn at time 0
 
@@ -286,12 +287,6 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
     while True:
         i = int(next_time.argmin())
         tau = next_time.item(i)
-        if shadow is not None and tau > shadow.w and shadow.w < horizon:
-            w = shadow.w
-            emit_until(w)
-            shadow.next_window()
-            rebound(w)
-            continue
         if not tau <= horizon:
             emit_until(math.inf)  # snapshot times may pass the horizon by rounding
             break
@@ -303,16 +298,12 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
         if lam != 0.0:  # at lam = 0 the potential rests at its anchor
             xi = xbar + decay * (xi - xbar)
         fx = f(xi)
-        overshoot = fx > bx.item(i)
+        overshoots += bool(fx > bx.item(i))
         k, row = used[i], draws[i]
         if k == len(row):  # doubles the neuron's blocks; other rows are untouched
             row += uniform_blocks(key, labels[i : i + 1], k // BLOCK_UNIFORMS, k // BLOCK_UNIFORMS)[0]
         used[i] = k + 2
-        z = row[k] * bounds.item(i)
-        if shadow is not None and shadow.propose(i, tau, z)[1]:
-            overshoot = True
-        overshoots += bool(overshoot)
-        if z <= fx:
+        if row[k] * bounds.item(i) <= fx:
             spikes += 1
             if spikes > event_budget:
                 raise EventBudgetExceededError(f"more than {event_budget} spikes")
@@ -332,10 +323,8 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events, s
                 y, amp, shift = amp * (y + shift), 1.0, 0.0  # fold the affine map into y
                 xbar = float(np.sort(y).mean())  # cap float drift of the running mean
             if spikes % m == 0:
-                bx = dominating_rates()
+                bx = _dominating_rates(f, lam, n, y, shift, amp, xbar)
                 rebound(tau)
-        if shadow is not None:
-            bounds[i] = max(bx.item(i), shadow.by.item(i))  # the proposal re-anchored limit path i
         next_time[i] = tau - math.log1p(-row[k + 1]) / bounds.item(i)
 
     ev = (np.asarray(ev_times), np.asarray(ev_idx, dtype=int), np.asarray(ev_pre))

@@ -12,7 +12,8 @@ parallelized:
   (i, b) under that key. Its eight little-endian 64-bit words w are the
   uniforms (w >> 11) 2^-53 in [0, 1), so draw k of label i is a pure
   function of (run key, i, k), whatever else is read with it.
-  uniform_blocks reads any run of blocks for many labels in one call.
+  uniform_blocks reads any run of blocks for many labels in one call, as
+  lists; uniform_array reads the same uniforms as one array.
 """
 
 from __future__ import annotations
@@ -68,12 +69,18 @@ def uniform_blocks(key: bytes, labels, first: int, count: int) -> list[list[floa
     Labels are ints in [-2^63, 2^63). Returns one list of
     BLOCK_UNIFORMS * count uniforms per label, in label order.
     """
+    return uniform_array(key, labels, first, count).tolist()
+
+
+def uniform_array(key: bytes, labels, first: int, count: int) -> np.ndarray:
+    """uniform_blocks as one (len(labels), BLOCK_UNIFORMS * count) array."""
     keyed = hashlib.blake2b(key=key, digest_size=64)  # copying it skips re-absorbing the key
-    digests = []
+    raw = bytearray()
     for lab in labels:
         for b in range(first, first + count):
             h = keyed.copy()
             h.update(_BLOCK_MESSAGE.pack(lab, b))
-            digests.append(h.digest())
-    words = np.frombuffer(b"".join(digests), dtype="<u8")
-    return ((words >> 11) * 2.0**-53).reshape(-1, BLOCK_UNIFORMS * count).tolist()
+            raw += h.digest()
+    words = np.frombuffer(raw, dtype="<u8")
+    np.right_shift(words, 11, out=words)  # in place: the digests are not kept
+    return np.multiply(words, 2.0**-53).reshape(-1, BLOCK_UNIFORMS * count)

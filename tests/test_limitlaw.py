@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from neuronmf import (
+    ConfigError,
     CoupledStats,
     DriftSeries,
     InitialLaw,
@@ -18,8 +20,10 @@ from neuronmf import (
     substream,
     survival,
 )
-from neuronmf.limitlaw import _WINDOW_DRIFT, _LimitPaths
-from neuronmf.particle import _EPOCH_DRIFT, _event_loop
+from neuronmf import limitlaw
+from neuronmf.limitlaw import _WINDOW_DRIFT, _coupled_loop, _LimitPaths
+from neuronmf.particle import _EPOCH_DRIFT, ParticleState, apply_spike
+from neuronmf.rng import stream_key
 from oracles import upwind_marginals
 
 FX = RateFunction.power(1, 1)
@@ -221,17 +225,17 @@ class TestWindowBound:
         y0 = np.linspace(0.0, 2.0 * paths.abar / max(lam, 1.0), 9)
         if lam > 0:
             y0 = np.append(y0, paths.abar / lam)
-        paths.start(y0)
+        paths.start(np.stack([y0, y0[::-1]]))  # two replicates, as the coupled engine holds them
         fe = paths.fe
         for _ in range(4):
-            t0, w = float(paths.ta[0]), paths.w
+            t0, w = paths.t0, paths.w
             assert np.all(FX2(paths.positions(w)) <= paths.by)
             for s in np.linspace(t0, w, 5):
                 i_s = fe.integral_to(s)
                 ys = paths.positions(s)
                 by = paths._bounds(ys, s, i_s)
                 for u in np.linspace(s, w, 7):
-                    fy = FX2(np.array([fe.flow(s, u, y, i_s) for y in ys]))
+                    fy = FX2(np.array([fe.flow(s, u, y, i_s) for y in ys.ravel()])).reshape(ys.shape)
                     assert np.all(fy <= by), f"s={s} u={u}"
             paths.next_window()
             assert paths.w > w
@@ -303,17 +307,22 @@ class TestSimulateCoupled:
         assert coupled <= 1.25 * plain
 
     def test_rebuilds_per_epoch_and_window(self):
-        # the coupled engine's O(N) passes: one per particle bound epoch and
-        # one per limit-path window end, plus the first
+        # the coupled engine's O(N) passes: per row, one per particle bound epoch
+        # plus the first; per batch, one per limit-path window end, not one per row
         n = 400
         cfg = SystemConfig(n=n, lam=1.0, rate=FX2, initial=InitialLaw.exponential(1.0), horizon=2.0, seed=101)
         sol = solve_marginals(exp_config(lam=1.0), snapshot_times=[2.0])
-        paths = _LimitPaths(sol.drift(), FX2, 1.0, t_end=2.0, window=_WINDOW_DRIFT)
-        log = _event_loop(cfg, range(n), np.array([2.0]), lambda k, t, x: None, 10**8, True, shadow=paths)
         m = max(1, int(_EPOCH_DRIFT * n))
-        windows = paths.k - 1
-        assert m > 1 and windows > 0 and log.bound_overshoots == 0
-        assert log.rebuilds <= log.spikes / m + windows + 1
+        windows = []
+        for seeds in ([101, 102, 103], [101]):
+            paths = _LimitPaths(sol.drift(), FX2, 1.0, t_end=2.0, window=_WINDOW_DRIFT)
+            logs, passes = _coupled_loop(cfg, seeds, paths, np.array([2.0]), lambda *seen: None, 10**8, True)
+            assert passes == paths.k - 1 > 0
+            windows.append(passes)
+            for log in logs:
+                assert m > 1 and log.bound_overshoots == 0
+                assert log.rebuilds <= log.spikes / m + 1
+        assert windows[0] == windows[1]
 
     def test_combine_weighting(self):
         a = CoupledStats(n=2, snapshot_times=np.array([1.0]), mean_abs_diff=np.array([1.0]),
@@ -326,3 +335,110 @@ class TestSimulateCoupled:
         assert (c.proposals, c.bound_overshoots) == (12, 1)  # counters are summed, not weighted
         assert c.mean_abs_diff[0] == pytest.approx((1 * 1 + 3 * 4) / 4)
         assert c.w1[0] == pytest.approx((1 * 3 + 3 * 6) / 4)
+
+
+class TestCoupledBatch:
+    """Replicates run in lockstep: each row is its own replicate, whatever else the batch holds."""
+
+    @staticmethod
+    def run(cfg, sol, seeds, snaps):
+        """(EventLogs, particle potentials per snapshot) of one batch, spikes logged."""
+        paths = _LimitPaths(sol.drift(), cfg.rate, cfg.lam, t_end=cfg.horizon, window=_WINDOW_DRIFT)
+        seen = np.zeros((len(snaps), len(seeds), cfg.n))
+
+        def observe(k, rows, x, y):
+            seen[k, rows] = x
+
+        logs, _ = _coupled_loop(cfg, seeds, paths, np.asarray(snaps), observe, 10**8, True)
+        return logs, seen
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 50, 130])
+    def test_row_equals_its_batch_of_one(self, lam, n):
+        # n = 130 makes the particle bound epochs longer than one spike
+        cfg = exp_config(lam=lam, n=n)
+        snaps = [0.5, 2.0]
+        sol = solve_marginals(cfg, snapshot_times=snaps)
+        a, b, c = 11, 12, 13
+
+        def batch(*seeds):
+            return dict(zip(seeds, simulate_coupled(cfg, sol, snaps, seeds=list(seeds))))
+
+        runs = [batch(a, b, c), batch(c, a), batch(a), batch(b), batch(c)]
+        for seed in (a, b, c):
+            rows = [run[seed] for run in runs if seed in run]
+            for stats in rows[1:]:
+                for name in ("mean_abs_diff", "mean_h_diff", "w1"):
+                    assert getattr(stats, name).tobytes() == getattr(rows[0], name).tobytes(), name
+                assert (stats.proposals, stats.bound_overshoots) == (rows[0].proposals, rows[0].bound_overshoots)
+        # without seeds, the run is the batch of one on config.seed
+        assert simulate_coupled(replace(cfg, seed=a), sol, snaps).w1.tobytes() == runs[2][a].w1.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("rate", [FX2, RateFunction.polynomial([1.0, 1.0])])
+    @pytest.mark.parametrize("n", [1, 2, 50, 400])
+    def test_rows_replay_through_apply_spike(self, lam, rate, n):
+        # apply_spike and ParticleState.positions, replayed over each row's
+        # logged spikes, give its pre-spike potentials and its snapshots
+        cfg = exp_config(lam=lam, rate=rate, n=n)
+        snaps = [0.5, 1.0, 2.0]
+        logs, seen = self.run(cfg, solve_marginals(cfg, snapshot_times=snaps), [101, 102, 103], snaps)
+        for r, log in enumerate(logs):
+            x0 = log.initial_values
+            state = ParticleState(t=0.0, lam=lam, xbar=float(np.sort(x0).mean()), anchor_time=0.0, anchor_x=x0.copy())
+            k = 0
+            for ts, x in zip(snaps, seen):
+                while k < log.spikes and log.times[k] <= ts:
+                    state.t = log.times[k]
+                    pre = state.positions()[log.indices[k]]
+                    assert abs(pre - log.pre_potentials[k]) <= 1e-12, f"row {r} spike {k}"
+                    state = apply_spike(state, int(log.indices[k]))
+                    k += 1
+                assert np.max(np.abs(state.positions(ts) - x[r])) <= 1e-12, f"row {r} t={ts}"
+            assert k == log.spikes
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 50, 400])
+    def test_no_bound_overshoots_in_a_batch(self, lam, n):
+        cfg = exp_config(lam=lam, n=n)
+        stats = simulate_coupled(cfg, solve_marginals(cfg, snapshot_times=[1.0, 2.0]), [1.0, 2.0], seeds=[7, 8, 9])
+        assert sum(s.proposals for s in stats) > 0
+        assert [s.bound_overshoots for s in stats] == [0, 0, 0]
+
+    def test_one_row_refills_and_rebuilds_alone(self, monkeypatch):
+        # at N = 2 from near 0 most rows never spike, while a row that does
+        # keeps kicking its pair into spiking: it rebuilds its bounds at every
+        # spike (one spike per epoch below N = 128) and reads past its first
+        # block; the quiet rows in its batch do neither, and no row changes
+        refilled = []
+        refill = limitlaw.uniform_array
+        monkeypatch.setattr(limitlaw, "uniform_array", lambda key, *args: refilled.append(key) or refill(key, *args))
+        cfg = SystemConfig(n=2, lam=0.0, rate=RateFunction.polynomial([1.0, 1.0]),
+                           initial=InitialLaw.exponential(50.0), horizon=4.0, seed=0)
+        sol = solve_marginals(cfg, snapshot_times=[4.0])
+        busy, quiet = None, []
+        for seed in range(32):
+            refilled.clear()
+            (log,), _ = self.run(cfg, sol, [seed], [4.0])
+            if log.rebuilds > 1 and refilled and busy is None:
+                busy = (seed, log)
+            elif log.rebuilds == 1 and not refilled and len(quiet) < 2:
+                quiet.append((seed, log))
+        assert busy is not None and len(quiet) == 2
+        refilled.clear()
+        (seed_q0, solo_q0), (seed_b, solo_b), (seed_q1, solo_q1) = quiet[0], busy, quiet[1]
+        logs, _ = self.run(cfg, sol, [seed_q0, seed_b, seed_q1], [4.0])
+        assert set(refilled) == {stream_key(seed_b, "prop")}
+        assert [log.rebuilds for log in logs] == [1, solo_b.rebuilds, 1]
+        for log, solo in zip(logs, (solo_q0, solo_b, solo_q1)):
+            for name in ("times", "indices", "pre_potentials", "initial_values"):
+                assert getattr(log, name).tobytes() == getattr(solo, name).tobytes(), name
+            assert (log.proposals, log.bound_overshoots) == (solo.proposals, solo.bound_overshoots)
+
+    def test_seeds_give_one_stats_each(self):
+        cfg = exp_config(lam=1.0, n=5)
+        sol = solve_marginals(cfg, snapshot_times=[1.0])
+        assert isinstance(simulate_coupled(cfg, sol, [1.0]), CoupledStats)
+        assert [s.n for s in simulate_coupled(cfg, sol, [1.0], seeds=[1, 2])] == [5, 5]
+        with pytest.raises(ConfigError):
+            simulate_coupled(cfg, sol, [1.0], seeds=[])

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuronmf import RateFunction, fit_rate, h_distance, tv_densities, w1_samples, w1_samples_vs_law
+from neuronmf import (
+    InitialLaw,
+    RateFunction,
+    SystemConfig,
+    fit_rate,
+    h_distance,
+    solve_marginals,
+    tv_densities,
+    w1_samples,
+    w1_samples_vs_law,
+)
 
 finite_samples = st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=30)
 
@@ -74,6 +84,51 @@ class TestW1VsLaw:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             w1_samples_vs_law([1.0], ((0.0, 1.0), (0.0, 0.7)))
+
+
+class TestW1Rows:
+    """The rows form of w1_samples_vs_law (one W1 per row of a 2-d sample) against the 1-d form."""
+
+    @staticmethod
+    def assert_rows_match(rows, law):
+        got = w1_samples_vs_law(rows, law)
+        want = np.array([w1_samples_vs_law(row, law) for row in rows])
+        assert got.shape == (len(rows),)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("t", [0.25, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_solved_laws(self, lam, t, n):
+        cfg = SystemConfig(
+            n=1, lam=lam, rate=RateFunction.power(1, 2), initial=InitialLaw.exponential(1.0), horizon=2.0, seed=1
+        )
+        snap = solve_marginals(cfg, snapshot_times=[t]).snapshot_at(t)
+        rows = np.random.default_rng(n).exponential(1.0, size=(5, n))
+        rows[0, 0] = 10 * snap.support()[1]  # beyond the support
+        self.assert_rows_match(rows, snap)  # through the law's cached table
+        self.assert_rows_match(rows, snap.cdf_grid())  # and from the bare (xs, F) pair
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    def test_law_with_an_atom(self, t):
+        # a point-mass start keeps an atom in the law, a jump in its cdf
+        cfg = SystemConfig(
+            n=1, lam=1.0, rate=RateFunction.power(1, 2), initial=InitialLaw.point_mass(0.7), horizon=1.0, seed=1
+        )
+        snap = solve_marginals(cfg, snapshot_times=[t]).snapshot_at(t)
+        atom = snap.atoms[0][1]
+        rows = np.random.default_rng(4).uniform(0.0, 2.0, size=(4, 7))
+        rows[1] = atom  # every sample on the atom
+        rows[2, :3] = atom
+        self.assert_rows_match(rows, snap)
+
+    def test_pure_atom_and_one_sample(self):
+        law = ((1.3, 1.3), (0.0, 1.0))
+        assert np.array_equal(w1_samples_vs_law([[1.3], [0.3], [2.0]], law), [0.0, 1.0, 0.7])
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError):
+            w1_samples_vs_law([[1.0]], ((0.0, 1.0), (0.0, 0.7)))
 
 
 class TestTV:
