@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -38,42 +40,56 @@ _FMT = "{:.17g}"
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _reading(block: str):
+    """Turn a missing key or a value of the wrong type in the config's block into a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {block} block: {type(exc).__name__}: {exc}") from exc
+
+
 def _rate_from(obj) -> RateFunction:
-    kind = obj.get("kind")
-    if kind == "power":
-        return RateFunction.power(obj["c"], obj["xi"])
-    if kind == "polynomial":
-        return RateFunction.polynomial(obj["coeffs"])
+    with _reading("rate"):
+        kind = obj.get("kind")
+        if kind == "power":
+            return RateFunction.power(obj["c"], obj["xi"])
+        if kind == "polynomial":
+            return RateFunction.polynomial(obj["coeffs"])
     raise ConfigError(f"unknown rate kind {kind!r}")
 
 
 def _initial_from(obj) -> InitialLaw:
-    kind = obj.get("kind")
-    if kind == "point_mass":
-        return InitialLaw.point_mass(obj["x0"])
-    if kind == "exponential":
-        return InitialLaw.exponential(obj["rate"])
-    if kind == "truncated_density":
-        return InitialLaw.from_grid(obj["xs"], obj["values"])
+    with _reading("initial"):
+        kind = obj.get("kind")
+        if kind == "point_mass":
+            return InitialLaw.point_mass(obj["x0"])
+        if kind == "exponential":
+            return InitialLaw.exponential(obj["rate"])
+        if kind == "truncated_density":
+            return InitialLaw.from_grid(obj["xs"], obj["values"])
     raise ConfigError(f"unknown initial law kind {kind!r}")
 
 
 def _system_from(obj, seed_override=None) -> SystemConfig:
-    tol = obj.get("tolerances", {})
-    return SystemConfig(
-        n=int(obj.get("n", 1)),
-        lam=float(obj["lambda"]),
-        rate=_rate_from(obj["rate"]),
-        initial=_initial_from(obj["initial"]),
-        horizon=float(obj["horizon"]),
-        seed=int(seed_override if seed_override is not None else obj["seed"]),
-        tolerances=Tolerances(
-            quadrature_abs=float(tol.get("quadrature_abs", 1e-8)),
-            root_abs=float(tol.get("root_abs", 1e-8)),
-            mass_abs=float(tol.get("mass_abs", 1e-4)),
-            dt=float(tol.get("dt", 0.0)),
-        ),
-    )
+    with _reading("system"):
+        tol = obj.get("tolerances", {})
+        return SystemConfig(
+            n=int(obj.get("n", 1)),
+            lam=float(obj["lambda"]),
+            rate=_rate_from(obj["rate"]),
+            initial=_initial_from(obj["initial"]),
+            horizon=float(obj["horizon"]),
+            seed=int(seed_override if seed_override is not None else obj["seed"]),
+            tolerances=Tolerances(
+                quadrature_abs=float(tol.get("quadrature_abs", 1e-8)),
+                root_abs=float(tol.get("root_abs", 1e-8)),
+                mass_abs=float(tol.get("mass_abs", 1e-4)),
+                dt=float(tol.get("dt", 0.0)),
+            ),
+        )
 
 
 def load_config(path: str) -> dict:
@@ -158,12 +174,15 @@ def cmd_simulate(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
 
 
 def cmd_invariant(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
-    system_cfg = cfg["system"]
-    lam = float(system_cfg["lambda"])
-    rate = _rate_from(system_cfg["rate"])
-    tol = system_cfg.get("tolerances", {})
-    root_abs = float(tol.get("root_abs", 1e-8))
-    quad_abs = float(tol.get("quadrature_abs", 1e-8))
+    with _reading("system"):
+        system_cfg = cfg["system"]
+        lam = float(system_cfg["lambda"])
+        rate = _rate_from(system_cfg["rate"])
+        tol = system_cfg.get("tolerances", {})
+        root_abs = float(tol.get("root_abs", 1e-8))
+        quad_abs = float(tol.get("quadrature_abs", 1e-8))
+    if not 0 <= lam < math.inf:
+        raise ConfigError("lambda must be finite and >= 0")
 
     result = solve_a_star(lam, rate, root_abs=root_abs, quadrature_abs=min(quad_abs, 1e-10))
     _write_json(out / "invariant.json", result.summary())

@@ -20,27 +20,26 @@ a_t = lam * m_t + p_t, with per-slab survival factors accumulated
 multiplicatively, so the representation never diffuses numerically.
 
 The limit process itself is simulated by thinning against the same drift
-(_LimitPaths: one bound and one position formula). A single path runs
-its own short loop, one proposal at a time. The particle/limit coupling
-runs R
-replicates of the N-neuron system in lockstep on (R, N) arrays
-(_coupled_loop, on particle's engine rules): every proposal's mark is
-logged for its limit path, and the paths take the logged marks in one
-vectorized pass at each window end and snapshot, which all rows share.
-Each snapshot's W1 is one call for all rows, from the law's table
-(TransportedDensity.w1_table).
+(_LimitPaths: one bound and one position formula, on the drift's cached
+flow integral, so every path and batch on one solution shares it). A
+single path runs its own short loop, one proposal at a time. The
+particle/limit coupling runs R replicates of the N-neuron system in
+lockstep on (R, N) arrays (_coupled_loop, on particle's engine rules):
+every proposal's mark is logged for its limit path, and the paths take
+the logged marks in one vectorized pass at each window end and snapshot,
+which all rows share. Each snapshot's W1 is one call for all rows, from
+the law's table (TransportedDensity.w1_table).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import w1_samples_vs_law
-from .model import ConfigError, DriftSeries, RateFunction, SystemConfig
+from .model import ConfigError, DriftSeries, FlowIntegral, RateFunction, SystemConfig
 from .particle import (
     _EPOCH_DRIFT,
     EventBudgetExceededError,
@@ -89,11 +88,6 @@ class TransportedDensity:
         jump = float(np.trapezoid(self.jump_p_birth * self.jump_weight, self.jump_s))
         init = float(np.trapezoid(self.init_g0 * self.init_surv, self.init_x)) if self.init_x.size else 0.0
         return jump + init + sum(a[3] for a in self.atoms)
-
-    def survived_initial_mass(self) -> float:
-        """E[kappa_{0,t}(Y_0)] under the discretized initial law."""
-        init = float(np.trapezoid(self.init_g0 * self.init_surv, self.init_x)) if self.init_x.size else 0.0
-        return init + sum(a[3] for a in self.atoms)
 
     def density(self, y):
         """Pointwise density (atoms excluded); zero outside the support."""
@@ -463,54 +457,6 @@ def _prune_nodes(pos: np.ndarray, dy_min: float) -> list:
 # ---------------------------------------------------------------------------
 
 
-class _FlowEval:
-    """Fast evaluation of I(t) = int_0^t exp(-lam (t-u)) a_u du, at one t or at many."""
-
-    def __init__(self, drift: DriftSeries, lam: float, tol: float = 1e-10):
-        ft, fa, nodes = drift._fine_grid(lam, tol)
-        self.ft_list = ft.tolist()
-        self.fa_list = fa.tolist()
-        self.node_list = nodes.tolist()
-        self.lam = lam
-        self.tol = tol
-        self.t_end = float(ft[-1])
-        # per fine segment: start, I there, a there, a's rise over it, its length
-        self.inner = ft[1:-1]
-        self.segments = np.stack([ft[:-1], nodes[:-1], fa[:-1], np.diff(fa), np.diff(ft)], axis=1)
-
-    def integral_rows(self, t: np.ndarray) -> np.ndarray:
-        """integral_to at each entry of t, by the same per-segment Simpson rule."""
-        t0, node, a_lo, rise, seg = self.segments.take(self.inner.searchsorted(t, side="right"), axis=0).T
-        h = t - t0
-        frac = h / seg
-        a_t = a_lo + rise * frac
-        a_mid = a_lo + rise * 0.5 * frac
-        if self.lam == 0.0:  # exp(-lam h) = 1
-            return node + h / 6.0 * (a_lo + 4.0 * a_mid + a_t)
-        decay = np.exp(-self.lam * h)
-        return node * decay + h / 6.0 * (decay * a_lo + 4.0 * np.exp(-self.lam * 0.5 * h) * a_mid + a_t)
-
-    def integral_to(self, t: float) -> float:
-        ft = self.ft_list
-        j = bisect.bisect_right(ft, t, 1, len(ft) - 1) - 1  # segment index clipped to [0, len - 2]
-        h = t - ft[j]
-        lam = self.lam
-        a_lo = self.fa_list[j]
-        a_hi = self.fa_list[j + 1]
-        seg = ft[j + 1] - ft[j]
-        frac = h / seg
-        a_t = a_lo + (a_hi - a_lo) * frac
-        a_mid = a_lo + (a_hi - a_lo) * 0.5 * frac
-        part = h / 6.0 * (math.exp(-lam * h) * a_lo + 4.0 * math.exp(-lam * 0.5 * h) * a_mid + a_t)
-        return self.node_list[j] * math.exp(-lam * h) + part
-
-    def flow(self, s: float, t: float, x: float, i_s: float | None = None) -> float:
-        """phi_{s,t}(x) = I(t) + exp(-lam (t-s)) (x - I(s)); i_s = I(s) if already known."""
-        if i_s is None:
-            i_s = self.integral_to(s)
-        return self.integral_to(t) + math.exp(-self.lam * (t - s)) * (x - i_s)
-
-
 # samples per block of a coupled batch's full (R, N) passes: bounds their temporaries
 _BLOCK_CELLS = 2**12
 
@@ -535,9 +481,10 @@ class _LimitPaths:
     comparison y(t) <= ya + (1 - e^{-lam (w - t0)}) (abar/lam - ya)^+ on
     [t0, w] for lam > 0, and y(t) <= ya + I(w) - I(t0) for lam = 0 (f is
     nondecreasing); a path that jumps restarts at 0 below its anchor, so the
-    bound stays valid after jumps. The bound position carries a slack that
-    covers the flow's quadrature. Windows are window/abar long (one window
-    up to t_end by default).
+    bound stays valid after jumps. I is the drift's cached flow integral fi
+    (DriftSeries.integral), shared by every batch on the drift; the bound
+    position carries a slack that covers its quadrature. Windows are
+    window/abar long (one window up to t_end by default).
 
     Paths may take (R, N) shape, R replicates of N. advance applies a batch
     of proposals and re-anchors all paths at a later time; next_window
@@ -547,26 +494,26 @@ class _LimitPaths:
     """
 
     def __init__(self, drift: DriftSeries, rate: RateFunction, lam: float, t_end=None, window=math.inf):
-        self.fe = _FlowEval(drift, lam)
+        self.fi = drift.integral(lam)
         self.rate = rate
         self.lam = lam
-        self.t_end = self.fe.t_end if t_end is None else float(t_end)
-        self.abar = max(self.fe.fa_list)
-        self.slack = 10.0 * self.fe.tol  # covers the quadrature error of the computed flow
+        self.t_end = self.fi.t_end if t_end is None else float(t_end)
+        self.abar = self.fi.a_max
+        self.slack = 10.0 * self.fi.tol  # covers the quadrature error of the computed flow
         self.h = window / self.abar if self.abar > 0 else math.inf
 
     def start(self, y0):
         """Anchor the paths at y0 at time 0 and bound them up to the first window end."""
         self.ya = np.array(y0, dtype=float)
         self.by = np.empty(self.ya.shape)
-        self.t0, self.i0 = 0.0, self.fe.integral_to(0.0)
+        self.t0, self.i0 = 0.0, self.fi.at(0.0)
         self.k = 0
         self._bound_window()
 
     def _bound_window(self):
         self.k += 1
         self.w = min(self.k * self.h, self.t_end)
-        self.i_w = self.fe.integral_to(self.w)
+        self.i_w = self.fi.at(self.w)
         for rows in _row_blocks(*self.ya.shape) if self.ya.ndim == 2 else [...]:  # in place, by blocks
             self.by[rows] = self._bounds(self.ya[rows], self.t0, self.i0)
 
@@ -583,7 +530,7 @@ class _LimitPaths:
 
     def positions(self, t: float) -> np.ndarray:
         """The paths at t, if no proposal came between their anchor and t."""
-        return self.fe.integral_to(t) + np.exp(-self.lam * (t - self.t0)) * (self.ya - self.i0)
+        return self.fi.at(t) + np.exp(-self.lam * (t - self.t0)) * (self.ya - self.i0)
 
     def advance(self, t1: float, cells=(), times=(), marks=()):
         """Apply proposals (t, z) to the paths, then re-anchor every path at t1.
@@ -595,7 +542,7 @@ class _LimitPaths:
         above its bound.
         """
         cells, times, marks = (np.asarray(a) for a in (cells, times, marks))
-        lam, i1 = self.lam, self.fe.integral_to(t1)
+        lam, i1 = self.lam, self.fi.at(t1)
         ya = self.ya.reshape(-1)
         over = np.zeros(cells.size, dtype=bool)
         if cells.size:
@@ -610,7 +557,7 @@ class _LimitPaths:
             for k in range(int(rank.max()) + 1):
                 sel = (rank == k).nonzero()[0]
                 g, rec, t = group[sel], order[sel], times[order[sel]]
-                i_t = self.fe.integral_rows(t)
+                i_t = self.fi.rows(t)
                 y = i_t + (ay[g] - ai[g]) if lam == 0.0 else i_t + np.exp(-lam * (t - at[g])) * (ay[g] - ai[g])
                 fy = self.rate(y)
                 over[rec] = fy > self.by.reshape(-1)[c[sel]]
@@ -634,7 +581,7 @@ class _LimitPaths:
 
     def propose(self, t: float, z: float) -> bool:
         """Whether a single path jumps at the proposal (t, z), which re-anchors and re-bounds it."""
-        i_t = self.fe.integral_to(t)
+        i_t = self.fi.at(t)
         y = i_t + math.exp(-self.lam * (t - self.t0)) * (self.ya.item(0) - self.i0)
         jumped = z <= self.rate(y)
         y = 0.0 if jumped else y
@@ -652,13 +599,12 @@ class NonlinearPath:
     y0: float
     jump_times: np.ndarray
     lam: float
-    _flow: _FlowEval
+    _flow: FlowIntegral
 
     def value(self, t: float) -> float:
         k = int(np.searchsorted(self.jump_times, t, side="right"))
-        if k == 0:
-            return self._flow.flow(0.0, t, self.y0)
-        return self._flow.flow(float(self.jump_times[k - 1]), t, 0.0)
+        s, y = (0.0, self.y0) if k == 0 else (float(self.jump_times[k - 1]), 0.0)
+        return self._flow.at(t) + math.exp(-self.lam * (t - s)) * (y - self._flow.at(s))
 
 
 def simulate_nonlinear_path(
@@ -687,7 +633,7 @@ def simulate_nonlinear_path(
             break
         if paths.propose(t, rng.random() * paths.by[0]):
             jumps.append(t)
-    return NonlinearPath(y0=float(y0), jump_times=np.asarray(jumps), lam=lam, _flow=paths.fe)
+    return NonlinearPath(y0=float(y0), jump_times=np.asarray(jumps), lam=lam, _flow=paths.fi)
 
 
 @dataclass

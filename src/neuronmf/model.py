@@ -15,6 +15,7 @@ for a given drift series a_u.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -34,73 +35,48 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Spiking intensity f with its first derivative.
+    """Spiking intensity f(x) = sum of c * x**e over its (e, c) terms, with its first derivative.
 
-    Two kinds are supported, both satisfying f(0)=0, f nondecreasing and
-    convex by construction:
+    Exponents are finite and >= 1, coefficients finite and >= 0 with one
+    > 0 (zero terms are dropped), so f(0)=0, f nondecreasing and convex.
+    The two constructors keep their arguments for describe():
 
-    * ``power``:      f(x) = c * x**xi        (c > 0, xi >= 1)
-    * ``polynomial``: f(x) = sum_k coeffs[k] * x**(k+1)   (coeffs >= 0)
+    * ``power``:      f(x) = c * x**xi
+    * ``polynomial``: f(x) = sum_k coeffs[k] * x**(k+1)
     """
 
-    kind: str
-    c: float = 1.0
-    xi: float = 1.0
-    coeffs: tuple = ()
+    terms: tuple
+    description: dict = field(compare=False)
 
     def __post_init__(self):
-        if self.kind == "power":
-            if not (self.c > 0):
-                raise ConfigError("power rate needs c > 0")
-            if not (self.xi >= 1):
-                raise ConfigError("power rate needs xi >= 1")
-        elif self.kind == "polynomial":
-            if len(self.coeffs) == 0:
-                raise ConfigError("polynomial rate needs at least one coefficient")
-            if any(c < 0 for c in self.coeffs):
-                raise ConfigError("polynomial rate coefficients must be nonnegative")
-            if not any(c > 0 for c in self.coeffs):
-                raise ConfigError("polynomial rate must be positive somewhere")
-        else:
-            raise ConfigError(f"unknown rate kind {self.kind!r}")
+        if not all(math.isfinite(e) and e >= 1 and math.isfinite(c) and c >= 0 for e, c in self.terms):
+            raise ConfigError("rate terms need finite exponents >= 1 and finite coefficients >= 0")
+        if not any(c > 0 for _, c in self.terms):
+            raise ConfigError("rate must be positive somewhere")
+        object.__setattr__(self, "terms", tuple((e, c) for e, c in self.terms if c))
 
     @staticmethod
     def power(c: float, xi: float) -> "RateFunction":
-        return RateFunction(kind="power", c=float(c), xi=float(xi))
+        c, xi = float(c), float(xi)
+        return RateFunction(((xi, c),), {"kind": "power", "c": c, "xi": xi})
 
     @staticmethod
     def polynomial(coeffs) -> "RateFunction":
-        # coeffs[k] multiplies x**(k+1); the constant term is structurally zero
-        return RateFunction(kind="polynomial", coeffs=tuple(float(c) for c in coeffs))
+        coeffs = [float(c) for c in coeffs]
+        return RateFunction(tuple(enumerate(coeffs, 1)), {"kind": "polynomial", "coeffs": coeffs})
 
     def __call__(self, x):
-        if self.kind == "power":
-            if self.xi == 1.0:
-                return self.c * x
-            if self.xi == 2.0:
-                return self.c * (x * x)
-            return self.c * np.power(x, self.xi)
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for k, ck in enumerate(self.coeffs):
-            if ck:
-                out += ck * np.power(x, k + 1)
-        return out if out.ndim else float(out)
+        out = None
+        for e, c in self.terms:  # x * x rounds like np.power(x, 2); x * x * x would not round like np.power(x, 3)
+            term = c * x if e == 1 else c * (x * x) if e == 2 else c * np.power(x, e)
+            out = term if out is None else out + term
+        return out
 
     def deriv1(self, x):
-        if self.kind == "power":
-            if self.xi == 1.0:
-                return self.c * np.ones_like(np.asarray(x, dtype=float))
-            return self.c * self.xi * np.power(x, self.xi - 1.0)
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for k, ck in enumerate(self.coeffs):
-            if ck:
-                out += ck * (k + 1) * np.power(x, k)
-        return out if out.ndim else float(out)
+        return sum(c * e * np.power(x, e - 1.0) for e, c in self.terms)
 
     def describe(self) -> dict:
-        if self.kind == "power":
-            return {"kind": "power", "c": self.c, "xi": self.xi}
-        return {"kind": "polynomial", "coeffs": list(self.coeffs)}
+        return copy.deepcopy(self.description)
 
 
 @dataclass
@@ -316,8 +292,8 @@ class Tolerances:
     dt: float = 0.0  # 0 means horizon / 1000
 
     def __post_init__(self):
-        if self.quadrature_abs <= 0 or self.root_abs <= 0 or self.mass_abs <= 0 or self.dt < 0:
-            raise ConfigError("tolerances must be positive")
+        if not all(0 < v < math.inf for v in (self.quadrature_abs, self.root_abs, self.mass_abs, self.dt or 1.0)):
+            raise ConfigError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -335,10 +311,10 @@ class SystemConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("need at least one particle")
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be > 0")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError("lam must be finite and >= 0")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be finite and > 0")
         if self.tolerances.dt and self.tolerances.dt >= self.horizon:
             raise ConfigError("dt must be smaller than the horizon")
 
@@ -360,8 +336,8 @@ class OutOfGridError(ValueError):
 class DriftSeries:
     """Piecewise-linear drift a_t >= 0 on a time grid covering [0, T].
 
-    Immutable after construction; the lazily built per-lambda flow cache is
-    a pure function of the data and safe to share across threads.
+    Immutable after construction; its flow integrals, built lazily once per
+    (lam, tol), are pure functions of the data and safe to share across threads.
     """
 
     times: np.ndarray
@@ -392,9 +368,6 @@ class DriftSeries:
     def t1(self) -> float:
         return float(self.times[-1])
 
-    def value(self, t):
-        return np.interp(t, self.times, self.a)
-
     def _check_range(self, s: float, t: float):
         if not (self.t0 - 1e-12 <= s <= t <= self.t1 + 1e-12):
             raise OutOfGridError(f"[{s}, {t}] outside drift grid [{self.t0}, {self.t1}]")
@@ -417,9 +390,9 @@ class DriftSeries:
             out[k + 1] = acc
         return out
 
-    def _fine_grid(self, lam: float, tol: float):
-        """(fine times, fine a, I at fine nodes), refined until the node
-        integrals change by less than tol between successive halvings."""
+    def integral(self, lam: float, tol: float = 1e-10) -> "FlowIntegral":
+        """The flow integral at lam, built once per (lam, tol) on a fine grid refined
+        until the node integrals change by less than tol between successive halvings."""
         key = (float(lam), float(tol))
         cached = self._flow_cache.get(key)
         if cached is not None:
@@ -440,39 +413,46 @@ class DriftSeries:
                 t, a, vals = t2, a2, vals2
             else:
                 raise QuadratureError("flow quadrature did not converge")
-        self._flow_cache[key] = (t, a, vals)
-        return t, a, vals
+        cached = self._flow_cache[key] = FlowIntegral(t, a, vals, float(lam), float(tol))
+        return cached
 
-    def _integral_to(self, u, lam: float, tol: float):
-        """I(u) = int_{t_0}^{u} exp(-lam (u - v)) a_v dv, vectorized in u."""
-        ft, fa, nodes = self._fine_grid(lam, tol)
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        idx = np.searchsorted(ft[1:-1], u, side="right")  # segment of u, clipped to the grid
-        h = u - ft[idx]
-        au = np.interp(u, self.times, self.a)
-        amid = np.interp(u - 0.5 * h, self.times, self.a)
-        decay = np.exp(-lam * h)
-        part = h / 6.0 * (decay * fa[idx] + 4.0 * np.exp(-lam * 0.5 * h) * amid + au)
-        out = nodes[idx] * decay + part
-        return float(out[0]) if scalar else out
 
-    def flow_integral(self, s, t: float, lam: float, tol: float = 1e-10):
-        """int_s^t exp(-lam (t - u)) a_u du, vectorized in s."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        self._check_range(float(np.min(s_arr)), float(t))
-        it = self._integral_to(float(t), lam, tol)
-        is_ = self._integral_to(s_arr, lam, tol)
-        out = it - np.exp(-lam * (float(t) - s_arr)) * is_
-        return float(out[0]) if np.ndim(s) == 0 else out
+class FlowIntegral:
+    """I(t) = int_{t_0}^t exp(-lam (t - u)) a_u du on a drift's fine grid: at(t) for one t, rows(t) for an array."""
+
+    def __init__(self, ft: np.ndarray, fa: np.ndarray, nodes: np.ndarray, lam: float, tol: float):
+        self.lam = lam
+        self.tol = tol
+        self.t_end = float(ft[-1])
+        self.a_max = float(fa.max())
+        self.inner = ft[1:-1]
+        # per fine segment: start, I there, a there, a's rise over it, its length
+        self.segments = np.stack([ft[:-1], nodes[:-1], fa[:-1], np.diff(fa), np.diff(ft)])
+
+    def _tail(self, t, exp):
+        """I(t) from the start t0 of t's segment: I there decayed to t plus 3-point Simpson over [t0, t]."""
+        t0, node, a_lo, rise, seg = self.segments.take(self.inner.searchsorted(t, side="right"), axis=1)
+        h = t - t0
+        frac = h / seg
+        a_t = a_lo + rise * frac
+        a_mid = a_lo + rise * 0.5 * frac
+        decay = exp(-self.lam * h)
+        return node * decay + h / 6.0 * (decay * a_lo + 4.0 * exp(-self.lam * 0.5 * h) * a_mid + a_t)
+
+    def at(self, t: float) -> float:
+        return float(self._tail(t, math.exp))
+
+    def rows(self, t: np.ndarray) -> np.ndarray:
+        return self._tail(t, np.exp)
 
 
 def flow(s, t: float, x, lam: float, drift: DriftSeries, tol: float = 1e-10):
     """Deterministic inter-spike flow phi_{s,t}(x); vectorized in s or x."""
     s_arr = np.asarray(s, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    out = np.exp(-lam * (t - s_arr)) * x_arr + drift.flow_integral(s, t, lam, tol)
+    drift._check_range(float(np.min(s_arr)), t)
+    fi = drift.integral(lam, tol)
+    decay = np.exp(-lam * (t - s_arr))
+    out = decay * np.asarray(x, dtype=float) + (fi.at(t) - decay * fi.rows(s_arr))
     if out.ndim == 0:
         return float(out)
     return out
@@ -512,7 +492,8 @@ def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries,
     seg = np.diff(edges)
     group = np.searchsorted(starts, edges[:-1], side="right") - 1  # segment k is summed by the first n_act[group[k]]
     k_start = np.searchsorted(edges, s_arr)  # first segment of each start point
-    i_s = drift._integral_to(edges, lam, tol)[k_start]
+    fi = drift.integral(lam, tol)
+    i_s = fi.rows(edges)[k_start]
 
     def sweep(acc, count, nodes):
         """acc[:, j] += sum of w f(phi_{s_j, u}(x_j)) over the nodes of the segments start j sums.
@@ -523,7 +504,7 @@ def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries,
         for b0 in range(0, count, _SURVIVAL_CHUNK):
             k, frac, w = nodes(np.arange(b0, min(b0 + _SURVIVAL_CHUNK, count)))
             u = edges[k] + seg[k] * frac
-            iu = drift._integral_to(u, lam, tol)
+            iu = fi.rows(u)
             runs = np.concatenate([[0], np.flatnonzero(np.diff(group[k])) + 1, [k.size]])
             for lo, hi in zip(runs[:-1], runs[1:]):
                 g = group[k[lo]]

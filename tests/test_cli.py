@@ -46,6 +46,31 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, "c.json", {"command": "simulate", "system": bad, "snapshot_times": []})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command,change",
+        [
+            ("simulate", {"rate": {"kind": "power", "xi": 2}}),
+            ("simulate", {"rate": {"kind": "power", "c": "abc", "xi": 2}}),
+            ("simulate", {"rate": [1, 2]}),
+            ("simulate", {"initial": {"kind": "exponential"}}),
+            ("simulate", {"horizon": None}),
+            ("simulate", {"rate": {"kind": "polynomial", "coeffs": [math.nan, 1.0]}}),
+            ("simulate", {"rate": {"kind": "power", "c": math.inf, "xi": 2}}),
+            ("simulate", {"lambda": math.nan}),
+            ("simulate", {"lambda": math.inf}),
+            ("simulate", {"horizon": math.nan}),
+            ("solve-limit", {"horizon": math.nan}),
+            ("solve-limit", {"tolerances": {"mass_abs": math.nan}}),
+            ("invariant", {"lambda": math.nan}),
+            ("invariant", {"rate": {"kind": "power", "c": 1.0}}),
+        ],
+    )
+    def test_malformed_system_block(self, tmp_path, capsys, command, change):
+        cfg = write_cfg(tmp_path, "c.json", {"command": command, "system": dict(SYSTEM, **change), "snapshot_times": []})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
     def test_short_n_grid(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -317,7 +342,7 @@ class TestChaosCommand:
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_flow_grid_built_once_per_command(self, tmp_path, monkeypatch, lam):
-        # DriftSeries._accumulate runs only when _fine_grid misses its cache, once
+        # DriftSeries._accumulate runs only when DriftSeries.integral misses its cache, once
         # per miss at lambda 0 and once per refinement at lambda > 0; sharing the
         # solution's drift makes the count independent of the replicate count
         calls = []

@@ -226,17 +226,17 @@ class TestWindowBound:
         if lam > 0:
             y0 = np.append(y0, paths.abar / lam)
         paths.start(np.stack([y0, y0[::-1]]))  # two replicates, as the coupled engine holds them
-        fe = paths.fe
+        fi = paths.fi
         for _ in range(4):
             t0, w = paths.t0, paths.w
             assert np.all(FX2(paths.positions(w)) <= paths.by)
             for s in np.linspace(t0, w, 5):
-                i_s = fe.integral_to(s)
+                i_s = fi.at(s)
                 ys = paths.positions(s)
                 by = paths._bounds(ys, s, i_s)
                 for u in np.linspace(s, w, 7):
-                    fy = FX2(np.array([fe.flow(s, u, y, i_s) for y in ys.ravel()])).reshape(ys.shape)
-                    assert np.all(fy <= by), f"s={s} u={u}"
+                    flow_u = fi.at(u) + math.exp(-lam * (u - s)) * (ys - i_s)  # phi_{s,u}(ys)
+                    assert np.all(FX2(flow_u) <= by), f"s={s} u={u}"
             paths.next_window()
             assert paths.w > w
 
@@ -254,6 +254,23 @@ class TestSimulateCoupled:
         assert np.all(stats.mean_abs_diff == 0.0)
         assert np.all(stats.mean_h_diff == 0.0)
         assert np.all(stats.w1 == 0.0)
+
+    def test_batches_share_the_drift_flow_integral(self, monkeypatch):
+        # each batch on one solution reads the evaluator cached on the solution's drift
+        seen = []
+        loop = limitlaw._coupled_loop
+
+        def recording(config, seeds, paths, *args, **kwargs):
+            seen.append(paths.fi)
+            return loop(config, seeds, paths, *args, **kwargs)
+
+        monkeypatch.setattr(limitlaw, "_coupled_loop", recording)
+        cfg = exp_config(n=20, lam=1.0)
+        sol = solve_marginals(cfg, snapshot_times=[1.0, 2.0])
+        simulate_coupled(cfg, sol, [1.0, 2.0], seeds=[1, 2])
+        simulate_coupled(replace(cfg, n=40), sol, [1.0, 2.0], seeds=[3])
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0] is sol.drift().integral(1.0)
 
     def test_deterministic_per_seed(self):
         cfg = exp_config(n=40, lam=1.0)

@@ -48,6 +48,33 @@ class TestRateFunction:
             RateFunction.polynomial([1.0, -0.5])
         with pytest.raises(ConfigError):
             RateFunction.polynomial([])
+        with pytest.raises(ConfigError):
+            RateFunction.polynomial([0.0, 0.0])
+        for c, xi in [(math.inf, 2.0), (math.nan, 2.0), (1.0, math.inf), (1.0, math.nan)]:
+            with pytest.raises(ConfigError):
+                RateFunction.power(c, xi)
+        for coeffs in ([math.nan, 1.0], [1.0, math.inf]):
+            with pytest.raises(ConfigError):
+                RateFunction.polynomial(coeffs)
+
+    def test_describe(self):
+        # reports print these dicts, so they must not change
+        assert RateFunction.power(1, 2).describe() == {"kind": "power", "c": 1.0, "xi": 2.0}
+        assert RateFunction.power(2, 1.5).describe() == {"kind": "power", "c": 2.0, "xi": 1.5}
+        f = RateFunction.polynomial([0.0, 1.0, 1.0])
+        assert f.describe() == {"kind": "polynomial", "coeffs": [0.0, 1.0, 1.0]}
+        f.describe()["coeffs"].append(5.0)
+        assert f.describe() == {"kind": "polynomial", "coeffs": [0.0, 1.0, 1.0]}
+
+    def test_terms_keep_their_arithmetic(self):
+        # x and x^2 are products, other exponents np.power; zero coefficients drop out
+        x = np.linspace(0.0, 7.0, 1001)
+        f = RateFunction.polynomial([0.5, 0.0, 2.0, 1.0])
+        assert f.terms == ((1, 0.5), (3, 2.0), (4, 1.0))
+        assert np.array_equal(f(x), 0.5 * x + 2.0 * np.power(x, 3) + np.power(x, 4))
+        assert np.array_equal(RateFunction.polynomial([0.0, 3.0])(x), 3.0 * (x * x))
+        assert np.array_equal(RateFunction.power(2.0, 1.5)(x), 2.0 * np.power(x, 1.5))
+        assert RateFunction.power(1.0, 2.0)(0.7) == 0.7 * 0.7
 
 
 class TestValidateAssumptions:
@@ -115,8 +142,14 @@ class TestSystemConfig:
             SystemConfig(n=0, lam=0.0, rate=FX, initial=InitialLaw.point_mass(1), horizon=1.0, seed=1)
         with pytest.raises(ConfigError):
             SystemConfig(n=1, lam=-0.1, rate=FX, initial=InitialLaw.point_mass(1), horizon=1.0, seed=1)
+        for lam, horizon in [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)]:
+            with pytest.raises(ConfigError):
+                SystemConfig(n=1, lam=lam, rate=FX, initial=InitialLaw.point_mass(1), horizon=horizon, seed=1)
         with pytest.raises(ConfigError):
             Tolerances(mass_abs=0.0)
+        for bad in [{"mass_abs": math.nan}, {"root_abs": math.inf}, {"quadrature_abs": math.nan}, {"dt": math.nan}, {"dt": -0.1}]:
+            with pytest.raises(ConfigError):
+                Tolerances(**bad)
 
     def test_default_dt(self):
         cfg = SystemConfig(n=1, lam=0.0, rate=FX, initial=InitialLaw.point_mass(1), horizon=2.0, seed=1)
