@@ -25,13 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import RateFunction, validate_assumptions
-from .quadrature import QuadratureError, cumulative_trapezoid
+from .quadrature import QuadratureError
 from .quadrature import simpson_refine  # noqa: F401  (benchmark/tracing.py wraps this name)
 
 # a pass's first panel count, and its caps on 1.5x growths of V and on doublings
 _PANELS = 16
 _MAX_GROWTH = 120
 _MAX_DOUBLINGS = 14
+_DENSITY_NODES = 2000  # nodes of the reported density
 
 
 def _ratio(num, den):
@@ -134,10 +135,6 @@ class InvariantResult:
     def density(self, x):
         return invariant_density(self, x)
 
-    def cdf_grid(self):
-        """Piecewise-linear cdf representation on the stored grid."""
-        return self.density_xs, cumulative_trapezoid(self.density_values, self.density_xs)
-
     def summary(self) -> dict:
         return {
             "lambda": self.lam,
@@ -162,7 +159,6 @@ def solve_a_star(
     rate: RateFunction,
     root_abs: float = 1e-8,
     quadrature_abs: float = 1e-10,
-    density_nodes: int = 2000,
 ) -> InvariantResult:
     """Find the nontrivial invariant measure from the root of Gamma(a) = 1.
 
@@ -211,7 +207,7 @@ def solve_a_star(
         support = float(np.divide(a, lam))
     # the output grid ends at lam v/a = 30: past it, nodes of x(v) round together at a/lam
     v_out = grid.v[-1] / max(1.0, lam * grid.v[-1] / (30.0 * a))
-    xs = _x_of_v(np.linspace(0.0, v_out, density_nodes), lam / a)[0]
+    xs = _x_of_v(np.linspace(0.0, v_out, _DENSITY_NODES), lam / a)[0]
     result = InvariantResult(lam, rate, a, p, m, support, xs, np.empty(0), grid=grid)
     result.density_values = invariant_density(result, xs)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import w1_samples_vs_law
+from .metrics import h_distance, w1_samples_vs_law
 from .model import ConfigError, DriftSeries, FlowIntegral, RateFunction, SystemConfig
 from .particle import (
     _EPOCH_DRIFT,
@@ -67,12 +67,10 @@ class TransportedDensity:
     """Frozen two-part (plus atoms) representation of g(t)."""
 
     t: float
-    lam: float
     splice: float  # phi_{0,t}(0)
     decay0: float  # exp(-lam t)
     a_t: float
     p_t: float
-    m_t: float
     jump_s: np.ndarray  # birth times, ascending (first entry 0)
     jump_pos: np.ndarray  # positions, descending in s
     jump_weight: np.ndarray  # kappa_{s,t}(0)
@@ -179,11 +177,11 @@ class MarginalSolution:
                 return snap
         raise KeyError(f"no stored snapshot at t={t}")
 
-    def consistency_residual(self, t: float, refine: int = 8) -> float:
-        """|a_t - lam m - p| with p, m recomputed by fine quadrature in y."""
+    def consistency_residual(self, t: float) -> float:
+        """|a_t - lam m - p| with p, m recomputed by quadrature in y on _CHECK_REFINE points per node."""
         snap = self.snapshot_at(t)
         lo, hi = snap.support()
-        n = refine * max(64, snap.jump_s.size + snap.init_x.size)
+        n = _CHECK_REFINE * max(64, snap.jump_s.size + snap.init_x.size)
         ys = np.linspace(lo, hi, n)
         dens = snap.density(ys)
         p = float(np.trapezoid(np.asarray(self.rate(ys), float) * dens, ys))
@@ -197,6 +195,12 @@ class MarginalSolution:
 # ---------------------------------------------------------------------------
 # Marginal solver
 # ---------------------------------------------------------------------------
+
+
+_INIT_NODES = 2000  # nodes of a continuous initial law
+_CORRECTOR_PASSES = 1  # per step, after the predictor
+_ADAPT_REL = 0.02  # relative drift change above which a step is bisected
+_CHECK_REFINE = 8  # consistency_residual's nodes per solver node
 
 
 def _slab_geometry(lam: float, abar: float, dt: float):
@@ -266,54 +270,34 @@ class _Nodes:
         self.s[k], self.pb[k], self.dens[k] = s, pb, dens
         self.n += 1
 
-    def prune(self, keep):
-        """Keep the listed jump nodes (indices from j0) and rebuild their s-weights."""
-        j0, n = self.j0, self.n
-        idx = j0 + np.asarray(keep)
-        for arr in (self.x, self.f, self.surv, self.s, self.pb, self.dens):
-            arr[j0 : j0 + idx.size] = arr[idx]
-        self.n = n = j0 + idx.size
-        self.w[j0:n] = self.pb[j0:n] * _trapezoid_weights(self.s[j0:n])
 
-
-def solve_marginals(
-    config: SystemConfig,
-    dt: float | None = None,
-    snapshot_times=(),
-    init_nodes: int = 2000,
-    corrector_passes: int = 1,
-    dy_min: float = 0.0,
-    adapt_rel: float | None = 0.02,
-) -> MarginalSolution:
-    """March the transported density over [0, horizon].
+def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolution:
+    """March the transported density over [0, horizon] in steps of config.dt.
 
     Initial-law nodes, atoms and jump nodes share one set of arrays
     (_Nodes), so a predictor or corrector pass is one _slab_survival call
     over all nodes, one position update and two dot products (p and m).
-    One new jump node is born per step, so memory is O(horizon/dt); when
-    dy_min > 0, interior nodes closer than dy_min in position are merged
-    periodically. Steps over which the drift would change by more than
-    adapt_rel (relatively) are bisected, up to 8 levels, which resolves
-    fast initial transients without shrinking dt globally; pass
-    adapt_rel=None for strictly fixed steps. After each step the mass is
-    recomputed from the node arrays; the solve aborts with MassDriftError
-    when it leaves [1 - mass_abs, 1 + mass_abs].
+    One new jump node is born per step, so memory is O(horizon/dt). Steps
+    over which the drift would change by more than _ADAPT_REL (relatively)
+    are bisected, up to 8 levels, which resolves fast initial transients
+    without shrinking dt globally. After each step the mass is recomputed
+    from the node arrays; the solve aborts with MassDriftError when it
+    leaves [1 - mass_abs, 1 + mass_abs]. snapshot_times may repeat and come
+    in any order.
     """
     lam = config.lam
     rate = config.rate
     horizon = config.horizon
     mass_abs = config.tolerances.mass_abs
-    dt = dt or config.dt
+    dt = config.dt
 
-    snap_req = np.asarray(sorted(set(float(t) for t in snapshot_times)), dtype=float)
-    if snap_req.size and (snap_req[0] < 0 or snap_req[-1] > horizon + 1e-12):
-        raise ConfigError("snapshot times must lie in [0, horizon]")
+    snap_req = np.unique(config.check_times(snapshot_times))
 
     k = max(2, int(round(horizon / dt)))
     grid = np.union1d(np.linspace(0.0, horizon, k + 1), snap_req)
     grid = grid[np.concatenate([[True], np.diff(grid) > 1e-9 * dt])]
 
-    xs, g0v, atoms = config.initial.solver_nodes(init_nodes)
+    xs, g0v, atoms = config.initial.solver_nodes(_INIT_NODES)
     ni = xs.size
 
     p0 = float(np.trapezoid(np.asarray(rate(xs), float) * g0v, xs)) if xs.size else 0.0
@@ -333,17 +317,15 @@ def solve_marginals(
     m_series = [m0]
     snapshots: list[TransportedDensity] = []
 
-    def freeze(t, a_t, p_t, m_t):
+    def freeze(t, a_t, p_t):
         j0, n = nodes.j0, nodes.n
         snapshots.append(
             TransportedDensity(
                 t=float(t),
-                lam=lam,
                 splice=float(nodes.x[j0]),
                 decay0=decay0,
                 a_t=a_t,
                 p_t=p_t,
-                m_t=m_t,
                 jump_s=nodes.s[j0:n].copy(),
                 jump_pos=nodes.x[j0:n].copy(),
                 jump_weight=nodes.surv[j0:n].copy(),
@@ -363,7 +345,7 @@ def solve_marginals(
     # each requested time freezes at the kept grid node at or just before it
     snap_steps = set((np.searchsorted(grid, snap_req, side="right") - 1).tolist())
     if 0 in snap_steps:
-        freeze(0.0, a0, p0, m0)
+        freeze(0.0, a0, p0)
 
     def attempt(t_lo: float, t_hi: float):
         """Predictor-corrector trial step [t_lo, t_hi]; nothing committed."""
@@ -375,7 +357,7 @@ def solve_marginals(
         # the newest jump node's right half-interval, up to the node born at t_hi
         ws[-1] += 0.5 * h * nodes.pb[n - 1] * nodes.surv[n - 1]
         abar = a_series[-1]
-        for _ in range(1 + max(0, corrector_passes)):
+        for _ in range(1 + _CORRECTOR_PASSES):
             decays, offsets = _slab_geometry(lam, abar, h)
             x_new, f_new, fac = _slab_survival(rate, x, f, decays, offsets, h)
             wsf = ws * fac
@@ -396,8 +378,7 @@ def solve_marginals(
             a_prev = a_series[-1]
             scale = max(abs(a_prev), abs(a_new), 1e-12)
             if (
-                adapt_rel is not None
-                and abs(a_new - a_prev) > adapt_rel * scale
+                abs(a_new - a_prev) > _ADAPT_REL * scale
                 and (t_next - t) > (grid[step + 1] - grid[step]) / 256.0
             ):
                 mid = 0.5 * (t + t_next)
@@ -425,11 +406,8 @@ def solve_marginals(
             if abs(mass - 1.0) > mass_abs:
                 raise MassDriftError(f"mass {mass:.8f} drifted beyond {mass_abs} at t={t_next}")
 
-        if dy_min > 0 and step % 64 == 63 and nodes.n - nodes.j0 > 8:
-            nodes.prune(_prune_nodes(nodes.x[nodes.j0 : nodes.n], dy_min))
-
         if step + 1 in snap_steps:
-            freeze(grid[step + 1], a_series[-1], p_series[-1], m_series[-1])
+            freeze(grid[step + 1], a_series[-1], p_series[-1])
 
     return MarginalSolution(
         lam=lam,
@@ -440,16 +418,6 @@ def solve_marginals(
         m=np.asarray(m_series),
         snapshots=snapshots,
     )
-
-
-def _prune_nodes(pos: np.ndarray, dy_min: float) -> list:
-    """Indices to keep so adjacent kept positions differ by >= dy_min."""
-    keep = [0]
-    for k in range(1, pos.size - 1):
-        if abs(pos[k] - pos[keep[-1]]) >= dy_min:
-            keep.append(k)
-    keep.append(pos.size - 1)
-    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -698,13 +666,11 @@ def simulate_coupled(
     """
     single = seeds is None
     seeds = [config.seed] if single else [int(seed) for seed in seeds]
-    snap_times = np.asarray(sorted(float(t) for t in snapshot_times), dtype=float)
+    snap_times = np.sort(config.check_times(snapshot_times))
     if not seeds:
         raise ConfigError("coupled run needs at least one seed")
     if snap_times.size == 0:
         raise ConfigError("coupled run needs at least one snapshot time")
-    if snap_times[-1] > config.horizon + 1e-12 or snap_times[0] < 0:
-        raise ConfigError("snapshot times must lie in [0, horizon]")
     if sol.times[-1] < config.horizon - 1e-9:
         raise ConfigError("marginal solution must cover the run horizon")
     laws = [sol.snapshot_at(ts) for ts in snap_times]
@@ -713,14 +679,10 @@ def simulate_coupled(
     paths = _LimitPaths(sol.drift(), f, config.lam, t_end=config.horizon, window=_WINDOW_DRIFT)
     mean_abs, mean_h, w1s = np.zeros((3, len(seeds), snap_times.size))
 
-    def observe(k, rows, x, y):  # in place where it can
+    def observe(k, rows, x, y):
         d = x - y
         mean_abs[rows, k] = np.abs(d, out=d).mean(axis=1)
-        hx, hy = f(x), f(y)
-        hx += np.arctan(x)
-        hy += np.arctan(y)
-        hx -= hy
-        mean_h[rows, k] = np.abs(hx, out=hx).mean(axis=1)
+        mean_h[rows, k] = h_distance(x, y, f).mean(axis=1)
         w1s[rows, k] = w1_samples_vs_law(x, laws[k])
 
     logs, _ = _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_events=False)
@@ -752,7 +714,7 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     """The coupled engine: R = len(seeds) replicates of config in lockstep on (R, N) arrays.
 
     Row r is particle's engine on the streams of (seeds[r], "prop"), on
-    the rules it shares with particle._event_loop, with its own run key,
+    the rules it shares with particle.simulate, with its own run key,
     affine map, spike count, bound epochs and draws, and with the N limit
     paths of paths (started here, shape (R, N)) as its shadow. Proposals
     run at B = max(bx, by), where by bounds the paths up to the window end

@@ -143,18 +143,18 @@ def tv_densities(d1, d2, grid) -> float:
     return 0.5 * float(np.trapezoid(np.abs(d1 - d2), grid))
 
 
-def h_distance(x: float, y: float, rate) -> float:
-    """|H(x) - H(y)| with H = f + arctan, the coupling metric."""
-    if x < 0 or y < 0:
+def h_distance(x, y, rate):
+    """|H(x) - H(y)| with H = f + arctan, the coupling metric; elementwise over arrays."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if np.any(x < 0) or np.any(y < 0):
         raise ValueError("potentials are nonnegative")
-    hx = float(rate(x)) + np.arctan(x)
-    hy = float(rate(y)) + np.arctan(y)
-    return abs(hx - hy)
+    hx = rate(x) + np.arctan(x)
+    hx -= rate(y) + np.arctan(y)
+    return np.abs(hx)
 
 
 @dataclass
 class RateFit:
-    points: list  # (log N, log value)
     slope: float
     intercept: float
     r_squared: float
@@ -177,4 +177,4 @@ def fit_rate(points) -> RateFit:
     ss_res = float(np.sum((lv - pred) ** 2))
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return RateFit(points=list(zip(ln.tolist(), lv.tolist())), slope=float(slope), intercept=float(intercept), r_squared=r2)
+    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2)

@@ -121,6 +121,9 @@ def validate_assumptions(rate: RateFunction, grid) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+_TAIL_MASS = 1e-10  # initial-law mass the marginal solver's nodes leave out
+
+
 @dataclass(eq=False)
 class InitialLaw:
     """Law of the initial potential, with sampler and moment accessors.
@@ -208,14 +211,6 @@ class InitialLaw:
         out = np.interp(x, self.xs, self.density_values, left=0.0, right=0.0)
         return out
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "point_mass":
-            return (x >= self.x0).astype(float)
-        if self.kind == "exponential":
-            return np.where(x >= 0, -np.expm1(-self.rate * x), 0.0)
-        return np.interp(x, self.xs, self._cdf / self._cdf[-1], left=0.0, right=1.0)
-
     def expectation(self, h, tol: float = 1e-10) -> float:
         """E[h(Y0)] by quadrature (exact for a point mass)."""
         if self.kind == "point_mass":
@@ -248,17 +243,17 @@ class InitialLaw:
         """E[f(Y0)^2]; must be finite for the coupling experiments."""
         return self.expectation(lambda x: np.asarray(rate(x), float) ** 2, tol=tol)
 
-    def solver_nodes(self, n_nodes: int, tail_mass: float = 1e-10):
+    def solver_nodes(self, n_nodes: int):
         """Discretization (xs, density values, atoms) used by the marginal solver.
 
         Continuous kinds are truncated where the remaining mass is below
-        tail_mass and renormalized on the returned grid, so the discrete
+        _TAIL_MASS and renormalized on the returned grid, so the discrete
         trapezoid mass is exactly 1.
         """
         if self.kind == "point_mass":
             return np.empty(0), np.empty(0), [(self.x0, 1.0)]
         if self.kind == "exponential":
-            x_max = -math.log(tail_mass) / self.rate
+            x_max = -math.log(_TAIL_MASS) / self.rate
             xs = np.linspace(0.0, x_max, n_nodes)
             vals = self.rate * np.exp(-self.rate * xs)
         else:
@@ -321,6 +316,13 @@ class SystemConfig:
     @property
     def dt(self) -> float:
         return self.tolerances.dt or 1e-3 * self.horizon
+
+    def check_times(self, times) -> np.ndarray:
+        """times as a float array, each finite and within [0, horizon]; the caller orders them."""
+        times = np.asarray(list(times), dtype=float)
+        if not np.all((times >= 0) & (times <= self.horizon + 1e-12)):  # NaN fails both
+            raise ConfigError("snapshot times must be finite and lie in [0, horizon]")
+        return times
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ stream labels exactly permutes trajectories.
 Pending proposal times are rescaled in place when the bounds change,
 which keeps them exact by memorylessness.
 
-_event_loop is the package's plain exact event engine, behind simulate.
+simulate is the package's plain exact event engine, one scalar loop.
 The coupled engine, limitlaw._coupled_loop, runs replicates in lockstep
 with their limit paths on the same rules: _first_blocks, _initial_state,
 _dominating_rates and the constants below are shared by both.
@@ -83,7 +83,6 @@ class Snapshot:
     time: float
     sorted_values: np.ndarray
     mean: float
-    mean_rate: float
 
 
 @dataclass
@@ -211,38 +210,17 @@ def simulate(
     stream of stream_labels[i], so the run is deterministic given
     config.seed and the labels, and permuting the labels permutes the
     neurons' trajectories.
-    """
-    snap_times = np.asarray(list(snapshot_times), dtype=float)
-    if snap_times.size and (snap_times[0] < 0 or snap_times[-1] > config.horizon + 1e-12):
-        raise ConfigError("snapshot times must lie in [0, horizon]")
-    if np.any(np.diff(snap_times) < 0):
-        raise ConfigError("snapshot times must be sorted")
-    labels = _stream_labels(config, stream_labels)
-
-    f = config.rate
-    snapshots: list[Snapshot] = []
-
-    def observe(k, ts, x):
-        vals = np.sort(x)
-        snapshots.append(
-            Snapshot(time=float(ts), sorted_values=vals, mean=float(vals.mean()), mean_rate=float(np.mean(f(vals))))
-        )
-
-    return _event_loop(config, labels, snap_times, observe, event_budget, log_events), snapshots
-
-
-def _event_loop(config, labels, snap_times, observe, event_budget, log_events):
-    """The thinning loop behind simulate.
 
     Potentials are x_j = amp * (y_j + shift) at the last spike time ta; a
     spike moves amp, shift, xbar and y_i. Bounds are rebuilt, and clocks
     rescaled, in one O(N) pass per epoch of m = max(1, floor(_EPOCH_DRIFT
     N)) spikes, at every lam; in between, the spiker keeps its bound (its
     reset potential lies below it).
-
-    observe(k, t, x) receives the (unsorted) potentials at the k-th
-    snapshot time. Returns the EventLog.
     """
+    snap_times = config.check_times(snapshot_times)
+    if np.any(np.diff(snap_times) < 0):
+        raise ConfigError("snapshot times must be sorted")
+    labels = _stream_labels(config, stream_labels)
     lam, f, horizon, n = config.lam, config.rate, config.horizon, config.n
     m = max(1, int(_EPOCH_DRIFT * n))
 
@@ -272,17 +250,17 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events):
 
     ev_times, ev_idx, ev_pre = [], [], []
     proposals = overshoots = spikes = 0
+    snapshots: list[Snapshot] = []
     snaps = snap_times.tolist() + [math.inf]
-    snap_i = 0
 
-    def emit_until(limit: float):
-        nonlocal snap_i
-        while snap_i < snap_times.size and snaps[snap_i] <= limit + 1e-15:
+    def emit_until(limit: float):  # the snapshots at times up to limit
+        while len(snapshots) < snap_times.size and snaps[len(snapshots)] <= limit + 1e-15:
+            ts = snaps[len(snapshots)]
             x = y + shift  # at lam = 0 (amp = 1) the potentials rest at their anchors
             if lam != 0.0:
-                x = xbar + math.exp(-lam * (snaps[snap_i] - ta)) * (amp * x - xbar)
-            observe(snap_i, snap_times[snap_i], x)
-            snap_i += 1
+                x = xbar + math.exp(-lam * (ts - ta)) * (amp * x - xbar)
+            x.sort()
+            snapshots.append(Snapshot(time=ts, sorted_values=x, mean=float(x.mean())))
 
     while True:
         i = int(next_time.argmin())
@@ -290,7 +268,7 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events):
         if not tau <= horizon:
             emit_until(math.inf)  # snapshot times may pass the horizon by rounding
             break
-        if snaps[snap_i] <= tau + 1e-15:
+        if snaps[len(snapshots)] <= tau + 1e-15:
             emit_until(tau)
         proposals += 1
         xi = amp * (y.item(i) + shift)
@@ -328,7 +306,7 @@ def _event_loop(config, labels, snap_times, observe, event_budget, log_events):
         next_time[i] = tau - math.log1p(-row[k + 1]) / bounds.item(i)
 
     ev = (np.asarray(ev_times), np.asarray(ev_idx, dtype=int), np.asarray(ev_pre))
-    return EventLog(*ev, proposals, x0, bound_overshoots=overshoots, rebuilds=rebuilds)
+    return EventLog(*ev, proposals, x0, bound_overshoots=overshoots, rebuilds=rebuilds), snapshots
 
 
 def check_apriori(log: EventLog, snapshots, config: SystemConfig) -> BoundReport:

@@ -71,6 +71,22 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "command,key,extra",
+        [
+            ("simulate", "snapshot_times", {}),
+            ("solve-limit", "snapshot_times", {}),
+            ("chaos", "snapshot_times", {"n_grid": [10, 20, 40], "replicates": 2}),
+            ("equilibrium", "time_grid", {}),
+        ],
+    )
+    def test_non_finite_snapshot_time(self, tmp_path, capsys, command, key, extra, bad):
+        cfg = write_cfg(tmp_path, "c.json", {"command": command, "system": SYSTEM, key: [0.5, bad], **extra})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
     def test_short_n_grid(self, tmp_path):
         cfg = write_cfg(
             tmp_path,

@@ -188,6 +188,21 @@ class TestHDistance:
         # for f = x^2, H' = 2x + 1/(1+x^2) >= 1, so |x - y| <= |H(x)-H(y)|
         assert abs(x - y) <= h_distance(x, y, self.F2) + 1e-9
 
+    @pytest.mark.parametrize("rate", [F2, RateFunction.polynomial([0.5, 1.0]), RateFunction.power(2, 1.5)])
+    def test_arrays_elementwise(self, rate):
+        rng = np.random.default_rng(3)
+        x, y = rng.exponential(1.0, (3, 40)), rng.exponential(1.0, (3, 40))
+        d = h_distance(x, y, rate)
+        assert d.shape == (3, 40)
+        assert d.tolist() == [[h_distance(a, b, rate) for a, b in zip(xr, yr)] for xr, yr in zip(x, y)]
+
+    def test_arrays_reject_a_negative_entry(self):
+        x = np.linspace(0.0, 2.0, 5)
+        with pytest.raises(ValueError):
+            h_distance(x, np.where(x == 1.0, -1e-300, x), self.F2)
+        with pytest.raises(ValueError):
+            h_distance(-x, x, self.F2)
+
 
 class TestFitRate:
     def test_exact_half_slope(self):
