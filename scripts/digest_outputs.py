@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of what fixed seeded runs write, to check byte identity between two trees.
+
+Runs fixed configs of all five CLI commands (chaos at --threads 1 and 2)
+and prints one line "sha256 label/file" per output file except
+timing.txt, which holds wall-clock time. Then it prints one digest over the
+EventLogs and snapshots of simulate, and one over the CoupledStats of
+simulate_coupled, each for lambda in {0, 1, 2} x N in {1, 2, 50, 400}.
+The neuronmf package is imported from the path, so the same script
+digests any tree; two trees give the same reports where they print the
+same lines:
+
+    PYTHONPATH=<tree>/src python3 scripts/digest_outputs.py > digests.txt
+
+Exits 1 when a command exits non-zero: every config here passes its gates.
+"""
+
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import neuronmf
+from neuronmf.cli import main as cli_main
+
+SEED = 20250808
+SQUARE = {"kind": "power", "c": 1.0, "xi": 2.0}
+EXP1 = {"kind": "exponential", "rate": 1.0}
+
+
+def _system(lam, horizon, rate=SQUARE, initial=EXP1, n=50):
+    return {"n": n, "lambda": lam, "rate": rate, "initial": initial, "horizon": horizon, "seed": SEED}
+
+
+RATES = {
+    "x": {"kind": "power", "c": 1.0, "xi": 1.0},
+    "x2": SQUARE,
+    "x1.5": {"kind": "power", "c": 1.0, "xi": 1.5},
+    "poly": {"kind": "polynomial", "coeffs": [0.5, 0.0, 1.0]},
+}
+DENSITY = {"kind": "truncated_density", "xs": [0.0, 1.0, 2.0], "values": [1.0, 2.0, 0.5]}
+SNAPS = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+
+# (label, command, config, threads)
+RUNS = [
+    *(
+        (f"simulate_lam{lam:g}_n{n}", "simulate", {"system": _system(lam, 2.0, n=n), "snapshot_times": SNAPS,
+                                                    "write_events": True}, 1)
+        for lam in (0.0, 1.0, 2.0)
+        for n in (1, 50, 400)
+    ),
+    *(
+        (f"invariant_lam{lam:g}_{name}", "invariant", {"system": _system(lam, 1.0, rate=rate)}, 1)
+        for lam in (0.0, 0.5, 1.0, 2.0, 4.0)
+        for name, rate in RATES.items()
+    ),
+    *(
+        (f"solve_limit_lam{lam:g}_{name}", "solve-limit", {"system": _system(lam, 2.0, initial=initial),
+                                                          "snapshot_times": [0.0, 0.5, 1.0, 2.0]}, 1)
+        for lam in (0.0, 1.0)
+        for name, initial in (("exp", EXP1), ("density", DENSITY), ("point", {"kind": "point_mass", "x0": 0.5}))
+    ),
+    ("equilibrium_lam0", "equilibrium", {"system": _system(0.0, 6.0), "time_grid": [0.0, 1.0, 2.0, 4.0, 5.0, 6.0]}, 1),
+    ("equilibrium_lam1", "equilibrium", {"system": _system(1.0, 3.0)}, 1),
+    *(
+        (f"chaos_lam{lam:g}_threads{threads}", "chaos", {
+            "system": _system(lam, 2.0),
+            "snapshot_times": SNAPS,
+            "n_grid": [50, 100, 200, 400, 800, 1600],
+            "replicates": replicates,
+        }, threads)
+        for lam, replicates in ((0.0, 48), (1.0, 24))
+        for threads in (1, 2)
+    ),
+]
+
+
+def _feed(h, *values):
+    """Hash each value with its dtype and shape, so that equal bytes of different arrays differ."""
+    for v in values:
+        a = np.asarray(v)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+
+
+def library_digests():
+    """(label, digest) over simulate's EventLogs and simulate_coupled's CoupledStats."""
+    events, coupled = hashlib.sha256(), hashlib.sha256()
+    for lam in (0.0, 1.0, 2.0):
+        base = neuronmf.SystemConfig(
+            n=1, lam=lam, rate=neuronmf.RateFunction.power(1.0, 2.0), initial=neuronmf.InitialLaw.exponential(1.0),
+            horizon=1.0, seed=SEED,
+        )
+        snaps = [0.25, 0.5, 1.0]
+        sol = neuronmf.solve_marginals(base, snapshot_times=snaps)
+        for n in (1, 2, 50, 400):
+            config = dataclasses.replace(base, n=n)
+            log, snapshots = neuronmf.simulate(config, snaps)
+            _feed(events, log.times, log.indices, log.pre_potentials, log.proposals, log.initial_values)
+            _feed(events, log.bound_overshoots, log.rebuilds)
+            for snap in snapshots:
+                _feed(events, snap.time, snap.sorted_values, snap.mean)
+            for stats in neuronmf.simulate_coupled(config, sol, snaps, seeds=[SEED + k for k in range(3)]):
+                _feed(coupled, *(getattr(stats, f.name) for f in dataclasses.fields(stats)))
+    return [("library/simulate_eventlogs", events.hexdigest()), ("library/simulate_coupled_stats", coupled.hexdigest())]
+
+
+def main() -> int:
+    print(f"neuronmf from {Path(neuronmf.__file__).parent}", file=sys.stderr)
+    failed = []
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, command, cfg, threads in RUNS:
+            path = Path(tmp) / f"{label}.json"
+            path.write_text(json.dumps({"command": command, **cfg}))
+            out = Path(tmp) / label
+            code = cli_main([command, "--config", str(path), "--out", str(out), "--threads", str(threads)])
+            if code != 0:
+                failed.append(f"{label}: exit {code}")
+            for f in sorted(out.iterdir()):
+                if f.name != "timing.txt":
+                    lines.append((f"{label}/{f.name}", hashlib.sha256(f.read_bytes()).hexdigest()))
+    lines += library_digests()
+    for label, digest in lines:
+        print(digest, label)
+    for problem in failed:
+        print(problem, file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,10 +28,8 @@ from .model import (
     RateFunction,
     SystemConfig,
     Tolerances,
-    ValidationReport,
     flow,
     survival,
-    validate_assumptions,
 )
 from .particle import (
     BoundReport,
@@ -69,7 +67,6 @@ __all__ = [
     "SmoothFunction",
     "Tolerances",
     "TransportedDensity",
-    "ValidationReport",
     "apply_spike",
     "check_apriori",
     "derive_seed",
@@ -88,7 +85,6 @@ __all__ = [
     "substream",
     "survival",
     "tv_densities",
-    "validate_assumptions",
     "w1_samples",
     "w1_samples_vs_law",
 ]

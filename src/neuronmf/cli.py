@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import dataclasses
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .invariant import solve_a_star
+from .invariant import ROOT_ABS, solve_a_star
 from .limitlaw import CoupledStats, MassDriftError, simulate_coupled, solve_marginals
 from .metrics import fit_rate, tv_densities
 from .model import ConfigError, InitialLaw, RateFunction, SystemConfig, Tolerances, survival
@@ -41,18 +42,18 @@ _FMT = "{:.17g}"
 
 
 @contextlib.contextmanager
-def _reading(block: str):
-    """Turn a missing key or a value of the wrong type in the config's block into a ConfigError."""
+def _reading(part: str):
+    """Turn a missing key or a value of the wrong type in that part of the config into a ConfigError."""
     try:
         yield
     except ConfigError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed {block} block: {type(exc).__name__}: {exc}") from exc
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {part}: {type(exc).__name__}: {exc}") from exc
 
 
 def _rate_from(obj) -> RateFunction:
-    with _reading("rate"):
+    with _reading("rate block"):
         kind = obj.get("kind")
         if kind == "power":
             return RateFunction.power(obj["c"], obj["xi"])
@@ -62,7 +63,7 @@ def _rate_from(obj) -> RateFunction:
 
 
 def _initial_from(obj) -> InitialLaw:
-    with _reading("initial"):
+    with _reading("initial block"):
         kind = obj.get("kind")
         if kind == "point_mass":
             return InitialLaw.point_mass(obj["x0"])
@@ -73,8 +74,9 @@ def _initial_from(obj) -> InitialLaw:
     raise ConfigError(f"unknown initial law kind {kind!r}")
 
 
-def _system_from(obj, seed_override=None) -> SystemConfig:
-    with _reading("system"):
+def _system_from(cfg, seed_override=None) -> SystemConfig:
+    with _reading("system block"):
+        obj = cfg["system"]
         tol = obj.get("tolerances", {})
         return SystemConfig(
             n=int(obj.get("n", 1)),
@@ -84,8 +86,6 @@ def _system_from(obj, seed_override=None) -> SystemConfig:
             horizon=float(obj["horizon"]),
             seed=int(seed_override if seed_override is not None else obj["seed"]),
             tolerances=Tolerances(
-                quadrature_abs=float(tol.get("quadrature_abs", 1e-8)),
-                root_abs=float(tol.get("root_abs", 1e-8)),
                 mass_abs=float(tol.get("mass_abs", 1e-4)),
                 dt=float(tol.get("dt", 0.0)),
             ),
@@ -130,6 +130,11 @@ def _write_json(path: Path, obj):
         fh.write("\n")
 
 
+def _write_series(out: Path, sol):
+    series = zip(sol.times.tolist(), sol.a.tolist(), sol.p.tolist(), sol.m.tolist())
+    _write_csv(out / "series.csv", ["time", "a", "p", "m"], list(series))
+
+
 def _write_timing(out: Path, seconds: float):
     with open(out / "timing.txt", "w") as fh:
         fh.write(f"wall_clock_s={seconds:.3f}\n")
@@ -141,9 +146,10 @@ def _write_timing(out: Path, seconds: float):
 
 
 def cmd_simulate(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
-    system = _system_from(cfg["system"], seed)
-    snap_times = [float(t) for t in cfg.get("snapshot_times", [])]
-    budget = int(cfg.get("event_budget", 100_000_000))
+    system = _system_from(cfg, seed)
+    with _reading("simulate config"):
+        snap_times = [float(t) for t in cfg.get("snapshot_times", [])]
+        budget = int(cfg.get("event_budget", 100_000_000))
     log, snaps = simulate(system, snap_times, event_budget=budget)
     report = check_apriori(log, snaps, system)
 
@@ -174,17 +180,13 @@ def cmd_simulate(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
 
 
 def cmd_invariant(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
-    with _reading("system"):
-        system_cfg = cfg["system"]
-        lam = float(system_cfg["lambda"])
-        rate = _rate_from(system_cfg["rate"])
-        tol = system_cfg.get("tolerances", {})
-        root_abs = float(tol.get("root_abs", 1e-8))
-        quad_abs = float(tol.get("quadrature_abs", 1e-8))
+    with _reading("system block"):
+        lam = float(cfg["system"]["lambda"])
+        rate = _rate_from(cfg["system"]["rate"])
     if not 0 <= lam < math.inf:
         raise ConfigError("lambda must be finite and >= 0")
 
-    result = solve_a_star(lam, rate, root_abs=root_abs, quadrature_abs=min(quad_abs, 1e-10))
+    result = solve_a_star(lam, rate)
     _write_json(out / "invariant.json", result.summary())
     _write_csv(
         out / "invariant_density.csv",
@@ -193,9 +195,9 @@ def cmd_invariant(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
     )
     res = result.residuals
     ok = (
-        res["normalization"] <= root_abs
-        and res["self_consistency"] <= 10 * root_abs
-        and res["fixed_point"] <= 10 * root_abs
+        res["normalization"] <= ROOT_ABS
+        and res["self_consistency"] <= 10 * ROOT_ABS
+        and res["fixed_point"] <= 10 * ROOT_ABS
     )
     return 0 if ok else 1
 
@@ -224,15 +226,12 @@ def _loidetau_residual(sol, snap, system: SystemConfig) -> float:
 
 
 def cmd_solve_limit(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
-    system = _system_from(cfg["system"], seed)
-    snap_times = [float(t) for t in cfg.get("snapshot_times", [])]
+    system = _system_from(cfg, seed)
+    with _reading("solve-limit config"):
+        snap_times = [float(t) for t in cfg.get("snapshot_times", [])]
     sol = solve_marginals(system, snapshot_times=snap_times)
 
-    _write_csv(
-        out / "series.csv",
-        ["time", "a", "p", "m"],
-        list(zip(sol.times.tolist(), sol.a.tolist(), sol.p.tolist(), sol.m.tolist())),
-    )
+    _write_series(out, sol)
     rows = []
     for k, snap in enumerate(sol.snapshots):
         _write_csv(out / f"density_{k:03d}.csv", ["y", "density", "part"], snap.rows())
@@ -279,32 +278,26 @@ def _chaos_worker(args):
     base = _POOL_STATE["base"]
     master = _POOL_STATE["master"]
     seeds = [derive_seed(master, "chaos", n, rep) for rep in range(first, stop)]
-    system = SystemConfig(
-        n=n,
-        lam=base.lam,
-        rate=base.rate,
-        initial=base.initial,
-        horizon=base.horizon,
-        seed=seeds[0],
-        tolerances=base.tolerances,
-    )
+    system = dataclasses.replace(base, n=n, seed=seeds[0])
     stats = simulate_coupled(system, _POOL_STATE["sol"], _POOL_STATE["snaps"], _POOL_STATE["budget"], seeds=seeds)
     return n, first, stats
 
 
 def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
-    n_grid = [int(n) for n in cfg.get("n_grid", [])]
-    replicates = int(cfg.get("replicates", 0))
+    with _reading("chaos config"):
+        n_grid = [int(n) for n in cfg.get("n_grid", [])]
+        replicates = int(cfg.get("replicates", 0))
+        snaps = [float(t) for t in cfg["snapshot_times"]]
+        band = cfg.get("slope_band", [-0.65, -0.35])
+        slope_lo, slope_hi = map(float, band)
+        r2_min = float(cfg.get("r_squared_min", 0.9))
+        budget = int(cfg.get("event_budget", 100_000_000))
     if len(n_grid) < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("chaos needs a strictly increasing n_grid with >= 3 sizes")
     if replicates < 1:
         raise ConfigError("chaos needs replicates >= 1")
-    snaps = [float(t) for t in cfg["snapshot_times"]]
-    band = cfg.get("slope_band", [-0.65, -0.35])
-    r2_min = float(cfg.get("r_squared_min", 0.9))
-    budget = int(cfg.get("event_budget", 100_000_000))
 
-    base = _system_from(cfg["system"], seed)
+    base = _system_from(cfg, seed)
     master = base.seed
     sol = solve_marginals(base, snapshot_times=snaps)
 
@@ -341,7 +334,7 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
     for name, pts in fit_pts.items():
         fit = fit_rate(pts)
         slopes[name] = {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
-        if not (band[0] <= fit.slope <= band[1]) or fit.r_squared < r2_min:
+        if not (slope_lo <= fit.slope <= slope_hi) or fit.r_squared < r2_min:
             passed = False
 
     _write_csv(
@@ -369,8 +362,14 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
 
 
 def cmd_equilibrium(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
-    system = _system_from(cfg["system"], seed)
-    time_grid = [float(t) for t in cfg.get("time_grid", np.linspace(0, system.horizon, 21).tolist())]
+    system = _system_from(cfg, seed)
+    with _reading("equilibrium config"):
+        time_grid = [float(t) for t in cfg.get("time_grid", np.linspace(0, system.horizon, 21).tolist())]
+        floor = float(cfg.get("floor", 0.01))
+    if system.lam == 0.0 and not time_grid:
+        raise ConfigError("equilibrium at lambda 0 needs at least one time in time_grid")
+    if system.lam > 0.0 and system.horizon < 1.0:
+        raise ConfigError("equilibrium at lambda > 0 needs horizon >= 1: it reports inf a_t over t >= 1")
     if system.lam == 0.0:
         inv = solve_a_star(system.lam, system.rate)
         sol = solve_marginals(system, snapshot_times=time_grid)
@@ -407,16 +406,11 @@ def cmd_equilibrium(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
         )
         return 0 if passed else 1
 
-    floor = float(cfg.get("floor", 0.01))
     sol = solve_marginals(system, snapshot_times=time_grid)
     mask = sol.times >= 1.0
     inf_a = float(np.min(sol.a[mask]))
     inf_m = float(np.min(sol.m[mask]))
-    _write_csv(
-        out / "series.csv",
-        ["time", "a", "p", "m"],
-        list(zip(sol.times.tolist(), sol.a.tolist(), sol.p.tolist(), sol.m.tolist())),
-    )
+    _write_series(out, sol)
     passed = inf_a > floor
     _write_json(
         out / "equilibrium_report.json",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import RateFunction, validate_assumptions
+from .model import RateFunction
 from .quadrature import QuadratureError
 from .quadrature import simpson_refine  # noqa: F401  (benchmark/tracing.py wraps this name)
 
@@ -33,6 +33,8 @@ _PANELS = 16
 _MAX_GROWTH = 120
 _MAX_DOUBLINGS = 14
 _DENSITY_NODES = 2000  # nodes of the reported density
+ROOT_ABS = 1e-8  # |Gamma(a) - 1| at the root is at most half of it; the CLI gates the residuals on it
+_QUAD_ABS = 1e-10  # absolute tolerance of every pass; the residual pass runs at a tenth of it
 
 
 def _ratio(num, den):
@@ -147,38 +149,30 @@ class InvariantResult:
         }
 
 
-def gamma(a: float, lam: float, rate: RateFunction, tol: float = 1e-10) -> float:
+def gamma(a: float, lam: float, rate: RateFunction) -> float:
     """The scalar monotone function whose unit root determines the invariant law."""
     if a <= 0:
         raise ValueError("gamma needs a > 0")
-    return _pass(a, lam, rate, tol).gamma
+    return _pass(a, lam, rate, _QUAD_ABS).gamma
 
 
-def solve_a_star(
-    lam: float,
-    rate: RateFunction,
-    root_abs: float = 1e-8,
-    quadrature_abs: float = 1e-10,
-) -> InvariantResult:
+def solve_a_star(lam: float, rate: RateFunction) -> InvariantResult:
     """Find the nontrivial invariant measure from the root of Gamma(a) = 1.
 
-    Brackets the root in [lam, a_hi] with a_hi doubled until Gamma > 1
-    (Gamma(lam) < 1 and Gamma(inf) = inf), then runs an Illinois secant
-    until |Gamma(a) - 1| <= root_abs / 2. At the root m = Gamma2/Gamma1 and
-    p = a - lam m; the residuals come from a second pass at a tenth of
-    quadrature_abs: normalization |p Gamma1 - 1|, self-consistency
-    |int f g - p|, and the fixed point |a - lam m - p| with m and p = 1/Gamma1
-    of that pass. Raises QuadratureError when a pass, the bracket or the
-    secant fails.
+    rate satisfies A1 by construction. Brackets the root in [lam, a_hi]
+    with a_hi doubled until Gamma > 1 (Gamma(lam) < 1 and Gamma(inf) = inf),
+    then runs an Illinois secant until |Gamma(a) - 1| <= ROOT_ABS / 2, every
+    pass to _QUAD_ABS. At the root m = Gamma2/Gamma1 and p = a - lam m; the
+    residuals come from a second pass at a tenth of _QUAD_ABS: normalization
+    |p Gamma1 - 1|, self-consistency |int f g - p|, and the fixed point
+    |a - lam m - p| with m and p = 1/Gamma1 of that pass. Raises
+    QuadratureError when a pass, the bracket or the secant fails.
     """
-    if not validate_assumptions(rate, np.linspace(0.0, 10.0, 41)).a1_pass:
-        raise ValueError("rate function fails the basic structural assumptions")
-
     # Gamma(lo) - 1 is only known to be negative; -1 seeds the secant
     lo, f_lo = lam, -1.0
     hi = max(1.0, 2.0 * lam)
     for _ in range(200):
-        f_hi = gamma(hi, lam, rate, quadrature_abs) - 1.0
+        f_hi = gamma(hi, lam, rate) - 1.0
         if f_hi > 0.0:
             break
         lo, f_lo, hi = hi, f_hi, 2.0 * hi
@@ -188,8 +182,8 @@ def solve_a_star(
     last = 0.0
     for _ in range(200):
         a = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        val = gamma(a, lam, rate, quadrature_abs) - 1.0
-        if abs(val) <= 0.5 * root_abs:  # margin for the finer recheck
+        val = gamma(a, lam, rate) - 1.0
+        if abs(val) <= 0.5 * ROOT_ABS:  # margin for the finer recheck
             break
         # Illinois: the value at an end kept twice in a row is halved
         if val > 0.0:
@@ -200,7 +194,7 @@ def solve_a_star(
     else:
         raise QuadratureError("quadrature secant for Gamma(a) = 1 did not converge")
 
-    grid = _pass(a, lam, rate, quadrature_abs)
+    grid = _pass(a, lam, rate, _QUAD_ABS)
     m = grid.gamma2 / grid.gamma1
     p = a - lam * m
     with np.errstate(divide="ignore"):
@@ -211,7 +205,7 @@ def solve_a_star(
     result = InvariantResult(lam, rate, a, p, m, support, xs, np.empty(0), grid=grid)
     result.density_values = invariant_density(result, xs)
 
-    fine = _pass(a, lam, rate, 0.1 * quadrature_abs)
+    fine = _pass(a, lam, rate, 0.1 * _QUAD_ABS)
     result.residuals = {
         "normalization": abs(p * fine.gamma1 - 1.0),
         "self_consistency": abs(p * fine.gamma3 - p),
@@ -244,8 +238,8 @@ class SmoothFunction:
     name: str = ""
 
 
-def stationarity_residual(result: InvariantResult, test_functions, tol: float = 1e-10) -> float:
-    """Max |generator pairing| over the test functions.
+def stationarity_residual(result: InvariantResult, test_functions) -> float:
+    """Max |generator pairing| over the test functions, integrated to _QUAD_ABS.
 
     For each phi, evaluates int [phi(0) - phi(x)] f(x) g(x) dx +
     int phi'(x) (a - lam x) g(x) dx, which vanishes at stationarity. In v,
@@ -262,5 +256,5 @@ def stationarity_residual(result: InvariantResult, test_functions, tol: float = 
             rows.append((jump + drift) * e)
         return rows
 
-    res = _pass(a, result.lam, result.rate, tol, extra=pairings).extra
+    res = _pass(a, result.lam, result.rate, _QUAD_ABS, extra=pairings).extra
     return float(np.max(np.abs(res), initial=0.0))

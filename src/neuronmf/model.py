@@ -1,8 +1,9 @@
 """Core model ingredients shared by the simulators and solvers.
 
-Holds the spiking-rate functions with the grid check of assumption A1,
-the initial laws with samplers and moment accessors, the run
-configuration, and the deterministic inter-spike flow
+Holds the spiking-rate functions, whose constructor is the one check of
+assumption A1 (f(0) = 0, f nondecreasing and positive on (0, inf)), the
+initial laws with samplers and moment accessors, the run configuration,
+and the deterministic inter-spike flow
 
     phi_{s,t}(x) = exp(-lam (t-s)) x + int_s^t exp(-lam (t-u)) a_u du
 
@@ -35,10 +36,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Spiking intensity f(x) = sum of c * x**e over its (e, c) terms, with its first derivative.
+    """Spiking intensity f(x) = sum of c * x**e over its (e, c) terms.
 
     Exponents are finite and >= 1, coefficients finite and >= 0 with one
-    > 0 (zero terms are dropped), so f(0)=0, f nondecreasing and convex.
+    > 0 (zero terms are dropped), so f(0)=0, f nondecreasing and convex:
+    assumption A1 holds for every rate this constructor accepts.
     The two constructors keep their arguments for describe():
 
     * ``power``:      f(x) = c * x**xi
@@ -72,48 +74,8 @@ class RateFunction:
             out = term if out is None else out + term
         return out
 
-    def deriv1(self, x):
-        return sum(c * e * np.power(x, e - 1.0) for e, c in self.terms)
-
     def describe(self) -> dict:
         return copy.deepcopy(self.description)
-
-
-@dataclass
-class ValidationReport:
-    """Grid-based check of assumption A1 on a rate function.
-
-    A pass means "no counterexample on the supplied grid"; nothing is
-    verified symbolically.
-    """
-
-    a1_pass: bool
-    failures: list = field(default_factory=list)
-
-
-def validate_assumptions(rate: RateFunction, grid) -> ValidationReport:
-    """Check assumption A1 (f(0) = 0, f positive on (0, inf) and nondecreasing) on a sample grid.
-
-    The grid must be non-empty, sorted and contained in [0, 1e3]. Raises
-    ConfigError when f(0) != 0 or a sampled derivative is negative; a
-    softer failure is reported in the returned ValidationReport.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ConfigError("empty validation grid")
-    if np.any(np.diff(grid) < 0) or grid[0] < 0 or grid[-1] > 1e3:
-        raise ConfigError("validation grid must be sorted within [0, 1e3]")
-
-    f0 = float(rate(0.0))
-    if f0 != 0.0:
-        raise ConfigError(f"f(0) = {f0}, expected 0")
-    d1 = np.asarray(rate.deriv1(grid), dtype=float)
-    if np.any(d1 < 0):
-        raise ConfigError("negative derivative sample")
-
-    fv = np.asarray(rate(grid), dtype=float)
-    a1 = bool(np.all(fv[grid > 0] > 0) and np.all(np.diff(fv) >= 0))
-    return ValidationReport(a1_pass=a1, failures=[] if a1 else ["A1: not positive/nondecreasing on grid"])
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +84,7 @@ def validate_assumptions(rate: RateFunction, grid) -> ValidationReport:
 
 
 _TAIL_MASS = 1e-10  # initial-law mass the marginal solver's nodes leave out
+_MOMENT_ABS = 1e-10  # absolute tolerance of the initial-law moments
 
 
 @dataclass(eq=False)
@@ -211,19 +174,19 @@ class InitialLaw:
         out = np.interp(x, self.xs, self.density_values, left=0.0, right=0.0)
         return out
 
-    def expectation(self, h, tol: float = 1e-10) -> float:
-        """E[h(Y0)] by quadrature (exact for a point mass)."""
+    def expectation(self, h) -> float:
+        """E[h(Y0)] by quadrature to _MOMENT_ABS (exact for a point mass)."""
         if self.kind == "point_mass":
             return float(np.asarray(h(self.x0), dtype=float))
         if self.kind == "truncated_density":
-            return simpson_refine(lambda x: np.asarray(h(x), float) * self.density(x), 0.0, self.cutoff, tol)
+            return simpson_refine(lambda x: np.asarray(h(x), float) * self.density(x), 0.0, self.cutoff, _MOMENT_ABS)
         # exponential: extend the window until the remainder is negligible
         total = 0.0
         lo, hi = 0.0, 10.0 / self.rate
         for _ in range(40):
-            total += simpson_refine(lambda x: np.asarray(h(x), float) * self.density(x), lo, hi, tol)
+            total += simpson_refine(lambda x: np.asarray(h(x), float) * self.density(x), lo, hi, _MOMENT_ABS)
             tail_scale = abs(float(np.max(np.abs(np.asarray(h(hi), float))))) + 1.0
-            if tail_scale * math.exp(-self.rate * hi) < tol:
+            if tail_scale * math.exp(-self.rate * hi) < _MOMENT_ABS:
                 return total
             lo, hi = hi, 2.0 * hi
         raise RuntimeError("initial-law moment did not converge")
@@ -235,13 +198,13 @@ class InitialLaw:
             return 1.0 / self.rate
         return float(np.trapezoid(self.xs * self.density_values, self.xs))
 
-    def mean_rate(self, rate: RateFunction, tol: float = 1e-10) -> float:
+    def mean_rate(self, rate: RateFunction) -> float:
         """E[f(Y0)]."""
-        return self.expectation(rate, tol=tol)
+        return self.expectation(rate)
 
-    def mean_rate_sq(self, rate: RateFunction, tol: float = 1e-10) -> float:
+    def mean_rate_sq(self, rate: RateFunction) -> float:
         """E[f(Y0)^2]; must be finite for the coupling experiments."""
-        return self.expectation(lambda x: np.asarray(rate(x), float) ** 2, tol=tol)
+        return self.expectation(lambda x: np.asarray(rate(x), float) ** 2)
 
     def solver_nodes(self, n_nodes: int):
         """Discretization (xs, density values, atoms) used by the marginal solver.
@@ -266,13 +229,6 @@ class InitialLaw:
         vals = vals / np.trapezoid(vals, xs)
         return xs, vals, []
 
-    def describe(self) -> dict:
-        if self.kind == "point_mass":
-            return {"kind": "point_mass", "x0": self.x0}
-        if self.kind == "exponential":
-            return {"kind": "exponential", "rate": self.rate}
-        return {"kind": "truncated_density", "cutoff": self.cutoff, "nodes": int(self.xs.size)}
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -281,13 +237,11 @@ class InitialLaw:
 
 @dataclass(frozen=True)
 class Tolerances:
-    quadrature_abs: float = 1e-8
-    root_abs: float = 1e-8
     mass_abs: float = 1e-4
     dt: float = 0.0  # 0 means horizon / 1000
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.quadrature_abs, self.root_abs, self.mass_abs, self.dt or 1.0)):
+        if not all(0 < v < math.inf for v in (self.mass_abs, self.dt or 1.0)):
             raise ConfigError("tolerances must be positive and finite")
 
 
@@ -448,11 +402,11 @@ class FlowIntegral:
         return self._tail(t, np.exp)
 
 
-def flow(s, t: float, x, lam: float, drift: DriftSeries, tol: float = 1e-10):
+def flow(s, t: float, x, lam: float, drift: DriftSeries):
     """Deterministic inter-spike flow phi_{s,t}(x); vectorized in s or x."""
     s_arr = np.asarray(s, dtype=float)
     drift._check_range(float(np.min(s_arr)), t)
-    fi = drift.integral(lam, tol)
+    fi = drift.integral(lam)
     decay = np.exp(-lam * (t - s_arr))
     out = decay * np.asarray(x, dtype=float) + (fi.at(t) - decay * fi.rows(s_arr))
     if out.ndim == 0:
@@ -462,18 +416,20 @@ def flow(s, t: float, x, lam: float, drift: DriftSeries, tol: float = 1e-10):
 
 # largest temporary of the survival quadrature, in doubles (nodes, or nodes x start points)
 _SURVIVAL_CHUNK = 1 << 15
+_SURVIVAL_ABS = 1e-8  # absolute tolerance of the survival exponent and of its flow integral
 
 
-def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries, tol: float = 1e-8):
+def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries):
     """No-spike probability kappa_{s,t}(x) along the flow; s and x broadcast.
 
     All start points (s_j, x_j) are integrated in one pass of composite
     Simpson over [min s, t], cut into segments at the drift-grid nodes (the
     integrand is smooth inside segments but only C^1 across them) and at
     the start times; start j sums the segments right of s_j. Panels are
-    doubled in every segment at once until no exponent changes by tol or
-    more. A doubling evaluates only the new midpoints, in chunks of at most
-    _SURVIVAL_CHUNK values, so memory stays bounded however fine the panels.
+    doubled in every segment at once until no exponent changes by
+    _SURVIVAL_ABS or more. A doubling evaluates only the new midpoints, in
+    chunks of at most _SURVIVAL_CHUNK values, so memory stays bounded
+    however fine the panels.
     """
     s_arr, x_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
     shape = s_arr.shape
@@ -494,7 +450,7 @@ def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries,
     seg = np.diff(edges)
     group = np.searchsorted(starts, edges[:-1], side="right") - 1  # segment k is summed by the first n_act[group[k]]
     k_start = np.searchsorted(edges, s_arr)  # first segment of each start point
-    fi = drift.integral(lam, tol)
+    fi = drift.integral(lam, _SURVIVAL_ABS)
     i_s = fi.rows(edges)[k_start]
 
     def sweep(acc, count, nodes):
@@ -551,7 +507,7 @@ def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries,
         prev, cur = cur, (ends + 2.0 * evens + 4.0 * odds) / (3.0 * m)
         if not np.all(np.isfinite(cur)):
             raise QuadratureError("non-finite survival exponent")
-        if np.max(np.abs(cur - prev)) < tol:
+        if np.max(np.abs(cur - prev)) < _SURVIVAL_ABS:
             out = np.empty(s_arr.size)
             out[order] = np.exp(-cur)
             out = out.reshape(shape)

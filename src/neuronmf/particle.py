@@ -201,7 +201,6 @@ def simulate(
     snapshot_times,
     stream_labels=None,
     event_budget: int = 100_000_000,
-    log_events: bool = True,
 ):
     """Exact simulation up to the horizon; returns (EventLog, snapshots).
 
@@ -285,10 +284,9 @@ def simulate(
             spikes += 1
             if spikes > event_budget:
                 raise EventBudgetExceededError(f"more than {event_budget} spikes")
-            if log_events:
-                ev_times.append(tau)
-                ev_idx.append(i)
-                ev_pre.append(xi)
+            ev_times.append(tau)
+            ev_idx.append(i)
+            ev_pre.append(xi)
             # all drift to tau (decay = 1 at lam = 0) and take the kick 1/N; i resets to 0
             if amp * decay < 1e-100:  # fold the drift into y, long before amp can underflow
                 y, amp, shift, decay = xbar + decay * (amp * (y + shift) - xbar), 1.0, 0.0, 1.0

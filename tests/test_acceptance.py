@@ -146,7 +146,7 @@ def test_criterion_5_thinning_exactness():
             n=1, lam=2.0, rate=FX2, initial=InitialLaw.point_mass(x0), horizon=400.0,
             seed=derive_seed(MASTER_SEED, "ks", rep),
         )
-        log, _ = simulate(cfg, [], log_events=True)
+        log, _ = simulate(cfg, [])
         times[rep] = log.times[0]
     ks = stats.kstest(times, "expon", args=(0.0, 1.0 / FX2(x0)))
     assert ks.pvalue >= 0.01
@@ -161,7 +161,7 @@ def test_criterion_5_thinning_exactness():
                 n=n, lam=lam, rate=FX, initial=InitialLaw.exponential(1.0), horizon=1.0,
                 seed=derive_seed(MASTER_SEED, "euler-cmp", n, rep),
             )
-            _, snaps = simulate(cfg, [1.0], log_events=False)
+            _, snaps = simulate(cfg, [1.0])
             means[rep] = snaps[0].mean
         ed_mean = float(means.mean())
         ed_se = float(means.std(ddof=1) / math.sqrt(r))
@@ -248,7 +248,7 @@ def test_criterion_8_non_extinction():
             n=2000, lam=1.0, rate=FX2, initial=InitialLaw.exponential(1.0), horizon=10.0,
             seed=derive_seed(MASTER_SEED, "nonext", rep),
         )
-        _, snaps = simulate(pcfg, grid, log_events=False)
+        _, snaps = simulate(pcfg, grid)
         means[rep] = [s.mean for s in snaps]
     avg = means.mean(axis=0)
     se = means.std(axis=0, ddof=1) / math.sqrt(reps)

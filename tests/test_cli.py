@@ -63,6 +63,7 @@ class TestConfigErrors:
             ("solve-limit", {"tolerances": {"mass_abs": math.nan}}),
             ("invariant", {"lambda": math.nan}),
             ("invariant", {"rate": {"kind": "power", "c": 1.0}}),
+            ("simulate", {"seed": math.inf}),
         ],
     )
     def test_malformed_system_block(self, tmp_path, capsys, command, change):
@@ -84,6 +85,29 @@ class TestConfigErrors:
     def test_non_finite_snapshot_time(self, tmp_path, capsys, command, key, extra, bad):
         cfg = write_cfg(tmp_path, "c.json", {"command": command, "system": SYSTEM, key: [0.5, bad], **extra})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    @pytest.mark.parametrize(
+        "command,cfg",
+        [
+            ("equilibrium", {"system": dict(SYSTEM, **{"lambda": 0.0}), "time_grid": []}),
+            ("equilibrium", {"system": dict(SYSTEM, horizon=0.5)}),
+            ("equilibrium", {"system": SYSTEM, "floor": "x"}),
+            ("chaos", {"system": SYSTEM, "n_grid": [10, 20, 40], "replicates": 2}),
+            ("chaos", {"system": SYSTEM, "snapshot_times": [0.5], "n_grid": [10, 20, 40], "replicates": 2,
+                       "slope_band": 3}),
+            ("chaos", {"system": SYSTEM, "snapshot_times": [0.5], "n_grid": "abc", "replicates": 2}),
+            ("simulate", {"system": SYSTEM, "event_budget": "x"}),
+            ("simulate", {"system": SYSTEM, "event_budget": math.inf}),
+            ("simulate", {"system": SYSTEM, "snapshot_times": "ab"}),
+            ("simulate", {"snapshot_times": [0.5]}),
+        ],
+    )
+    def test_malformed_command_keys(self, tmp_path, capsys, command, cfg):
+        # keys outside the system block, and a missing system block, fail as config errors before any run
+        path = write_cfg(tmp_path, "c.json", {"command": command, **cfg})
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
 
@@ -190,13 +214,15 @@ class TestInvariantCommand:
         err = capsys.readouterr().err
         assert err.startswith("tolerance violated: quadrature") and err.count("\n") == 1
 
-    def test_quadrature_failure_stays_small(self, tmp_path, capsys):
+    def test_quadrature_failure_stays_small(self, tmp_path, capsys, monkeypatch):
         # a failure with the default doubling cap, from a tolerance below
         # rounding: it must end with exit 1 before the doubled panels grow to
         # hundreds of MiB
+        import neuronmf.invariant as inv
+
+        monkeypatch.setattr(inv, "_QUAD_ABS", 1e-30)
         sys35 = {"lambda": 3.5, "rate": {"kind": "power", "c": 1.0, "xi": 1.0},
-                 "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 1.0, "seed": 1,
-                 "tolerances": {"quadrature_abs": 1e-30}}
+                 "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 1.0, "seed": 1}
         cfg = write_cfg(tmp_path, "c.json", {"command": "invariant", "system": sys35})
         tracemalloc.start()
         try:

@@ -313,7 +313,7 @@ class TestSimulateCoupled:
         for seed in range(3):
             cfg = SystemConfig(n=400, lam=lam, rate=FX2, initial=InitialLaw.exponential(1.0), horizon=2.0, seed=seed)
             coupled += simulate_coupled(cfg, sol, [1.0, 2.0]).proposals
-            plain += simulate(cfg, [1.0, 2.0], log_events=False)[0].proposals
+            plain += simulate(cfg, [1.0, 2.0])[0].proposals
         assert coupled <= 1.25 * plain
 
     def test_rebuilds_per_epoch_and_window(self):

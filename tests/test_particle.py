@@ -304,7 +304,7 @@ class TestSmallInstanceOracle:
             cfg = make_config(
                 n=n, lam=lam, rate=FX, horizon=1.0, seed=derive_seed(123, "oracle", n, int(lam), rep)
             )
-            _, snaps = simulate(cfg, [1.0], log_events=False)
+            _, snaps = simulate(cfg, [1.0])
             means[rep] = snaps[0].mean
         ed_mean = means.mean()
         ed_se = means.std(ddof=1) / math.sqrt(reps)
