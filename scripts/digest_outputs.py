@@ -5,7 +5,8 @@ Runs fixed configs of all five CLI commands (chaos at --threads 1 and 2)
 and prints one line "sha256 label/file" per output file except
 timing.txt, which holds wall-clock time. Then it prints one digest over the
 EventLogs and snapshots of simulate, and one over the CoupledStats of
-simulate_coupled, each for lambda in {0, 1, 2} x N in {1, 2, 50, 400}.
+simulate_coupled (the fields named in COUPLED_FIELDS), each for lambda in
+{0, 1, 2} x N in {1, 2, 50, 400}.
 The neuronmf package is imported from the path, so the same script
 digests any tree; two trees give the same reports where they print the
 same lines:
@@ -44,6 +45,8 @@ RATES = {
 }
 DENSITY = {"kind": "truncated_density", "xs": [0.0, 1.0, 2.0], "values": [1.0, 2.0, 0.5]}
 SNAPS = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+# the CoupledStats fields digested, by name: a field added or removed is not a changed result
+COUPLED_FIELDS = ("n", "snapshot_times", "mean_abs_diff", "mean_h_diff", "w1", "proposals", "bound_overshoots")
 
 # (label, command, config, threads)
 RUNS = [
@@ -105,7 +108,7 @@ def library_digests():
             for snap in snapshots:
                 _feed(events, snap.time, snap.sorted_values, snap.mean)
             for stats in neuronmf.simulate_coupled(config, sol, snaps, seeds=[SEED + k for k in range(3)]):
-                _feed(coupled, *(getattr(stats, f.name) for f in dataclasses.fields(stats)))
+                _feed(coupled, *(getattr(stats, name) for name in COUPLED_FIELDS))
     return [("library/simulate_eventlogs", events.hexdigest()), ("library/simulate_coupled_stats", coupled.hexdigest())]
 
 

@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .invariant import ROOT_ABS, solve_a_star
-from .limitlaw import CoupledStats, MassDriftError, simulate_coupled, solve_marginals
+from .limitlaw import MassDriftError, simulate_coupled, solve_marginals
 from .metrics import fit_rate, tv_densities
 from .model import ConfigError, InitialLaw, RateFunction, SystemConfig, Tolerances, survival
 from .particle import EventBudgetExceededError, check_apriori, simulate
@@ -258,8 +259,9 @@ def _init_pool(state: dict):
     _POOL_STATE.update(state)
 
 
-# rows x neurons of one coupled batch. The batch keeps ~100 bytes per cell,
-# ~2 MB at the cap; at N=1600 a batch holds 12 replicates, at N <= 400 all 48
+# rows x neurons of one coupled batch, the coupled engine's only memory cap.
+# The batch peaks at ~200 bytes per cell, ~4 MB at the cap; at N=1600 a batch
+# holds 12 replicates, at N <= 400 all 48
 _BATCH_CELLS = 20_000
 
 
@@ -278,9 +280,8 @@ def _chaos_worker(args):
     base = _POOL_STATE["base"]
     master = _POOL_STATE["master"]
     seeds = [derive_seed(master, "chaos", n, rep) for rep in range(first, stop)]
-    system = dataclasses.replace(base, n=n, seed=seeds[0])
-    stats = simulate_coupled(system, _POOL_STATE["sol"], _POOL_STATE["snaps"], _POOL_STATE["budget"], seeds=seeds)
-    return n, first, stats
+    system = dataclasses.replace(base, n=n)
+    return n, simulate_coupled(system, _POOL_STATE["sol"], _POOL_STATE["snaps"], _POOL_STATE["budget"], seeds=seeds)
 
 
 def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
@@ -302,49 +303,36 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
     sol = solve_marginals(base, snapshot_times=snaps)
 
     # one batch per chunk of a size's replicates; a replicate's stats do not
-    # depend on its batch, so neither do the reports
+    # depend on its batch, so neither do the reports. A pool starts all its
+    # workers at once, so it gets no more than there are tasks and cores
     state = dict(base=base, sol=sol, snaps=snaps, master=master, budget=budget)
     tasks = _chaos_batches(n_grid, replicates)
-    results: dict = {}
-    if threads > 1:
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_pool, initargs=(state,)
+            max_workers=workers, initializer=_init_pool, initargs=(state,)
         ) as pool:
             batches = list(pool.map(_chaos_worker, tasks))
     else:
         _init_pool(state)
         batches = [_chaos_worker(task) for task in tasks]
-    for n, first, stats in batches:
-        results.update(((n, first + r), part) for r, part in enumerate(stats))
+    runs = {n: [] for n in n_grid}  # each size's replicates in order: the tasks run in order
+    for n, stats in batches:
+        runs[n] += stats
 
-    per_n = {}
-    fit_pts = {"mean_abs_diff": [], "mean_h_diff": [], "w1": []}
-    for n in n_grid:
-        agg = CoupledStats.combine([results[(n, rep)] for rep in range(replicates)])
-        sup_x = float(np.max(agg.mean_abs_diff))
-        sup_h = float(np.max(agg.mean_h_diff))
-        sup_w = float(np.max(agg.w1))
-        per_n[str(n)] = {"sup_mean_abs_diff": sup_x, "sup_mean_h_diff": sup_h, "sup_w1": sup_w}
-        fit_pts["mean_abs_diff"].append((n, sup_x))
-        fit_pts["mean_h_diff"].append((n, sup_h))
-        fit_pts["w1"].append((n, sup_w))
-
+    # each size's sup over snapshots of the replicates' mean, per statistic
+    names = ("mean_abs_diff", "mean_h_diff", "w1")
+    sups = {n: [float(np.max(np.mean([getattr(s, name) for s in runs[n]], axis=0))) for name in names] for n in n_grid}
+    per_n = {str(n): {f"sup_{name}": sup for name, sup in zip(names, sups[n])} for n in n_grid}
     slopes = {}
     passed = True
-    for name, pts in fit_pts.items():
-        fit = fit_rate(pts)
+    for k, name in enumerate(names):
+        fit = fit_rate([(n, sups[n][k]) for n in n_grid])
         slopes[name] = {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
         if not (slope_lo <= fit.slope <= slope_hi) or fit.r_squared < r2_min:
             passed = False
 
-    _write_csv(
-        out / "chaos_curve.csv",
-        ["n", "sup_mean_abs_diff", "sup_mean_h_diff", "sup_w1"],
-        [
-            (n, per_n[str(n)]["sup_mean_abs_diff"], per_n[str(n)]["sup_mean_h_diff"], per_n[str(n)]["sup_w1"])
-            for n in n_grid
-        ],
-    )
+    _write_csv(out / "chaos_curve.csv", ["n"] + [f"sup_{name}" for name in names], [(n, *sups[n]) for n in n_grid])
     _write_json(
         out / "chaos_report.json",
         {

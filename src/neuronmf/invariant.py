@@ -20,6 +20,7 @@ Gamma increases from Gamma(lam) < 1; an Illinois secant finds its unit root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,10 +104,11 @@ def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, 
         w[-1] *= 0.5
         vals = np.asarray([e * dx, e / a, e * x / a, e * fx / a] + extra(x, dx, fx, e)) @ w
         # tails past V, from inner(v) >= inner(V) + g (v - V) with g = f(x(V))/a
-        # and x' <= 1: the int f g tail is exactly exp(-inner(V))
-        g = fx[-1] / a
-        vals[3] += e[-1]
-        tail = e[-1] / g * max(1.0, 1.0 / a, (x[-1] + 1.0 / g) / a)
+        # and x' <= 1: the int f g tail is exactly exp(-inner(V)). In Python
+        # floats, so a rate that underflows gives an infinite tail, not a warning
+        g, e_v = float(fx[-1]) / a, float(e[-1])
+        vals[3] += e_v
+        tail = e_v / g * max(1.0, 1.0 / a, (float(x[-1]) + 1.0 / g) / a) if g > 0.0 else math.inf
         if not tail < 0.1 * tol:
             if big_v >= 1.5**_MAX_GROWTH:
                 raise QuadratureError(f"quadrature tail above {0.1 * tol} at V={big_v:.4g}")

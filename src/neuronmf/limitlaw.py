@@ -27,8 +27,10 @@ particle/limit coupling runs R replicates of the N-neuron system in
 lockstep on (R, N) arrays (_coupled_loop, on particle's engine rules):
 every proposal's mark is logged for its limit path, and the paths take
 the logged marks in one vectorized pass at each window end and snapshot,
-which all rows share. Each snapshot's W1 is one call for all rows, from
-the law's table (TransportedDensity.w1_table).
+which all rows share. Every pass covers the whole batch, so its memory
+grows with R N and the caller sizes the batch (the chaos command caps it
+at cli._BATCH_CELLS cells). Each snapshot's W1 is one call for all rows,
+from the law's table (TransportedDensity.w1_table).
 """
 
 from __future__ import annotations
@@ -425,15 +427,6 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
 # ---------------------------------------------------------------------------
 
 
-# samples per block of a coupled batch's full (R, N) passes: bounds their temporaries
-_BLOCK_CELLS = 2**12
-
-
-def _row_blocks(rows: int, n: int) -> list:
-    """Slices of at most max(1, _BLOCK_CELLS // n) rows that cover rows rows."""
-    step = max(1, _BLOCK_CELLS // n)
-    return [slice(a, a + step) for a in range(0, rows, step)]
-
 # drift mass per window of the coupled limit paths: a path's bound sits at
 # most this far above its anchor, so few proposals are wasted on it
 _WINDOW_DRIFT = 1.0 / 16.0
@@ -482,8 +475,7 @@ class _LimitPaths:
         self.k += 1
         self.w = min(self.k * self.h, self.t_end)
         self.i_w = self.fi.at(self.w)
-        for rows in _row_blocks(*self.ya.shape) if self.ya.ndim == 2 else [...]:  # in place, by blocks
-            self.by[rows] = self._bounds(self.ya[rows], self.t0, self.i0)
+        self.by[...] = self._bounds(self.ya, self.t0, self.i0)
 
     def _bounds(self, ya, ta, ia):
         if self.lam == 0.0:
@@ -606,35 +598,15 @@ def simulate_nonlinear_path(
 
 @dataclass
 class CoupledStats:
-    """Per-snapshot coupling statistics, averaged within each replicate."""
+    """Per-snapshot coupling statistics of one replicate, averaged over its N neurons."""
 
     n: int
     snapshot_times: np.ndarray
     mean_abs_diff: np.ndarray
     mean_h_diff: np.ndarray
     w1: np.ndarray
-    replicates: int = 1
-    proposals: int = 0  # thinning counters, summed over replicates
+    proposals: int = 0  # thinning counters
     bound_overshoots: int = 0
-
-    @staticmethod
-    def combine(parts: list["CoupledStats"]) -> "CoupledStats":
-        if not parts:
-            raise ValueError("nothing to combine")
-        n = parts[0].n
-        ts = parts[0].snapshot_times
-        reps = sum(p.replicates for p in parts)
-        w = np.array([p.replicates for p in parts], dtype=float)[:, None]
-        return CoupledStats(
-            n=n,
-            snapshot_times=ts,
-            mean_abs_diff=np.sum(w * [p.mean_abs_diff for p in parts], axis=0) / reps,
-            mean_h_diff=np.sum(w * [p.mean_h_diff for p in parts], axis=0) / reps,
-            w1=np.sum(w * [p.w1 for p in parts], axis=0) / reps,
-            replicates=reps,
-            proposals=sum(p.proposals for p in parts),
-            bound_overshoots=sum(p.bound_overshoots for p in parts),
-        )
 
 
 def simulate_coupled(
@@ -642,8 +614,9 @@ def simulate_coupled(
     sol: MarginalSolution,
     snapshot_times,
     event_budget: int = 100_000_000,
-    seeds=None,
-):
+    *,
+    seeds,
+) -> list[CoupledStats]:
     """Replicates of the particle system coupled to N limit processes.
 
     Runs the coupled engine (_coupled_loop): limit path i starts at the
@@ -657,15 +630,13 @@ def simulate_coupled(
     particles' bound epochs change the proposal sequence, not the
     coupling's law.
 
-    Without seeds this is one replicate, on config.seed, and returns one
-    CoupledStats. With seeds it runs one replicate per seed as one batch in
-    lockstep (config.seed is ignored) and returns one CoupledStats per
-    seed, in order. Replicate r depends only on seeds[r]: its stats equal,
-    bitwise, those of the batch [seeds[r]] alone, whatever else the batch
-    holds. event_budget caps each replicate's spike count.
+    Runs one replicate per seed as one batch in lockstep (config.seed is
+    ignored) and returns one CoupledStats per seed, in order. Replicate r
+    depends only on seeds[r]: its stats equal, bitwise, those of the batch
+    [seeds[r]] alone, whatever else the batch holds. event_budget caps each
+    replicate's spike count.
     """
-    single = seeds is None
-    seeds = [config.seed] if single else [int(seed) for seed in seeds]
+    seeds = [int(seed) for seed in seeds]
     snap_times = np.sort(config.check_times(snapshot_times))
     if not seeds:
         raise ConfigError("coupled run needs at least one seed")
@@ -679,14 +650,14 @@ def simulate_coupled(
     paths = _LimitPaths(sol.drift(), f, config.lam, t_end=config.horizon, window=_WINDOW_DRIFT)
     mean_abs, mean_h, w1s = np.zeros((3, len(seeds), snap_times.size))
 
-    def observe(k, rows, x, y):
+    def observe(k, x, y):
         d = x - y
-        mean_abs[rows, k] = np.abs(d, out=d).mean(axis=1)
-        mean_h[rows, k] = h_distance(x, y, f).mean(axis=1)
-        w1s[rows, k] = w1_samples_vs_law(x, laws[k])
+        mean_abs[:, k] = np.abs(d, out=d).mean(axis=1)
+        mean_h[:, k] = h_distance(x, y, f).mean(axis=1)
+        w1s[:, k] = w1_samples_vs_law(x, laws[k])
 
     logs, _ = _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_events=False)
-    stats = [
+    return [
         CoupledStats(
             n=config.n,
             snapshot_times=snap_times,
@@ -698,7 +669,6 @@ def simulate_coupled(
         )
         for r, log in enumerate(logs)
     ]
-    return stats[0] if single else stats
 
 
 # rows of the coupled engine's per-neuron array: the particle's stored value
@@ -727,14 +697,15 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     idle. Once every row idles, the earliest common time is handled once
     for the batch: the limit paths advance to it, then a snapshot observes
     every row, and a window end rebounds the paths and rescales all clocks
-    in one O(R N) pass. Epoch rebuilds, refills, folds and the event budget
-    stay per row, so no row's arithmetic depends on another's.
+    in one O(R N) pass over the whole batch. Epoch rebuilds, refills, folds
+    and the event budget stay per row, so no row's arithmetic depends on
+    another's.
 
-    observe(k, rows, x, y) receives the potentials of the particles and of
-    the limit paths at the k-th snapshot time, for the rows of the slice
-    rows, block by block (_row_blocks). Returns (one EventLog per row, the
-    number of window ends); a row's rebuilds count its first bound pass and
-    its epoch passes, and its spikes are logged only with log_events.
+    observe(k, x, y) receives the (R, N) potentials of the particles and
+    of the limit paths at the k-th snapshot time. Returns (one EventLog per
+    row, the number of window ends); a row's rebuilds count its first bound
+    pass and its epoch passes, and its spikes are logged only with
+    log_events.
     """
     lam, f, horizon, n = config.lam, config.rate, config.horizon, config.n
     rows = len(seeds)
@@ -742,49 +713,31 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     labels = list(range(n))
 
     # neuron j of the flattened (R, N) state reads its stream as pairs (mark,
-    # clock): pair 0 is its initial potential and first clock, pairs 1-3 end
-    # its first block, and later pairs come one block at a time (late_pair);
-    # a clock is kept as its unit exponential -log1p(-u)
+    # clock), four to a block: pair 0 is its initial potential and first
+    # clock, and its proposal k takes pair k + 1 (its mark and the clock to
+    # the next). pairs[j] holds the neuron's current block, refilled in place
+    # when proposal k reaches the block's first pair; a clock is kept as its
+    # unit exponential -log1p(-u)
     cells = np.zeros((3, rows * n))
     y, bx, drawn = cells.reshape(3, rows, n)  # (R, N) views
     keys, xbar0 = [], np.empty(rows)
-    next_time, pairs = np.empty((rows, n)), np.empty((rows, n, 3, 2))
+    pairs = np.empty((rows, n, 4, 2))
     for r, seed in enumerate(seeds):
         key, block = _first_blocks(seed, labels)
         start = _initial_state(config, block[:, 0])
-        clocks = -np.log1p(-block[:, 1::2])
         keys.append(key)
-        y[r], xbar0[r], next_time[r] = start.anchor_x, start.xbar, clocks[:, 0]
-        pairs[r, :, :, 0], pairs[r, :, :, 1] = block[:, 2::2], clocks[:, 1:]
-    pairs = pairs.reshape(-1, 2)
-    # a neuron past its first block holds one later block at a time, in a slot
-    # of late (chunks of 256 slots, so that a refill never copies the others)
-    late_row, late, held = np.full(rows * n, -1, dtype=np.int32), [], 0
-
-    def late_pair(jj, p):  # pair p >= 4 of neuron jj, read block by block, in order
-        nonlocal held
-        k = int(late_row[jj])
-        if k < 0:
-            k = late_row[jj] = held
-            held += 1
-            if k % 256 == 0:
-                late.append(np.empty((256, 4, 2)))
-        slot = late[k // 256][k % 256]
-        if p % 4 == 0:
-            r, i = divmod(jj, n)
-            slot[:] = uniform_array(keys[r], [i], p // 4, 1).reshape(4, 2)
-            slot[:, 1] = -np.log1p(-slot[:, 1])
-        return slot[p % 4]
+        y[r], xbar0[r] = start.anchor_x, start.xbar
+        pairs[r, :, :, 0], pairs[r, :, :, 1] = block[:, ::2], -np.log1p(-block[:, 1::2])
+    next_time = pairs[:, :, 0, 1].copy()  # unit-rate clocks drawn at time 0
+    pairs = pairs.reshape(-1, 4, 2)
 
     x0 = y.copy() if log_events else np.zeros((rows, 0))
     paths.start(y)
     state = np.zeros((4, rows))
     amp, shift, xbar, last = state
     amp[:], xbar[:] = 1.0, xbar0
-    blocks = _row_blocks(rows, n)
-    for sl in blocks:  # unit-rate clocks drawn at time 0
-        bx[sl] = _dominating_rates(f, lam, n, y[sl], shift[sl, None], amp[sl, None], xbar[sl, None])
-        next_time[sl] /= np.maximum(bx[sl], paths.by[sl])
+    bx[:] = _dominating_rates(f, lam, n, y, shift[:, None], amp[:, None], xbar[:, None])
+    next_time /= np.maximum(bx, paths.by)
     ntf, row_base = next_time.reshape(-1), np.arange(rows) * n
 
     def rebuild(e, now):  # bound pass of rows e at their times now
@@ -826,23 +779,20 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
                     break
                 ts = snaps[snap_i]
                 catch_up(paths.advance(ts, *pending_proposals()))
-                for sl in blocks:
-                    x = y[sl] + shift[sl, None]  # at lam = 0 (amp = 1) the potentials rest at their anchors
-                    if lam != 0.0:  # xbar + decay * (amp * x - xbar), in place
-                        x *= amp[sl, None]
-                        x -= xbar[sl, None]
-                        x *= np.exp(-lam * (ts - last[sl]))[:, None]
-                        x += xbar[sl, None]
-                    observe(snap_i, sl, x, paths.ya[sl])
+                x = y + shift[:, None]  # at lam = 0 (amp = 1) the potentials rest at their anchors
+                if lam != 0.0:  # xbar + decay * (amp * x - xbar), in place
+                    x *= amp[:, None]
+                    x -= xbar[:, None]
+                    x *= np.exp(-lam * (ts - last))[:, None]
+                    x += xbar[:, None]
+                observe(snap_i, x, paths.ya)
                 snap_i += 1
             else:  # the window end: the paths advance and rebound, all clocks rescale
-                for sl in blocks:
-                    next_time[sl] -= w
-                    next_time[sl] *= np.maximum(bx[sl], paths.by[sl])
+                next_time -= w
+                next_time *= np.maximum(bx, paths.by)
                 catch_up(paths.next_window(*pending_proposals()))
-                for sl in blocks:
-                    next_time[sl] /= np.maximum(bx[sl], paths.by[sl])
-                    next_time[sl] += w
+                next_time /= np.maximum(bx, paths.by)
+                next_time += w
                 windows += 1
             edge = min(paths.w, math.nextafter(snaps[snap_i] - 1e-15, -math.inf))
             continue
@@ -858,10 +808,13 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
             xi *= decay
             xi += r[_XBAR]
         fx = f(xi)
-        p = g[_DRAWN].astype(np.intp)
-        draws = pairs.take(j * 3 + p, axis=0, mode="clip")
-        for q in (p >= 3).nonzero()[0].tolist():
-            draws[q] = late_pair(int(j[q]), int(p[q]) + 1)
+        q = g[_DRAWN].astype(np.intp) + 1  # the proposal's pair
+        refill = (q % 4 == 0).nonzero()[0]  # neurons whose pair q starts a block
+        for jj, b in zip(j.take(refill).tolist(), (q.take(refill) // 4).tolist()):
+            block = pairs[jj]
+            block[:] = uniform_array(keys[jj // n], [jj % n], b, 1).reshape(4, 2)
+            block[:, 1] = -np.log1p(-block[:, 1])
+        draws = pairs.reshape(-1, 2).take(j * 4 + q % 4, axis=0)
         bound = np.maximum(g[_BX], paths.by.take(j))
         z = draws[:, 0] * bound
         pending.append((j, t, z))

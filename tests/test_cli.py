@@ -1,15 +1,20 @@
+import concurrent.futures
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from neuronmf import DriftSeries, InitialLaw, RateFunction, SystemConfig, solve_marginals
-from neuronmf.cli import _loidetau_residual, main
+from neuronmf import DriftSeries, InitialLaw, RateFunction, SystemConfig, simulate_coupled, solve_marginals
+from neuronmf.cli import _loidetau_residual, _system_from, main
+from neuronmf.rng import derive_seed
 
 
 def write_cfg(tmp_path, name, obj):
@@ -214,6 +219,19 @@ class TestInvariantCommand:
         err = capsys.readouterr().err
         assert err.startswith("tolerance violated: quadrature") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_underflowing_rate_warns_nothing(self, tmp_path, capsys, lam):
+        # f(x) = 5e-324 x^3 underflows on the whole grid: the tail bound is
+        # infinite at every V, which fails the pass with one line and no warning
+        sys_tiny = {"lambda": lam, "rate": {"kind": "power", "c": 5e-324, "xi": 3.0},
+                    "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 1.0, "seed": 1}
+        cfg = write_cfg(tmp_path, "c.json", {"command": "invariant", "system": sys_tiny})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["invariant", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tolerance violated:") and err.count("\n") == 1
+
     def test_quadrature_failure_stays_small(self, tmp_path, capsys, monkeypatch):
         # a failure with the default doubling cap, from a tolerance below
         # rounding: it must end with exit 1 before the doubled panels grow to
@@ -408,3 +426,58 @@ class TestChaosCommand:
         assert counts[0] == counts[1] > 0
         if lam == 0.0:
             assert counts[0] == 1
+
+    def test_curve_is_the_mean_of_the_library_stats(self, tmp_path):
+        # each value of chaos_curve.csv is the sup over snapshots of the mean
+        # over replicates of simulate_coupled's stats, on the seeds chaos derives
+        sys1 = {"lambda": 1.0, "rate": {"kind": "power", "c": 1.0, "xi": 2.0},
+                "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 1.0, "seed": 17}
+        snaps = [0.5, 1.0]
+        body = {"command": "chaos", "system": sys1, "snapshot_times": snaps,
+                "n_grid": [5, 10, 20], "replicates": 3, "slope_band": [-9, 9], "r_squared_min": 0.0}
+        cfg = write_cfg(tmp_path, "c.json", body)
+        assert main(["chaos", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        base = _system_from(body)
+        sol = solve_marginals(base, snapshot_times=snaps)
+        lines = ["n,sup_mean_abs_diff,sup_mean_h_diff,sup_w1"]
+        for n in body["n_grid"]:
+            seeds = [derive_seed(base.seed, "chaos", n, rep) for rep in range(3)]
+            stats = simulate_coupled(dataclasses.replace(base, n=n), sol, snaps, seeds=seeds)
+            sups = [np.max(np.mean([getattr(s, name) for s in stats], axis=0))
+                    for name in ("mean_abs_diff", "mean_h_diff", "w1")]
+            lines.append(",".join([str(n)] + ["{:.17g}".format(float(sup)) for sup in sups]))
+        assert (tmp_path / "o" / "chaos_curve.csv").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("cpus,workers", [(None, []), (2, [2]), (64, [3])])
+    def test_pool_size_bounded_by_tasks_and_cores(self, tmp_path, monkeypatch, cpus, workers):
+        # a process pool starts all its workers at once: --threads 10**6 must
+        # not ask for more than the 3 batches and the cores. The fake pool
+        # records its size and maps in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sys0 = {"lambda": 0.0, "rate": {"kind": "power", "c": 1.0, "xi": 2.0},
+                "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 1.0, "seed": 7}
+        body = {"command": "chaos", "system": sys0, "snapshot_times": [0.5, 1.0],
+                "n_grid": [5, 10, 20], "replicates": 2, "slope_band": [-9, 9], "r_squared_min": 0.0}
+        cfg = write_cfg(tmp_path, "c.json", body)
+        assert main(["chaos", "--config", cfg, "--out", str(tmp_path / "a"), "--threads", "1"]) == 0
+        assert main(["chaos", "--config", cfg, "--out", str(tmp_path / "b"), "--threads", str(10**6)]) == 0
+        assert sizes == workers
+        for name in ("chaos_report.json", "chaos_curve.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

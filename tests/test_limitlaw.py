@@ -6,7 +6,6 @@ import pytest
 
 from neuronmf import (
     ConfigError,
-    CoupledStats,
     DriftSeries,
     InitialLaw,
     MassDriftError,
@@ -243,7 +242,7 @@ class TestSimulateCoupled:
     def test_point_mass_zero_trivial(self):
         cfg = SystemConfig(n=8, lam=0.0, rate=FX2, initial=InitialLaw.point_mass(0.0), horizon=1.0, seed=5)
         sol = solve_marginals(cfg, snapshot_times=[0.5, 1.0])
-        stats = simulate_coupled(cfg, sol, [0.5, 1.0])
+        (stats,) = simulate_coupled(cfg, sol, [0.5, 1.0], seeds=[cfg.seed])
         assert np.all(stats.mean_abs_diff == 0.0)
         assert np.all(stats.mean_h_diff == 0.0)
         assert np.all(stats.w1 == 0.0)
@@ -268,8 +267,8 @@ class TestSimulateCoupled:
     def test_deterministic_per_seed(self):
         cfg = exp_config(n=40, lam=1.0)
         sol = solve_marginals(cfg, snapshot_times=[1.0, 2.0])
-        s1 = simulate_coupled(cfg, sol, [1.0, 2.0])
-        s2 = simulate_coupled(cfg, sol, [1.0, 2.0])
+        (s1,) = simulate_coupled(cfg, sol, [1.0, 2.0], seeds=[cfg.seed])
+        (s2,) = simulate_coupled(cfg, sol, [1.0, 2.0], seeds=[cfg.seed])
         assert np.array_equal(s1.mean_abs_diff, s2.mean_abs_diff)
         assert np.array_equal(s1.w1, s2.w1)
 
@@ -277,21 +276,15 @@ class TestSimulateCoupled:
         sol = solve_marginals(exp_config(), snapshot_times=[1.0, 2.0])
         sup = {}
         for n in [25, 400]:
-            parts = []
-            for rep in range(8):
-                cfg = SystemConfig(
-                    n=n, lam=0.0, rate=FX2, initial=InitialLaw.exponential(1.0), horizon=2.0,
-                    seed=1000 + rep,
-                )
-                parts.append(simulate_coupled(cfg, sol, [1.0, 2.0]))
-            agg = CoupledStats.combine(parts)
-            sup[n] = float(np.max(agg.mean_abs_diff))
+            cfg = SystemConfig(n=n, lam=0.0, rate=FX2, initial=InitialLaw.exponential(1.0), horizon=2.0, seed=1000)
+            stats = simulate_coupled(cfg, sol, [1.0, 2.0], seeds=range(1000, 1008))
+            sup[n] = float(np.max(np.mean([s.mean_abs_diff for s in stats], axis=0)))
         assert sup[400] < sup[25]
 
     def test_snapshot_past_horizon_by_rounding_is_kept(self):
         cfg = exp_config(n=3, lam=1.0, horizon=1.0)
         snaps = [0.5, 1.0 + 5e-13]
-        stats = simulate_coupled(cfg, solve_marginals(cfg, snapshot_times=snaps), snaps)
+        (stats,) = simulate_coupled(cfg, solve_marginals(cfg, snapshot_times=snaps), snaps, seeds=[cfg.seed])
         assert np.all(stats.w1 > 0.0)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
@@ -300,7 +293,8 @@ class TestSimulateCoupled:
         sol = solve_marginals(exp_config(lam=lam, rate=rate), snapshot_times=[1.0, 2.0])
         proposals = 0
         for n in [1, 2, 50, 400]:
-            stats = simulate_coupled(exp_config(lam=lam, rate=rate, n=n), sol, [1.0, 2.0])
+            cfg = exp_config(lam=lam, rate=rate, n=n)
+            (stats,) = simulate_coupled(cfg, sol, [1.0, 2.0], seeds=[cfg.seed])
             proposals += stats.proposals
             assert stats.bound_overshoots == 0, f"n={n}"
         assert proposals > 0
@@ -312,7 +306,7 @@ class TestSimulateCoupled:
         coupled = plain = 0
         for seed in range(3):
             cfg = SystemConfig(n=400, lam=lam, rate=FX2, initial=InitialLaw.exponential(1.0), horizon=2.0, seed=seed)
-            coupled += simulate_coupled(cfg, sol, [1.0, 2.0]).proposals
+            coupled += simulate_coupled(cfg, sol, [1.0, 2.0], seeds=[seed])[0].proposals
             plain += simulate(cfg, [1.0, 2.0])[0].proposals
         assert coupled <= 1.25 * plain
 
@@ -334,18 +328,6 @@ class TestSimulateCoupled:
                 assert log.rebuilds <= log.spikes / m + 1
         assert windows[0] == windows[1]
 
-    def test_combine_weighting(self):
-        a = CoupledStats(n=2, snapshot_times=np.array([1.0]), mean_abs_diff=np.array([1.0]),
-                         mean_h_diff=np.array([2.0]), w1=np.array([3.0]), replicates=1, proposals=5)
-        b = CoupledStats(n=2, snapshot_times=np.array([1.0]), mean_abs_diff=np.array([4.0]),
-                         mean_h_diff=np.array([5.0]), w1=np.array([6.0]), replicates=3, proposals=7,
-                         bound_overshoots=1)
-        c = CoupledStats.combine([a, b])
-        assert c.replicates == 4
-        assert (c.proposals, c.bound_overshoots) == (12, 1)  # counters are summed, not weighted
-        assert c.mean_abs_diff[0] == pytest.approx((1 * 1 + 3 * 4) / 4)
-        assert c.w1[0] == pytest.approx((1 * 3 + 3 * 6) / 4)
-
 
 class TestCoupledBatch:
     """Replicates run in lockstep: each row is its own replicate, whatever else the batch holds."""
@@ -356,8 +338,8 @@ class TestCoupledBatch:
         paths = _LimitPaths(sol.drift(), cfg.rate, cfg.lam, t_end=cfg.horizon, window=_WINDOW_DRIFT)
         seen = np.zeros((len(snaps), len(seeds), cfg.n))
 
-        def observe(k, rows, x, y):
-            seen[k, rows] = x
+        def observe(k, x, y):
+            seen[k] = x
 
         logs, _ = _coupled_loop(cfg, seeds, paths, np.asarray(snaps), observe, 10**8, True)
         return logs, seen
@@ -381,8 +363,6 @@ class TestCoupledBatch:
                 for name in ("mean_abs_diff", "mean_h_diff", "w1"):
                     assert getattr(stats, name).tobytes() == getattr(rows[0], name).tobytes(), name
                 assert (stats.proposals, stats.bound_overshoots) == (rows[0].proposals, rows[0].bound_overshoots)
-        # without seeds, the run is the batch of one on config.seed
-        assert simulate_coupled(replace(cfg, seed=a), sol, snaps).w1.tobytes() == runs[2][a].w1.tobytes()
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("rate", [FX2, RateFunction.polynomial([1.0, 1.0])])
@@ -448,7 +428,6 @@ class TestCoupledBatch:
     def test_seeds_give_one_stats_each(self):
         cfg = exp_config(lam=1.0, n=5)
         sol = solve_marginals(cfg, snapshot_times=[1.0])
-        assert isinstance(simulate_coupled(cfg, sol, [1.0]), CoupledStats)
         assert [s.n for s in simulate_coupled(cfg, sol, [1.0], seeds=[1, 2])] == [5, 5]
         with pytest.raises(ConfigError):
             simulate_coupled(cfg, sol, [1.0], seeds=[])
@@ -458,6 +437,6 @@ class TestCoupledBatch:
         cfg = exp_config(lam=1.0, n=5)
         sol = solve_marginals(cfg, snapshot_times=[1.0])
         with pytest.raises(ConfigError, match="finite"):
-            simulate_coupled(cfg, sol, [1.0, bad])
+            simulate_coupled(cfg, sol, [1.0, bad], seeds=[cfg.seed])
         with pytest.raises(ConfigError, match="finite"):
             solve_marginals(cfg, snapshot_times=[bad])

@@ -48,7 +48,7 @@ def test_engine_builds_no_generator(monkeypatch):
     monkeypatch.setattr(neuronmf.particle, "substream", refuse)
     monkeypatch.setattr(np.random, "Generator", refuse)
     log, _ = simulate(cfg, [1.0])
-    stats = simulate_coupled(cfg, sol, [1.0])
+    (stats,) = simulate_coupled(cfg, sol, [1.0], seeds=[cfg.seed])
     assert log.proposals > 0 and stats.proposals > 0
     assert init_system(cfg).n == cfg.n
 
