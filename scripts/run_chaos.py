@@ -8,6 +8,7 @@ near -1/2. Writes chaos_report.json and chaos_curve.csv under --out.
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 
@@ -41,7 +42,10 @@ def main() -> int:
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(build_config(args.lam, args.seed), fh)
         cfg_path = fh.name
-    return cli_main(["chaos", "--config", cfg_path, "--out", args.out, "--threads", str(args.threads)])
+    try:
+        return cli_main(["chaos", "--config", cfg_path, "--out", args.out, "--threads", str(args.threads)])
+    finally:
+        os.unlink(cfg_path)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ the run only asserts non-extinction: the drift a_t stays above a floor.
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 
@@ -58,7 +59,10 @@ def main() -> int:
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(build_config(args.lam, args.seed), fh)
         cfg_path = fh.name
-    return cli_main(["equilibrium", "--config", cfg_path, "--out", args.out])
+    try:
+        return cli_main(["equilibrium", "--config", cfg_path, "--out", args.out])
+    finally:
+        os.unlink(cfg_path)
 
 
 if __name__ == "__main__":

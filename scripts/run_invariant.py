@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Nontrivial invariant density of the limit dynamics.
 
-Solves Gamma(a) = 1 by bracketing and a secant and writes the stationary
+Solves Gamma(a) = 1 by Newton steps on log a and writes the stationary
 summary (a*, p, m, support, residuals) plus the density grid as CSV.
 """
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 
@@ -34,7 +35,10 @@ def main() -> int:
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(cfg, fh)
         cfg_path = fh.name
-    return cli_main(["invariant", "--config", cfg_path, "--out", args.out])
+    try:
+        return cli_main(["invariant", "--config", cfg_path, "--out", args.out])
+    finally:
+        os.unlink(cfg_path)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .particle import EventBudgetExceededError, check_apriori, simulate
 from .quadrature import QuadratureError
 from .rng import derive_seed
 
-_FMT = "{:.17g}"
+_FMT = "%.17g"
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +108,12 @@ def load_config(path: str) -> dict:
 
 
 def _write_csv(path: Path, header, rows):
+    """Write tuples whose columns keep one type: floats at 17 digits, other cells by str()."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT.format(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        if rows:
+            fmt = ",".join(_FMT if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+            fh.writelines(fmt % row for row in rows)
 
 
 def _json_default(obj):
@@ -424,7 +427,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call to main rather than at import."""
     parser = argparse.ArgumentParser(prog="neuronmf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -433,7 +438,11 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=".")
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     t0 = time.perf_counter()
     out = Path(args.out)

@@ -15,7 +15,9 @@ x(v) = (a/lam)(1 - exp(-lam v/a)) (x = v at lam = 0) and the inner exponent
 is the running integral of f(x(v))/a: one cumulative pass, the same for
 every lam and exponent, gives it, Gamma and the moments on one grid, and
 never forms log(a/(a - lam x)), which x rounding to a/lam would spoil.
-Gamma increases from Gamma(lam) < 1; an Illinois secant finds its unit root.
+Gamma increases from Gamma(lam) < 1. The same pass integrates dGamma/da
+(x, x' and the inner exponent depend on a in closed form), and a Newton
+step on log Gamma against log a finds the unit root.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ _MAX_DOUBLINGS = 14
 _DENSITY_NODES = 2000  # nodes of the reported density
 ROOT_ABS = 1e-8  # |Gamma(a) - 1| at the root is at most half of it; the CLI gates the residuals on it
 _QUAD_ABS = 1e-10  # absolute tolerance of every pass; the residual pass runs at a tenth of it
+_MAX_ROOT_PASSES = 200
+_MAX_LOG_STEP = 3.0  # cap on one Newton step in log a
 
 
 def _ratio(num, den):
@@ -60,6 +64,7 @@ class _Pass:
     gamma1: float
     gamma2: float
     gamma3: float  # int f g / p, which is 1 at any a
+    dgamma: float  # dGamma/da over [0, V], on the converged grid
     extra: np.ndarray
 
     def inner_at(self, q):
@@ -73,6 +78,15 @@ class _Pass:
         return np.where(q > v[-1], y[-1] + d[-1] * (q - v[-1]), herm)
 
 
+def _running_simpson(y, h):
+    """Running Simpson integral of samples y on a uniform grid of step h:
+    whole panels at even nodes, a 3-point half-panel rule at odd ones."""
+    out = np.zeros(y.size)
+    np.cumsum(h / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2]), out=out[2::2])
+    out[1::2] = out[:-2:2] + h / 12.0 * (5.0 * y[:-2:2] + 8.0 * y[1::2] - y[2::2])
+    return out
+
+
 def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, dx, fx, e: []) -> _Pass:
     """Integrate at a on one graded grid v = V u^2, refined until converged.
 
@@ -81,7 +95,8 @@ def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, 
     1.5x until the tails past it are below tol/10, and the panels double
     until every integral moves by less than tol. extra(x, x', f(x),
     exp(-inner)) may return more integrands in v, whose integrals over
-    [0, V] come back in _Pass.extra.
+    [0, V] come back in _Pass.extra. dGamma/da is integrated once, on the
+    converged grid, and takes no part in the convergence test.
     """
     s = lam / a
     big_v, n, prev = 1.0, _PANELS, None
@@ -91,13 +106,8 @@ def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, 
         x, dx = _x_of_v(v, s)
         fx = np.asarray(rate(x), dtype=float)
         jac = 2.0 * big_v * u  # dv/du
-        # running Simpson in u: whole panels at even nodes, a 3-point
-        # half-panel rule at odd ones
         h = 1.0 / n
-        y = fx * jac / a
-        inner = np.zeros(n + 1)
-        np.cumsum(h / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2]), out=inner[2::2])
-        inner[1::2] = inner[:-2:2] + h / 12.0 * (5.0 * y[:-2:2] + 8.0 * y[1::2] - y[2::2])
+        inner = _running_simpson(fx * jac / a, h)
         e = np.exp(-inner)
         # outer Simpson weights in u times dv/du, which is 0 at node 0
         w = np.where(np.arange(n + 1) % 2, 4.0, 2.0) * jac * (h / 3.0)
@@ -114,11 +124,16 @@ def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, 
                 raise QuadratureError(f"quadrature tail above {0.1 * tol} at V={big_v:.4g}")
             big_v, prev = 1.5 * big_v, None
         elif prev is not None and np.max(np.abs(vals - prev)) < tol:
-            return _Pass(v, inner, fx / a, *vals[:4], extra=vals[4:])
+            break
         elif n >= _PANELS << _MAX_DOUBLINGS:
             raise QuadratureError(f"quadrature did not reach tol={tol} in {n} panels on [0, {big_v:.4g}]")
         else:
             prev, n = vals, 2 * n
+    # at fixed v, dx/da = (x - v x')/a and dx'/da = x' v s/a, so the inner
+    # exponent's a-derivative is the running integral of (f'(x) (x - v x') - f(x))/a^2
+    d_inner = _running_simpson((rate.deriv(x) * (x - v * dx) - fx) * jac / (a * a), h)
+    dgamma = float((e * dx * (v * (s / a) - d_inner)) @ w)
+    return _Pass(v, inner, fx / a, *vals[:4], dgamma=dgamma, extra=vals[4:])
 
 
 @dataclass
@@ -135,6 +150,7 @@ class InvariantResult:
     density_values: np.ndarray
     residuals: dict = field(default_factory=dict)
     grid: _Pass | None = field(default=None, repr=False)
+    gamma_passes: int = 0  # _QUAD_ABS passes of the solve: the root search, whose last pass is the grid
 
     def density(self, x):
         return invariant_density(self, x)
@@ -151,52 +167,51 @@ class InvariantResult:
         }
 
 
-def gamma(a: float, lam: float, rate: RateFunction) -> float:
-    """The scalar monotone function whose unit root determines the invariant law."""
+def gamma(a: float, lam: float, rate: RateFunction, full: bool = False):
+    """The scalar monotone function whose unit root determines the invariant law.
+
+    With full=True, the whole converged pass comes back instead (Gamma,
+    dGamma/da and the grid), which is how the root search takes each pass.
+    """
     if a <= 0:
         raise ValueError("gamma needs a > 0")
-    return _pass(a, lam, rate, _QUAD_ABS).gamma
+    grid = _pass(a, lam, rate, _QUAD_ABS)
+    return grid if full else grid.gamma
 
 
 def solve_a_star(lam: float, rate: RateFunction) -> InvariantResult:
     """Find the nontrivial invariant measure from the root of Gamma(a) = 1.
 
-    rate satisfies A1 by construction. Brackets the root in [lam, a_hi]
-    with a_hi doubled until Gamma > 1 (Gamma(lam) < 1 and Gamma(inf) = inf),
-    then runs an Illinois secant until |Gamma(a) - 1| <= ROOT_ABS / 2, every
-    pass to _QUAD_ABS. At the root m = Gamma2/Gamma1 and p = a - lam m; the
+    rate satisfies A1 by construction. Newton's method on log Gamma as a
+    function of log a, which is linear for power rates at lam = 0, starts at
+    a = lam + 1 and stops once |Gamma(a) - 1| <= ROOT_ABS / 2, every pass to
+    _QUAD_ABS; each pass is one gamma(..., full=True) call and gives Gamma
+    and dGamma/da. Gamma(lam) < 1 and Gamma increases, so every pass moves
+    an end of the bracket (lam, hi), and a step that leaves it bisects it
+    instead. The last pass is the
+    result's grid. At the root m = Gamma2/Gamma1 and p = a - lam m; the
     residuals come from a second pass at a tenth of _QUAD_ABS: normalization
     |p Gamma1 - 1|, self-consistency |int f g - p|, and the fixed point
     |a - lam m - p| with m and p = 1/Gamma1 of that pass. Raises
-    QuadratureError when a pass, the bracket or the secant fails.
+    QuadratureError when a pass fails or the root is not reached.
     """
-    # Gamma(lo) - 1 is only known to be negative; -1 seeds the secant
-    lo, f_lo = lam, -1.0
-    hi = max(1.0, 2.0 * lam)
-    for _ in range(200):
-        f_hi = gamma(hi, lam, rate) - 1.0
-        if f_hi > 0.0:
+    lo, hi, a = lam, math.inf, lam + 1.0
+    for passes in range(1, _MAX_ROOT_PASSES + 1):
+        grid = gamma(a, lam, rate, full=True)
+        g, dg = grid.gamma, grid.dgamma
+        if abs(g - 1.0) <= 0.5 * ROOT_ABS:  # margin for the finer recheck
             break
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        lo, hi = (a, hi) if g < 1.0 else (lo, a)
+        step = -math.log(g) * g / (a * dg) if dg > 0.0 else math.nan
+        a_next = a * math.exp(min(max(step, -_MAX_LOG_STEP), _MAX_LOG_STEP))
+        if not lo < a_next < hi:  # also a NaN step
+            a_next = 2.0 * lo if hi == math.inf else math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        a = a_next
     else:
-        raise QuadratureError("quadrature found no a with Gamma(a) > 1")
-
-    last = 0.0
-    for _ in range(200):
-        a = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        val = gamma(a, lam, rate) - 1.0
-        if abs(val) <= 0.5 * ROOT_ABS:  # margin for the finer recheck
-            break
-        # Illinois: the value at an end kept twice in a row is halved
-        if val > 0.0:
-            hi, f_hi, f_lo = a, val, 0.5 * f_lo if last > 0.0 else f_lo
-        else:
-            lo, f_lo, f_hi = a, val, 0.5 * f_hi if last < 0.0 else f_hi
-        last = val
-    else:
+        if hi == math.inf:
+            raise QuadratureError("quadrature found no a with Gamma(a) > 1")
         raise QuadratureError("quadrature secant for Gamma(a) = 1 did not converge")
 
-    grid = _pass(a, lam, rate, _QUAD_ABS)
     m = grid.gamma2 / grid.gamma1
     p = a - lam * m
     with np.errstate(divide="ignore"):
@@ -204,7 +219,7 @@ def solve_a_star(lam: float, rate: RateFunction) -> InvariantResult:
     # the output grid ends at lam v/a = 30: past it, nodes of x(v) round together at a/lam
     v_out = grid.v[-1] / max(1.0, lam * grid.v[-1] / (30.0 * a))
     xs = _x_of_v(np.linspace(0.0, v_out, _DENSITY_NODES), lam / a)[0]
-    result = InvariantResult(lam, rate, a, p, m, support, xs, np.empty(0), grid=grid)
+    result = InvariantResult(lam, rate, a, p, m, support, xs, np.empty(0), grid=grid, gamma_passes=passes)
     result.density_values = invariant_density(result, xs)
 
     fine = _pass(a, lam, rate, 0.1 * _QUAD_ABS)

@@ -74,6 +74,10 @@ class RateFunction:
             out = term if out is None else out + term
         return out
 
+    def deriv(self, x):
+        """f'(x), finite at 0 since every exponent is >= 1."""
+        return sum(c if e == 1 else e * c * np.power(x, e - 1) for e, c in self.terms)
+
     def describe(self) -> dict:
         return copy.deepcopy(self.description)
 

@@ -197,3 +197,65 @@ class TestSimpsonRefine:
             simpson_refine(step, 0.0, 1.0, 1e-15, max_doublings=3)
         with pytest.raises(QuadratureError, match="non-finite"), np.errstate(divide="ignore", invalid="ignore"):
             simpson_refine(lambda x: 1.0 / x, 0.0, 1.0, 1e-15, max_doublings=3)
+
+
+class TestRootSearch:
+    def test_mean_passes_over_sweep_grid(self):
+        from neuronmf.cli import _rate_from
+
+        passes = [
+            solve_a_star(0.25 * k, _rate_from(rate)).gamma_passes for rate in SWEEP_RATES.values() for k in range(17)
+        ]
+        assert min(passes) >= 1
+        assert sum(passes) / len(passes) <= 4.0
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("rate", [FX, RateFunction.power(1.0, 1.5), RateFunction.polynomial([1.0, 1.0])])
+    def test_pass_slope_matches_central_difference(self, lam, rate):
+        from neuronmf.invariant import _QUAD_ABS, _pass
+
+        a = lam + 1.0
+        h = 1e-4 * a
+        central = (gamma(a + h, lam, rate) - gamma(a - h, lam, rate)) / (2.0 * h)
+        assert _pass(a, lam, rate, _QUAD_ABS).dgamma == pytest.approx(central, rel=1e-6)
+
+    @pytest.mark.parametrize("c,xi", [(1.0, 1.0), (1.0, 1.5), (1.0, 2.0), (2.5, 3.0)])
+    def test_lam0_power_rate_closed_form_in_three_passes(self, c, xi):
+        # lam = 0: Gamma(a) = (a (xi+1)/c)^{1/(xi+1)} Gamma_E(1 + 1/(xi+1)), a power of a
+        res = solve_a_star(0.0, RateFunction.power(c, xi))
+        a_star = c / (xi + 1.0) * euler_gamma(1.0 + 1.0 / (xi + 1.0)) ** -(xi + 1.0)
+        assert res.a_star == pytest.approx(a_star, abs=1e-8)
+        assert res.gamma_passes <= 3
+
+    def test_step_below_lam_bisects_to_the_root(self, monkeypatch):
+        # lam 1, f = x^2/100: Gamma(2) > 1 and the Newton step from a = 2 lands below lam
+        from neuronmf import invariant
+
+        seen = []
+        real_pass = invariant._pass
+
+        def recording_pass(a, lam, rate, tol, **kw):
+            seen.append(a)
+            return real_pass(a, lam, rate, tol, **kw)
+
+        monkeypatch.setattr(invariant, "_pass", recording_pass)
+        res = solve_a_star(1.0, RateFunction.power(0.01, 2.0))
+        assert min(seen) > 1.0
+        assert res.a_star == pytest.approx(_a_star_reference(lambda x: 0.01 * x * x, 1.0), abs=1e-6)
+        assert res.residuals["gamma_at_root"] <= 0.5e-8
+
+    def test_every_root_pass_goes_through_gamma(self, monkeypatch):
+        # profilers count root passes by wrapping the module's gamma
+        from neuronmf import invariant
+
+        calls = []
+        real_gamma = invariant.gamma
+
+        def counting_gamma(*args, **kw):
+            calls.append(args[0])
+            return real_gamma(*args, **kw)
+
+        monkeypatch.setattr(invariant, "gamma", counting_gamma)
+        res = solve_a_star(1.0, FX)
+        assert len(calls) == res.gamma_passes
+        assert calls[-1] == res.a_star
