@@ -311,14 +311,17 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
     state = dict(base=base, sol=sol, snaps=snaps, master=master, budget=budget)
     tasks = _chaos_batches(n_grid, replicates)
     workers = min(threads, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_pool, initargs=(state,)
-        ) as pool:
-            batches = list(pool.map(_chaos_worker, tasks))
-    else:
-        _init_pool(state)
-        batches = [_chaos_worker(task) for task in tasks]
+    try:
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_pool, initargs=(state,)
+            ) as pool:
+                batches = list(pool.map(_chaos_worker, tasks))
+        else:
+            _init_pool(state)
+            batches = [_chaos_worker(task) for task in tasks]
+    finally:
+        _POOL_STATE.clear()  # the serial path filled it here; it must not keep this solve alive
     runs = {n: [] for n in n_grid}  # each size's replicates in order: the tasks run in order
     for n, stats in batches:
         runs[n] += stats

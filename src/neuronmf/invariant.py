@@ -108,7 +108,8 @@ def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, 
         jac = 2.0 * big_v * u  # dv/du
         h = 1.0 / n
         inner = _running_simpson(fx * jac / a, h)
-        e = np.exp(-inner)
+        with np.errstate(over="ignore"):  # on a coarse grid the half-panel rule can dip far below 0
+            e = np.exp(-inner)
         # outer Simpson weights in u times dv/du, which is 0 at node 0
         w = np.where(np.arange(n + 1) % 2, 4.0, 2.0) * jac * (h / 3.0)
         w[-1] *= 0.5
@@ -119,16 +120,17 @@ def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, 
         g, e_v = float(fx[-1]) / a, float(e[-1])
         vals[3] += e_v
         tail = e_v / g * max(1.0, 1.0 / a, (float(x[-1]) + 1.0 / g) / a) if g > 0.0 else math.inf
+        finite = all(map(math.isfinite, vals.tolist()))  # a non-finite pass only doubles the panels
         if not tail < 0.1 * tol:
             if big_v >= 1.5**_MAX_GROWTH:
                 raise QuadratureError(f"quadrature tail above {0.1 * tol} at V={big_v:.4g}")
             big_v, prev = 1.5 * big_v, None
-        elif prev is not None and np.max(np.abs(vals - prev)) < tol:
+        elif finite and prev is not None and np.max(np.abs(vals - prev)) < tol:
             break
         elif n >= _PANELS << _MAX_DOUBLINGS:
             raise QuadratureError(f"quadrature did not reach tol={tol} in {n} panels on [0, {big_v:.4g}]")
         else:
-            prev, n = vals, 2 * n
+            prev, n = (vals if finite else None), 2 * n
     # at fixed v, dx/da = (x - v x')/a and dx'/da = x' v s/a, so the inner
     # exponent's a-derivative is the running integral of (f'(x) (x - v x') - f(x))/a^2
     d_inner = _running_simpson((rate.deriv(x) * (x - v * dx) - fx) * jac / (a * a), h)

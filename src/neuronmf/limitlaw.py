@@ -66,28 +66,28 @@ class MassDriftError(RuntimeError):
 
 @dataclass(eq=False)
 class TransportedDensity:
-    """Frozen two-part (plus atoms) representation of g(t)."""
+    """Frozen two-part (plus atoms) representation of g(t).
+
+    Jump nodes come in birth order. mass() is the solver's own w @ surv at
+    the freeze, the value its MassDriftError check took after that step.
+    """
 
     t: float
     splice: float  # phi_{0,t}(0)
-    decay0: float  # exp(-lam t)
     a_t: float
     p_t: float
-    jump_s: np.ndarray  # birth times, ascending (first entry 0)
+    node_mass: float
     jump_pos: np.ndarray  # positions, descending in s
     jump_weight: np.ndarray  # kappa_{s,t}(0)
     jump_density: np.ndarray
-    jump_p_birth: np.ndarray  # p_s at birth
     init_x: np.ndarray
     init_pos: np.ndarray
     init_g0: np.ndarray
-    init_surv: np.ndarray
+    init_density: np.ndarray  # g0 kappa_{0,t} e^{lam t} at init_pos
     atoms: list  # (origin, position, original mass, surviving mass)
 
     def mass(self) -> float:
-        jump = float(np.trapezoid(self.jump_p_birth * self.jump_weight, self.jump_s))
-        init = float(np.trapezoid(self.init_g0 * self.init_surv, self.init_x)) if self.init_x.size else 0.0
-        return jump + init + sum(a[3] for a in self.atoms)
+        return self.node_mass
 
     def density(self, y):
         """Pointwise density (atoms excluded); zero outside the support."""
@@ -103,7 +103,7 @@ class TransportedDensity:
             ds = self.jump_density[::-1]
             out[below] = np.interp(yv[below], ys, ds)
         if np.any(~below) and self.init_x.size:
-            dens = self.init_g0 * self.init_surv / self.decay0
+            dens = self.init_density
             out[~below] = np.interp(yv[~below], self.init_pos, dens, left=dens[0], right=0.0)
         return float(out[0]) if scalar else out
 
@@ -116,7 +116,7 @@ class TransportedDensity:
         ds = self.jump_density[::-1]
         if self.init_x.size:
             ys = np.concatenate([ys, self.init_pos])
-            ds = np.concatenate([ds, self.init_g0 * self.init_surv / self.decay0])
+            ds = np.concatenate([ds, self.init_density])
         cdf = cumulative_trapezoid(ds, ys)
         for _, pos, _, mass in sorted(self.atoms, key=lambda a: a[1]):
             k = np.searchsorted(ys, pos, side="right")
@@ -147,9 +147,7 @@ class TransportedDensity:
     def rows(self):
         """(y, density, part) rows for CSV export."""
         out = [(float(y), float(d), "jump") for y, d in zip(self.jump_pos[::-1], self.jump_density[::-1])]
-        if self.init_x.size:
-            dens = self.init_g0 * self.init_surv / self.decay0
-            out += [(float(y), float(d), "initial") for y, d in zip(self.init_pos, dens)]
+        out += [(float(y), float(d), "initial") for y, d in zip(self.init_pos, self.init_density)]
         out += [(float(pos), float(mass), "atom") for _, pos, _, mass in self.atoms]
         return out
 
@@ -179,20 +177,6 @@ class MarginalSolution:
                 return snap
         raise KeyError(f"no stored snapshot at t={t}")
 
-    def consistency_residual(self, t: float) -> float:
-        """|a_t - lam m - p| with p, m recomputed by quadrature in y on _CHECK_REFINE points per node."""
-        snap = self.snapshot_at(t)
-        lo, hi = snap.support()
-        n = _CHECK_REFINE * max(64, snap.jump_s.size + snap.init_x.size)
-        ys = np.linspace(lo, hi, n)
-        dens = snap.density(ys)
-        p = float(np.trapezoid(np.asarray(self.rate(ys), float) * dens, ys))
-        m = float(np.trapezoid(ys * dens, ys))
-        for _, pos, _, mass in snap.atoms:
-            p += float(self.rate(pos)) * mass
-            m += pos * mass
-        return abs(snap.a_t - self.lam * m - p)
-
 
 # ---------------------------------------------------------------------------
 # Marginal solver
@@ -202,7 +186,6 @@ class MarginalSolution:
 _INIT_NODES = 2000  # nodes of a continuous initial law
 _CORRECTOR_PASSES = 1  # per step, after the predictor
 _ADAPT_REL = 0.02  # relative drift change above which a step is bisected
-_CHECK_REFINE = 8  # consistency_residual's nodes per solver node
 
 
 def _slab_geometry(lam: float, abar: float, dt: float):
@@ -242,16 +225,16 @@ class _Nodes:
     a weight w (quadrature weight times birth density: g0 times the
     trapezoid weight in x, an atom's mass, or p at birth times the
     trapezoid weight in s) and its accumulated survival surv, so the
-    represented mass is w @ surv. Jump nodes also keep their birth time s,
-    the rate pb at birth and their density value dens. The newest jump node
-    holds only the left half of its s-interval; the right half comes with
-    the next birth.
+    represented mass is w @ surv (mass()). Jump nodes also keep their
+    density value dens. The newest jump node holds only the left half of
+    its s-interval; the right half comes with the next birth, from pb, that
+    node's p at birth (no older node's is read, so pb is one float).
     """
 
     def __init__(self, rate, xs, g0v, atoms, capacity: int):
         self.j0 = xs.size + len(atoms)
         size = max(capacity, self.j0 + 1)
-        self.x, self.f, self.w, self.surv, self.s, self.pb, self.dens = np.zeros((7, size))
+        self.x, self.f, self.w, self.surv, self.dens = np.zeros((5, size))
         self.x[: self.j0] = np.concatenate([xs, [x0 for x0, _ in atoms]])
         self.f[: self.j0] = np.asarray(rate(self.x[: self.j0]), dtype=float)
         self.w[: self.j0] = np.concatenate([g0v * _trapezoid_weights(xs), [mass for _, mass in atoms]])
@@ -259,18 +242,21 @@ class _Nodes:
         self.f0 = float(rate(0.0))  # rate of a newborn node at the reset point
         self.n = self.j0
 
-    def birth(self, s: float, pb: float, dens: float, weight: float):
+    def birth(self, pb: float, dens: float, weight: float):
         """Append a jump node at the reset point 0 with survival 1."""
         if self.n == self.x.size:
-            for name in ("x", "f", "w", "surv", "s", "pb", "dens"):
+            for name in ("x", "f", "w", "surv", "dens"):
                 old = getattr(self, name)
                 new = np.zeros(2 * old.size)
                 new[: old.size] = old
                 setattr(self, name, new)
         k = self.n
-        self.x[k], self.f[k], self.w[k], self.surv[k] = 0.0, self.f0, weight, 1.0
-        self.s[k], self.pb[k], self.dens[k] = s, pb, dens
+        self.x[k], self.f[k], self.w[k], self.surv[k], self.dens[k] = 0.0, self.f0, weight, 1.0, dens
+        self.pb = pb
         self.n += 1
+
+    def mass(self) -> float:
+        return float(self.w[: self.n] @ self.surv[: self.n])
 
 
 def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolution:
@@ -282,10 +268,11 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
     One new jump node is born per step, so memory is O(horizon/dt). Steps
     over which the drift would change by more than _ADAPT_REL (relatively)
     are bisected, up to 8 levels, which resolves fast initial transients
-    without shrinking dt globally. After each step the mass is recomputed
-    from the node arrays; the solve aborts with MassDriftError when it
-    leaves [1 - mass_abs, 1 + mass_abs]. snapshot_times may repeat and come
-    in any order.
+    without shrinking dt globally. After each step the mass w @ surv is
+    recomputed from the node arrays (_Nodes.mass, which a snapshot keeps as
+    its mass()); the solve aborts with MassDriftError when it leaves
+    [1 - mass_abs, 1 + mass_abs]. snapshot_times may repeat and come in any
+    order.
     """
     lam = config.lam
     rate = config.rate
@@ -310,7 +297,7 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
     a0 = lam * m0 + p0
 
     nodes = _Nodes(rate, xs, g0v, atoms, capacity=ni + len(atoms) + grid.size)
-    nodes.birth(0.0, p0, p0 / a0 if a0 > 0 else 0.0, 0.0)  # the s=0 node rides at the splice point
+    nodes.birth(p0, p0 / a0 if a0 > 0 else 0.0, 0.0)  # the s=0 node rides at the splice point
     decay0 = 1.0
 
     times = [0.0]
@@ -325,18 +312,16 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
             TransportedDensity(
                 t=float(t),
                 splice=float(nodes.x[j0]),
-                decay0=decay0,
                 a_t=a_t,
                 p_t=p_t,
-                jump_s=nodes.s[j0:n].copy(),
+                node_mass=nodes.mass(),
                 jump_pos=nodes.x[j0:n].copy(),
                 jump_weight=nodes.surv[j0:n].copy(),
                 jump_density=nodes.dens[j0:n].copy(),
-                jump_p_birth=nodes.pb[j0:n].copy(),
                 init_x=xs,
                 init_pos=nodes.x[:ni].copy(),
                 init_g0=g0v,
-                init_surv=nodes.surv[:ni].copy(),
+                init_density=g0v * nodes.surv[:ni] / decay0,
                 atoms=[
                     (x0, float(nodes.x[ni + i]), mass, mass * float(nodes.surv[ni + i]))
                     for i, (x0, mass) in enumerate(atoms)
@@ -357,7 +342,7 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
         f = nodes.f[:n]
         ws = nodes.w[:n] * nodes.surv[:n]
         # the newest jump node's right half-interval, up to the node born at t_hi
-        ws[-1] += 0.5 * h * nodes.pb[n - 1] * nodes.surv[n - 1]
+        ws[-1] += 0.5 * h * nodes.pb * nodes.surv[n - 1]
         abar = a_series[-1]
         for _ in range(1 + _CORRECTOR_PASSES):
             decays, offsets = _slab_geometry(lam, abar, h)
@@ -395,16 +380,16 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
             nodes.surv[:n] *= fac
             nodes.dens[j0:n] *= fac[j0:]
             nodes.dens[j0:n] *= 1.0 / d2
-            nodes.w[n - 1] += 0.5 * (t_next - t) * nodes.pb[n - 1]
+            nodes.w[n - 1] += 0.5 * (t_next - t) * nodes.pb
             decay0 *= d2
-            nodes.birth(float(t_next), p_new, p_new / a_new if a_new > 0 else 0.0, 0.5 * (t_next - t) * p_new)
+            nodes.birth(p_new, p_new / a_new if a_new > 0 else 0.0, 0.5 * (t_next - t) * p_new)
 
             times.append(float(t_next))
             a_series.append(a_new)
             p_series.append(p_new)
             m_series.append(m_new)
 
-            mass = float(nodes.w[: nodes.n] @ nodes.surv[: nodes.n])
+            mass = nodes.mass()
             if abs(mass - 1.0) > mass_abs:
                 raise MassDriftError(f"mass {mass:.8f} drifted beyond {mass_abs} at t={t_next}")
 

@@ -2,8 +2,8 @@
 
 Holds the spiking-rate functions, whose constructor is the one check of
 assumption A1 (f(0) = 0, f nondecreasing and positive on (0, inf)), the
-initial laws with samplers and moment accessors, the run configuration,
-and the deterministic inter-spike flow
+initial laws with their sampler and the marginal solver's nodes, the run
+configuration, and the deterministic inter-spike flow
 
     phi_{s,t}(x) = exp(-lam (t-s)) x + int_s^t exp(-lam (t-u)) a_u du
 
@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import QuadratureError, cumulative_trapezoid, simpson_refine
+from .quadrature import QuadratureError, cumulative_trapezoid
+from .quadrature import simpson_refine  # noqa: F401  (benchmark/tracing.py wraps this name)
 
 
 class ConfigError(ValueError):
@@ -88,16 +89,16 @@ class RateFunction:
 
 
 _TAIL_MASS = 1e-10  # initial-law mass the marginal solver's nodes leave out
-_MOMENT_ABS = 1e-10  # absolute tolerance of the initial-law moments
 
 
 @dataclass(eq=False)
 class InitialLaw:
-    """Law of the initial potential, with sampler and moment accessors.
+    """Law of the initial potential: its sampler and the marginal solver's nodes.
 
     Kinds: ``point_mass`` (atom at x0 >= 0), ``exponential`` (rate > 0),
-    ``truncated_density`` (piecewise-linear density on [0, cutoff],
-    renormalized).
+    ``truncated_density`` (piecewise-linear density on [0, xs[-1]],
+    renormalized). Its moments are taken by the marginal solver, on the
+    nodes of solver_nodes.
     """
 
     kind: str
@@ -147,13 +148,7 @@ class InitialLaw:
         """Truncated density from (x, g0(x)) samples; renormalizes the mass."""
         return InitialLaw(kind="truncated_density", xs=np.asarray(xs, float), density_values=np.asarray(values, float))
 
-    @property
-    def cutoff(self) -> float:
-        if self.kind == "truncated_density":
-            return float(self.xs[-1])
-        return math.inf
-
-    # -- sampling ----------------------------------------------------------
+    # -- sampling and solver nodes ------------------------------------------
 
     def quantile(self, u) -> np.ndarray:
         """The inverse cdf at uniforms u in [0, 1): the one sampling rule of the law."""
@@ -166,49 +161,6 @@ class InitialLaw:
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         return self.quantile(rng.random(n))
-
-    # -- densities and moments ----------------------------------------------
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "point_mass":
-            raise ConfigError("point mass has no density")
-        if self.kind == "exponential":
-            return np.where(x >= 0, self.rate * np.exp(-self.rate * x), 0.0)
-        out = np.interp(x, self.xs, self.density_values, left=0.0, right=0.0)
-        return out
-
-    def expectation(self, h) -> float:
-        """E[h(Y0)] by quadrature to _MOMENT_ABS (exact for a point mass)."""
-        if self.kind == "point_mass":
-            return float(np.asarray(h(self.x0), dtype=float))
-        if self.kind == "truncated_density":
-            return simpson_refine(lambda x: np.asarray(h(x), float) * self.density(x), 0.0, self.cutoff, _MOMENT_ABS)
-        # exponential: extend the window until the remainder is negligible
-        total = 0.0
-        lo, hi = 0.0, 10.0 / self.rate
-        for _ in range(40):
-            total += simpson_refine(lambda x: np.asarray(h(x), float) * self.density(x), lo, hi, _MOMENT_ABS)
-            tail_scale = abs(float(np.max(np.abs(np.asarray(h(hi), float))))) + 1.0
-            if tail_scale * math.exp(-self.rate * hi) < _MOMENT_ABS:
-                return total
-            lo, hi = hi, 2.0 * hi
-        raise RuntimeError("initial-law moment did not converge")
-
-    def mean(self) -> float:
-        if self.kind == "point_mass":
-            return self.x0
-        if self.kind == "exponential":
-            return 1.0 / self.rate
-        return float(np.trapezoid(self.xs * self.density_values, self.xs))
-
-    def mean_rate(self, rate: RateFunction) -> float:
-        """E[f(Y0)]."""
-        return self.expectation(rate)
-
-    def mean_rate_sq(self, rate: RateFunction) -> float:
-        """E[f(Y0)^2]; must be finite for the coupling experiments."""
-        return self.expectation(lambda x: np.asarray(rate(x), float) ** 2)
 
     def solver_nodes(self, n_nodes: int):
         """Discretization (xs, density values, atoms) used by the marginal solver.

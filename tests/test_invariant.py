@@ -119,6 +119,14 @@ class TestSolveAStar:
         with pytest.raises(Exception):
             solve_a_star(1.0, RateFunction.polynomial([0.0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rate", [RateFunction.power(1, 60), RateFunction.power(1e12, 2)], ids=["x^60", "1e12x^2"])
+    def test_steep_rates_raise_no_warning(self, rate):
+        # on a coarse grid the inner exponent can dip far below 0, so its exp
+        # overflows; such a pass only doubles the panels
+        res = solve_a_star(1.0, rate)
+        assert abs(res.residuals["gamma_at_root"]) <= 5e-9
+
 
 class TestInvariantDensity:
     def test_boundary_values(self):

@@ -127,12 +127,28 @@ class TestSolveMarginals:
                 snapshot_times=[2.0],
             )
 
+    def test_reported_mass_is_the_gated_mass(self):
+        # f = x at lambda 0 bisects no step at dt 0.02, so a snapshot at every
+        # grid node sees every mass the solver checks against mass_abs
+        cfg = exp_config(rate=FX, dt=0.02)
+        times = np.linspace(0.0, 2.0, 101)
+        sol = solve_marginals(cfg, snapshot_times=times)
+        assert len(sol.snapshots) == sol.times.size == 101
+        worst = max(abs(snap.mass() - 1.0) for snap in sol.snapshots)
+        at, below = (replace(cfg, tolerances=Tolerances(mass_abs=m, dt=0.02)) for m in (worst, math.nextafter(worst, 0.0)))
+        solve_marginals(at, snapshot_times=times)
+        with pytest.raises(MassDriftError):
+            solve_marginals(below, snapshot_times=times)
+
     def test_dt_convergence_of_consistency_residual(self):
-        # f = x bisects no step here, so the steps are fixed and the ratio is clean
+        # |a_t - p_t| at lambda 0, with p_t by trapezoids in y on 8 points per
+        # solver node of the snapshot's density; f = x bisects no step here,
+        # so the steps are fixed and the ratio is clean
         res = []
         for dt in [0.02, 0.01]:
-            sol = solve_marginals(exp_config(rate=FX, dt=dt), snapshot_times=[2.0])
-            res.append(sol.consistency_residual(2.0))
+            snap = solve_marginals(exp_config(rate=FX, dt=dt), snapshot_times=[2.0]).snapshot_at(2.0)
+            ys = np.linspace(*snap.support(), 8 * max(64, snap.jump_pos.size + snap.init_x.size))
+            res.append(abs(snap.a_t - np.trapezoid(FX(ys) * snap.density(ys), ys)))
         assert res[0] / res[1] >= 1.8
 
     def test_upwind_oracle_agreement_lam1(self):

@@ -101,14 +101,6 @@ class TestInitialLaw:
     def test_point_mass(self):
         law = InitialLaw.point_mass(1.0)
         assert np.all(law.sample(substream(1, "a"), 5) == 1.0)
-        assert law.mean() == 1.0
-        assert law.mean_rate(FX2) == 1.0
-
-    def test_exponential_moments(self):
-        law = InitialLaw.exponential(1.0)
-        assert law.mean() == 1.0
-        assert law.mean_rate(FX2) == pytest.approx(2.0, abs=1e-8)
-        assert law.mean_rate_sq(FX2) == pytest.approx(24.0, abs=1e-6)
 
     def test_exponential_sample_mean(self):
         # CLT band: |mean - 1| < 4/sqrt(n) for Exp(1)
