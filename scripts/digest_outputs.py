@@ -6,7 +6,10 @@ and prints one line "sha256 label/file" per output file except
 timing.txt, which holds wall-clock time. Then it prints one digest over the
 EventLogs and snapshots of simulate, and one over the CoupledStats of
 simulate_coupled (the fields named in COUPLED_FIELDS), each for lambda in
-{0, 1, 2} x N in {1, 2, 50, 400}.
+{0, 1, 2} x N in {1, 2, 50, 400}, and a last one over simulate at the
+shapes of the small-N ensembles: N <= 3 at f=x and a polynomial rate,
+N=1 from a point mass at lambda 2 with no snapshots, and N in
+{127, 128, 129}, where a bound epoch grows from one spike to two.
 The neuronmf package is imported from the path, so the same script
 digests any tree; two trees give the same reports where they print the
 same lines:
@@ -90,6 +93,13 @@ def _feed(h, *values):
         h.update(a.tobytes())
 
 
+def _feed_run(h, log, snapshots):
+    _feed(h, log.times, log.indices, log.pre_potentials, log.proposals, log.initial_values)
+    _feed(h, log.bound_overshoots, log.rebuilds)
+    for snap in snapshots:
+        _feed(h, snap.time, snap.sorted_values, snap.mean)
+
+
 def library_digests():
     """(label, digest) over simulate's EventLogs and simulate_coupled's CoupledStats."""
     events, coupled = hashlib.sha256(), hashlib.sha256()
@@ -102,14 +112,39 @@ def library_digests():
         sol = neuronmf.solve_marginals(base, snapshot_times=snaps)
         for n in (1, 2, 50, 400):
             config = dataclasses.replace(base, n=n)
-            log, snapshots = neuronmf.simulate(config, snaps)
-            _feed(events, log.times, log.indices, log.pre_potentials, log.proposals, log.initial_values)
-            _feed(events, log.bound_overshoots, log.rebuilds)
-            for snap in snapshots:
-                _feed(events, snap.time, snap.sorted_values, snap.mean)
+            _feed_run(events, *neuronmf.simulate(config, snaps))
             for stats in neuronmf.simulate_coupled(config, sol, snaps, seeds=[SEED + k for k in range(3)]):
                 _feed(coupled, *(getattr(stats, name) for name in COUPLED_FIELDS))
     return [("library/simulate_eventlogs", events.hexdigest()), ("library/simulate_coupled_stats", coupled.hexdigest())]
+
+
+def small_n_digest():
+    """(label, digest) over simulate's outputs at many small systems, one short call each."""
+    h = hashlib.sha256()
+    exp1 = neuronmf.InitialLaw.exponential(1.0)
+    rates = (neuronmf.RateFunction.power(1.0, 1.0), neuronmf.RateFunction.polynomial([0.5, 0.0, 1.0]))
+    # the ensembles' snapshot at the horizon, and a list that holds t=0 and a repeated time
+    snap_lists = ([1.0], [0.0, 0.5, 0.5, 1.0])
+    for n in (1, 2, 3):
+        for lam in (0.0, 1.0, 2.0):
+            for rate in rates:
+                for snaps in snap_lists:
+                    for seed in range(SEED, SEED + 20):
+                        config = neuronmf.SystemConfig(n=n, lam=lam, rate=rate, initial=exp1, horizon=1.0, seed=seed)
+                        _feed_run(h, *neuronmf.simulate(config, snaps))
+    point = neuronmf.InitialLaw.point_mass(1.5)
+    for seed in range(SEED, SEED + 50):
+        config = neuronmf.SystemConfig(
+            n=1, lam=2.0, rate=neuronmf.RateFunction.power(1.0, 2.0), initial=point, horizon=400.0, seed=seed
+        )
+        _feed_run(h, *neuronmf.simulate(config, []))
+    for n in (127, 128, 129):
+        for lam in (0.0, 1.0):
+            config = neuronmf.SystemConfig(
+                n=n, lam=lam, rate=neuronmf.RateFunction.power(1.0, 2.0), initial=exp1, horizon=1.0, seed=SEED
+            )
+            _feed_run(h, *neuronmf.simulate(config, [0.0, 0.5, 0.5, 1.0]))
+    return [("library/simulate_small_n", h.hexdigest())]
 
 
 def main() -> int:
@@ -127,7 +162,7 @@ def main() -> int:
             for f in sorted(out.iterdir()):
                 if f.name != "timing.txt":
                     lines.append((f"{label}/{f.name}", hashlib.sha256(f.read_bytes()).hexdigest()))
-    lines += library_digests()
+    lines += library_digests() + small_n_digest()
     for label, digest in lines:
         print(digest, label)
     for problem in failed:

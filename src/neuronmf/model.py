@@ -156,7 +156,7 @@ class InitialLaw:
         if self.kind == "point_mass":
             return np.full(u.shape, self.x0)
         if self.kind == "exponential":
-            return -np.log1p(-u) / self.rate
+            return np.log1p(-u) / -self.rate
         return np.interp(u, self._cdf / self._cdf[-1], self.xs)
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
@@ -228,11 +228,11 @@ class SystemConfig:
         return self.tolerances.dt or 1e-3 * self.horizon
 
     def check_times(self, times) -> np.ndarray:
-        """times as a float array, each finite and within [0, horizon]; the caller orders them."""
-        times = np.asarray(list(times), dtype=float)
-        if not np.all((times >= 0) & (times <= self.horizon + 1e-12)):  # NaN fails both
+        """Any iterable of times as a float array, each in [0, horizon + 1e-12]; the caller orders them."""
+        times, top = [float(t) for t in times], self.horizon + 1e-12
+        if not all(0.0 <= t <= top for t in times):  # NaN fails both
             raise ConfigError("snapshot times must be finite and lie in [0, horizon]")
-        return times
+        return np.array(times)
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ def _initial_state(config: SystemConfig, u) -> ParticleState:
     x = config.initial.quantile(u)
     # summing in sorted order makes the mean independent of the labeling,
     # so permuting stream labels permutes trajectories bitwise
-    return ParticleState(t=0.0, lam=config.lam, xbar=float(np.sort(x).mean()), anchor_time=0.0, anchor_x=x)
+    return ParticleState(t=0.0, lam=config.lam, xbar=float(np.sort(x).sum()) / x.size, anchor_time=0.0, anchor_x=x)
 
 
 def _dominating_rates(f, lam: float, n: int, y, shift, amp, xbar):
@@ -172,9 +172,10 @@ def _dominating_rates(f, lam: float, n: int, y, shift, amp, xbar):
     if lam != 0.0:
         x *= amp
         np.maximum(x, xbar, out=x)
-    x += (m - 1) / n
-    if lam == 0.0 and m > 1:
-        x *= _KICK_ROUNDING
+    if m > 1:  # at m = 1 the slack is 0.0, and the floor below hides a zero's sign
+        x += (m - 1) / n
+        if lam == 0.0:
+            x *= _KICK_ROUNDING
     b = f(x)
     return np.maximum(b, _RATE_FLOOR, out=b)
 
@@ -204,20 +205,21 @@ def simulate(
 ):
     """Exact simulation up to the horizon; returns (EventLog, snapshots).
 
-    snapshot_times must be sorted within [0, horizon]. stream_labels are N
+    snapshot_times, any iterable of numbers, must be sorted within [0,
+    horizon]; it may be empty or repeat a time. stream_labels are N
     distinct ints (default: the neuron indices): neuron i runs on the
     stream of stream_labels[i], so the run is deterministic given
     config.seed and the labels, and permuting the labels permutes the
     neurons' trajectories.
 
     Potentials are x_j = amp * (y_j + shift) at the last spike time ta; a
-    spike moves amp, shift, xbar and y_i. Bounds are rebuilt, and clocks
-    rescaled, in one O(N) pass per epoch of m = max(1, floor(_EPOCH_DRIFT
-    N)) spikes, at every lam; in between, the spiker keeps its bound (its
-    reset potential lies below it).
+    spike moves amp, shift, xbar and y_i. At the end of each epoch of m =
+    max(1, floor(_EPOCH_DRIFT N)) spikes, at every lam, one O(N) pass
+    rebuilds the bounds and rescales the pending clocks to them; in between,
+    the spiker keeps its bound (its reset potential lies below it).
     """
-    snap_times = config.check_times(snapshot_times)
-    if np.any(np.diff(snap_times) < 0):
+    snaps = config.check_times(snapshot_times).tolist()
+    if snaps != sorted(snaps):
         raise ConfigError("snapshot times must be sorted")
     labels = _stream_labels(config, stream_labels)
     lam, f, horizon, n = config.lam, config.rate, config.horizon, config.n
@@ -233,33 +235,24 @@ def simulate(
     x0, xbar = state.anchor_x, state.xbar
     y, amp, shift, ta = x0.copy(), 1.0, 0.0, 0.0
 
-    def rebound(now):  # bounds from bx, pending clocks rescaled to them
-        nonlocal bounds, next_time, rebuilds
-        old = bounds
-        bounds = bx
-        next_time -= now
-        next_time *= old
-        next_time /= bounds
-        next_time += now
-        rebuilds += 1
-
-    bx = _dominating_rates(f, lam, n, y, shift, amp, xbar)
-    bounds, next_time, rebuilds = 1.0, np.array([-math.log1p(-row[1]) for row in draws]), 0
-    rebound(0.0)  # unit-rate clocks drawn at time 0
+    # unit-rate clocks drawn at time 0, scaled to the first bounds
+    bounds = _dominating_rates(f, lam, n, y, shift, amp, xbar)
+    next_time = np.array([-math.log1p(-row[1]) for row in draws]) / bounds
+    rebuilds = 1
 
     ev_times, ev_idx, ev_pre = [], [], []
     proposals = overshoots = spikes = 0
     snapshots: list[Snapshot] = []
-    snaps = snap_times.tolist() + [math.inf]
+    n_snaps, snaps = len(snaps), snaps + [math.inf]
 
     def emit_until(limit: float):  # the snapshots at times up to limit
-        while len(snapshots) < snap_times.size and snaps[len(snapshots)] <= limit + 1e-15:
+        while len(snapshots) < n_snaps and snaps[len(snapshots)] <= limit + 1e-15:
             ts = snaps[len(snapshots)]
             x = y + shift  # at lam = 0 (amp = 1) the potentials rest at their anchors
             if lam != 0.0:
                 x = xbar + math.exp(-lam * (ts - ta)) * (amp * x - xbar)
             x.sort()
-            snapshots.append(Snapshot(time=ts, sorted_values=x, mean=float(x.mean())))
+            snapshots.append(Snapshot(time=ts, sorted_values=x, mean=float(x.sum()) / n))
 
     while True:
         i = int(next_time.argmin())
@@ -275,7 +268,7 @@ def simulate(
         if lam != 0.0:  # at lam = 0 the potential rests at its anchor
             xi = xbar + decay * (xi - xbar)
         fx = f(xi)
-        overshoots += bool(fx > bx.item(i))
+        overshoots += bool(fx > bounds.item(i))
         k, row = used[i], draws[i]
         if k == len(row):  # doubles the neuron's blocks; other rows are untouched
             row += uniform_blocks(key, labels[i : i + 1], k // BLOCK_UNIFORMS, k // BLOCK_UNIFORMS)[0]
@@ -297,10 +290,15 @@ def simulate(
             ta = tau
             if spikes % 4096 == 0:
                 y, amp, shift = amp * (y + shift), 1.0, 0.0  # fold the affine map into y
-                xbar = float(np.sort(y).mean())  # cap float drift of the running mean
-            if spikes % m == 0:
+                xbar = float(np.sort(y).sum()) / n  # cap float drift of the running mean
+            if spikes % m == 0:  # pending clocks rescaled to the new bounds, exact by memorylessness
                 bx = _dominating_rates(f, lam, n, y, shift, amp, xbar)
-                rebound(tau)
+                next_time -= tau
+                next_time *= bounds
+                next_time /= bx
+                next_time += tau
+                bounds = bx
+                rebuilds += 1
         next_time[i] = tau - math.log1p(-row[k + 1]) / bounds.item(i)
 
     ev = (np.asarray(ev_times), np.asarray(ev_idx, dtype=int), np.asarray(ev_pre))

@@ -53,6 +53,13 @@ class TestInitSystem:
         with pytest.raises(ConfigError):
             make_config(n=0)
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 9, 1000])
+    def test_mean_is_the_sorted_numpy_mean(self, n):
+        # the mean is taken as a sum over the sorted potentials divided by N,
+        # which must round exactly like np.mean does on them
+        state = init_system(make_config(n=n, seed=n))
+        assert state.xbar == float(np.sort(state.anchor_x).mean())
+
     @pytest.mark.parametrize("labels", [None, [3, 0, 4, 1, 2]], ids=["default", "permuted"])
     def test_is_the_state_simulate_starts_from(self, labels):
         cfg = make_config(n=5)
@@ -202,6 +209,42 @@ class TestSimulate:
         assert proposals > 0
 
 
+class TestSnapshotTimes:
+    CFG = make_config(n=3, lam=1.0, horizon=1.0)
+
+    def test_unsorted_rejected(self):
+        with pytest.raises(ConfigError, match="sorted"):
+            simulate(self.CFG, [0.5, 0.25, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, -math.inf, math.inf, 1.0 + 2e-12], ids=repr)
+    def test_outside_horizon_rejected(self, bad):
+        with pytest.raises(ConfigError, match=r"\[0, horizon\]"):
+            simulate(self.CFG, [0.0, bad])
+
+    def test_any_iterable_gives_the_same_run(self):
+        times = [0.0, 0.25, 0.25, 1.0]
+        want_log, want = simulate(self.CFG, times)
+        for given in (tuple(times), (t for t in times), np.array(times)):
+            log, got = simulate(self.CFG, given)
+            assert log.times.tobytes() == want_log.times.tobytes()
+            assert [(s.time, s.mean, s.sorted_values.tobytes()) for s in got] == [
+                (s.time, s.mean, s.sorted_values.tobytes()) for s in want
+            ]
+
+    def test_empty_accepted(self):
+        log, snaps = simulate(self.CFG, [])
+        assert snaps == [] and log.proposals > 0
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 400])
+    def test_mean_is_the_numpy_mean(self, lam, n):
+        # a snapshot's mean is the sum of its sorted values over N, which
+        # rounds exactly like np.mean
+        _, snaps = simulate(make_config(n=n, lam=lam, seed=n), [0.0, 0.5, 1.0, 2.0])
+        for snap in snaps:
+            assert snap.mean == float(np.mean(snap.sorted_values))
+
+
 class TestEngineAgainstReference:
     """The engine's O(1) affine spike update against the one-spike definition."""
 
@@ -253,6 +296,16 @@ class TestEngineAgainstReference:
         log, _ = simulate(make_config(n=n, lam=lam), [2.0])
         assert m > 1 and log.spikes > 10 * m
         assert log.rebuilds <= log.spikes / m + 1
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 3, 127, 128, 400])
+    def test_rebuilds_are_the_first_and_one_per_epoch(self, lam, n):
+        # m = 1 below N = 128 and 2 at N = 128: the first pass at time 0, then
+        # one at the end of every full epoch of m spikes
+        m = max(1, int(_EPOCH_DRIFT * n))
+        log, _ = simulate(make_config(n=n, lam=lam, horizon=4.0 if n <= 3 else 2.0), [])
+        assert log.spikes >= m  # N = 1 spikes once, then rests at 0
+        assert log.rebuilds == log.spikes // m + 1
 
 
 class TestCheckApriori:
