@@ -6,10 +6,12 @@ and prints one line "sha256 label/file" per output file except
 timing.txt, which holds wall-clock time. Then it prints one digest over the
 EventLogs and snapshots of simulate, and one over the CoupledStats of
 simulate_coupled (the fields named in COUPLED_FIELDS), each for lambda in
-{0, 1, 2} x N in {1, 2, 50, 400}, and a last one over simulate at the
-shapes of the small-N ensembles: N <= 3 at f=x and a polynomial rate,
-N=1 from a point mass at lambda 2 with no snapshots, and N in
-{127, 128, 129}, where a bound epoch grows from one spike to two.
+{0, 1, 2} x N in {1, 2, 50, 400}, one over simulate_coupled batches of 7
+rows at N=1600, which span several row blocks with a short last one, and
+a last one over simulate at the shapes of the small-N ensembles: N <= 3
+at f=x and a polynomial rate, N=1 from a point mass at lambda 2 with no
+snapshots, and N in {127, 128, 129}, where a bound epoch grows from one
+spike to two.
 The neuronmf package is imported from the path, so the same script
 digests any tree; two trees give the same reports where they print the
 same lines:
@@ -118,6 +120,21 @@ def library_digests():
     return [("library/simulate_eventlogs", events.hexdigest()), ("library/simulate_coupled_stats", coupled.hexdigest())]
 
 
+def split_batch_digest():
+    """(label, digest) over simulate_coupled batches of 7 rows at N=1600: several row blocks, the last one short."""
+    h = hashlib.sha256()
+    for lam in (0.0, 1.0):
+        config = neuronmf.SystemConfig(
+            n=1600, lam=lam, rate=neuronmf.RateFunction.power(1.0, 2.0), initial=neuronmf.InitialLaw.exponential(1.0),
+            horizon=1.0, seed=SEED,
+        )
+        snaps = [0.25, 0.5, 1.0]
+        sol = neuronmf.solve_marginals(config, snapshot_times=snaps)
+        for stats in neuronmf.simulate_coupled(config, sol, snaps, seeds=[SEED + k for k in range(7)]):
+            _feed(h, *(getattr(stats, name) for name in COUPLED_FIELDS))
+    return [("library/simulate_coupled_split_batch", h.hexdigest())]
+
+
 def small_n_digest():
     """(label, digest) over simulate's outputs at many small systems, one short call each."""
     h = hashlib.sha256()
@@ -162,7 +179,7 @@ def main() -> int:
             for f in sorted(out.iterdir()):
                 if f.name != "timing.txt":
                     lines.append((f"{label}/{f.name}", hashlib.sha256(f.read_bytes()).hexdigest()))
-    lines += library_digests() + small_n_digest()
+    lines += library_digests() + split_batch_digest() + small_n_digest()
     for label, digest in lines:
         print(digest, label)
     for problem in failed:

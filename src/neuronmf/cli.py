@@ -263,9 +263,10 @@ def _init_pool(state: dict):
 
 
 # rows x neurons of one coupled batch, the coupled engine's only memory cap.
-# The batch peaks at ~200 bytes per cell, ~4 MB at the cap; at N=1600 a batch
-# holds 12 replicates, at N <= 400 all 48
-_BATCH_CELLS = 20_000
+# The batch holds 96 bytes per cell and its passes work in row blocks of
+# limitlaw._BLOCK_CELLS cells, so it peaks at ~120-130 bytes per cell, ~5 MB
+# at the cap; at N=1600 a batch holds 24 replicates, at N <= 800 all 48
+_BATCH_CELLS = 40_000
 
 
 def _chaos_batches(n_grid, replicates):
@@ -284,7 +285,7 @@ def _chaos_worker(args):
     master = _POOL_STATE["master"]
     seeds = [derive_seed(master, "chaos", n, rep) for rep in range(first, stop)]
     system = dataclasses.replace(base, n=n)
-    return n, simulate_coupled(system, _POOL_STATE["sol"], _POOL_STATE["snaps"], _POOL_STATE["budget"], seeds=seeds)
+    return simulate_coupled(system, _POOL_STATE["sol"], _POOL_STATE["snaps"], _POOL_STATE["budget"], seeds=seeds)
 
 
 def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
@@ -307,24 +308,26 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
 
     # one batch per chunk of a size's replicates; a replicate's stats do not
     # depend on its batch, so neither do the reports. A pool starts all its
-    # workers at once, so it gets no more than there are tasks and cores
+    # workers at once, so it gets no more than there are tasks and cores, and
+    # takes the largest batches (rows x N) first, so no long one starts last
     state = dict(base=base, sol=sol, snaps=snaps, master=master, budget=budget)
     tasks = _chaos_batches(n_grid, replicates)
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     try:
         if workers > 1:
+            largest_first = sorted(tasks, key=lambda task: (task[2] - task[1]) * task[0], reverse=True)
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_pool, initargs=(state,)
             ) as pool:
-                batches = list(pool.map(_chaos_worker, tasks))
+                batches = dict(zip(largest_first, pool.map(_chaos_worker, largest_first)))
         else:
             _init_pool(state)
-            batches = [_chaos_worker(task) for task in tasks]
+            batches = {task: _chaos_worker(task) for task in tasks}
     finally:
         _POOL_STATE.clear()  # the serial path filled it here; it must not keep this solve alive
-    runs = {n: [] for n in n_grid}  # each size's replicates in order: the tasks run in order
-    for n, stats in batches:
-        runs[n] += stats
+    runs = {n: [] for n in n_grid}  # each size's replicates in order: the tasks come in order
+    for task in tasks:
+        runs[task[0]] += batches[task]
 
     # each size's sup over snapshots of the replicates' mean, per statistic
     names = ("mean_abs_diff", "mean_h_diff", "w1")

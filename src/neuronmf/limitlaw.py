@@ -27,10 +27,11 @@ particle/limit coupling runs R replicates of the N-neuron system in
 lockstep on (R, N) arrays (_coupled_loop, on particle's engine rules):
 every proposal's mark is logged for its limit path, and the paths take
 the logged marks in one vectorized pass at each window end and snapshot,
-which all rows share. Every pass covers the whole batch, so its memory
-grows with R N and the caller sizes the batch (the chaos command caps it
-at cli._BATCH_CELLS cells). Each snapshot's W1 is one call for all rows,
-from the law's table (TransportedDensity.w1_table).
+which all rows share. The batch keeps 96 bytes per cell, and each pass
+over the whole batch works in row blocks of at most _BLOCK_CELLS cells, so
+its temporaries stay bounded and the caller sizes the batch (the chaos
+command caps it at cli._BATCH_CELLS cells). Each snapshot's W1 is one call
+per row block, from the law's table (TransportedDensity.w1_table).
 """
 
 from __future__ import annotations
@@ -415,6 +416,15 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
 # drift mass per window of the coupled limit paths: a path's bound sits at
 # most this far above its anchor, so few proposals are wasted on it
 _WINDOW_DRIFT = 1.0 / 16.0
+# cells of one row block: the most a pass over a whole coupled batch (a
+# bound pass, a window-end rescale, a snapshot) holds in temporaries at once
+_BLOCK_CELLS = 8192
+
+
+def _row_blocks(rows: int, n: int) -> list[slice]:
+    """Consecutive slices over rows rows of n cells, each of at most _BLOCK_CELLS cells or one row."""
+    step = max(1, _BLOCK_CELLS // n)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 class _LimitPaths:
@@ -460,7 +470,9 @@ class _LimitPaths:
         self.k += 1
         self.w = min(self.k * self.h, self.t_end)
         self.i_w = self.fi.at(self.w)
-        self.by[...] = self._bounds(self.ya, self.t0, self.i0)
+        ya, by = np.atleast_2d(self.ya, self.by)
+        for rows in _row_blocks(*ya.shape):
+            by[rows] = self._bounds(ya[rows], self.t0, self.i0)
 
     def _bounds(self, ya, ta, ia):
         if self.lam == 0.0:
@@ -635,11 +647,11 @@ def simulate_coupled(
     paths = _LimitPaths(sol.drift(), f, config.lam, t_end=config.horizon, window=_WINDOW_DRIFT)
     mean_abs, mean_h, w1s = np.zeros((3, len(seeds), snap_times.size))
 
-    def observe(k, x, y):
+    def observe(k, rows, x, y):  # the W1 pass first: it holds the most temporaries
+        w1s[rows, k] = w1_samples_vs_law(x, laws[k])
+        mean_h[rows, k] = h_distance(x, y, f).mean(axis=1)
         d = x - y
-        mean_abs[:, k] = np.abs(d, out=d).mean(axis=1)
-        mean_h[:, k] = h_distance(x, y, f).mean(axis=1)
-        w1s[:, k] = w1_samples_vs_law(x, laws[k])
+        mean_abs[rows, k] = np.abs(d, out=d).mean(axis=1)
 
     logs, _ = _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_events=False)
     return [
@@ -681,16 +693,16 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     snapshot within 1e-15 of a proposal is observed first); the other rows
     idle. Once every row idles, the earliest common time is handled once
     for the batch: the limit paths advance to it, then a snapshot observes
-    every row, and a window end rebounds the paths and rescales all clocks
-    in one O(R N) pass over the whole batch. Epoch rebuilds, refills, folds
-    and the event budget stay per row, so no row's arithmetic depends on
-    another's.
+    every row, and a window end rebounds the paths and rescales all clocks.
+    Those passes and the first bound pass are O(R N) and run block by block
+    (_row_blocks). Epoch rebuilds, refills, folds and the event budget stay
+    per row, so no row's arithmetic depends on another's, nor on the blocks.
 
-    observe(k, x, y) receives the (R, N) potentials of the particles and
-    of the limit paths at the k-th snapshot time. Returns (one EventLog per
-    row, the number of window ends); a row's rebuilds count its first bound
-    pass and its epoch passes, and its spikes are logged only with
-    log_events.
+    observe(k, rows, x, y) receives, for each row block rows (a slice), the
+    potentials of its particles and of its limit paths at the k-th snapshot
+    time, as (len(rows), N) arrays. Returns (one EventLog per row, the
+    number of window ends); a row's rebuilds count its first bound pass and
+    its epoch passes, and its spikes are logged only with log_events.
     """
     lam, f, horizon, n = config.lam, config.rate, config.horizon, config.n
     rows = len(seeds)
@@ -700,29 +712,33 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     # neuron j of the flattened (R, N) state reads its stream as pairs (mark,
     # clock), four to a block: pair 0 is its initial potential and first
     # clock, and its proposal k takes pair k + 1 (its mark and the clock to
-    # the next). pairs[j] holds the neuron's current block, refilled in place
-    # when proposal k reaches the block's first pair; a clock is kept as its
-    # unit exponential -log1p(-u)
+    # the next). A block's pair 0 is used as soon as the block is read, at
+    # set-up or by the proposal that reads it, so pairs[3j : 3j + 3] holds
+    # pairs 1-3 of the neuron's current block; a clock is kept as its unit
+    # exponential -log1p(-u)
     cells = np.zeros((3, rows * n))
     y, bx, drawn = cells.reshape(3, rows, n)  # (R, N) views
     keys, xbar0 = [], np.empty(rows)
-    pairs = np.empty((rows, n, 4, 2))
+    pairs = np.empty((rows, n, 3, 2))
+    next_time = np.empty((rows, n))  # unit-rate clocks drawn at time 0
     for r, seed in enumerate(seeds):
         key, block = _first_blocks(seed, labels)
         start = _initial_state(config, block[:, 0])
         keys.append(key)
         y[r], xbar0[r] = start.anchor_x, start.xbar
-        pairs[r, :, :, 0], pairs[r, :, :, 1] = block[:, ::2], -np.log1p(-block[:, 1::2])
-    next_time = pairs[:, :, 0, 1].copy()  # unit-rate clocks drawn at time 0
-    pairs = pairs.reshape(-1, 4, 2)
+        next_time[r] = -np.log1p(-block[:, 1])
+        pairs[r, :, :, 0], pairs[r, :, :, 1] = block[:, 2::2], -np.log1p(-block[:, 3::2])
+    pairs = pairs.reshape(-1, 2)
 
     x0 = y.copy() if log_events else np.zeros((rows, 0))
     paths.start(y)
     state = np.zeros((4, rows))
     amp, shift, xbar, last = state
     amp[:], xbar[:] = 1.0, xbar0
-    bx[:] = _dominating_rates(f, lam, n, y, shift[:, None], amp[:, None], xbar[:, None])
-    next_time /= np.maximum(bx, paths.by)
+    blocks = _row_blocks(rows, n)  # every pass over the whole batch runs block by block
+    for b in blocks:
+        bx[b] = _dominating_rates(f, lam, n, y[b], shift[b, None], amp[b, None], xbar[b, None])
+        next_time[b] /= np.maximum(bx[b], paths.by[b])
     ntf, row_base = next_time.reshape(-1), np.arange(rows) * n
 
     def rebuild(e, now):  # bound pass of rows e at their times now
@@ -764,20 +780,25 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
                     break
                 ts = snaps[snap_i]
                 catch_up(paths.advance(ts, *pending_proposals()))
-                x = y + shift[:, None]  # at lam = 0 (amp = 1) the potentials rest at their anchors
-                if lam != 0.0:  # xbar + decay * (amp * x - xbar), in place
-                    x *= amp[:, None]
-                    x -= xbar[:, None]
-                    x *= np.exp(-lam * (ts - last))[:, None]
-                    x += xbar[:, None]
-                observe(snap_i, x, paths.ya)
+                for b in blocks:
+                    x = y[b] + shift[b, None]  # at lam = 0 (amp = 1) the potentials rest at their anchors
+                    if lam != 0.0:  # xbar + decay * (amp * x - xbar), in place
+                        x *= amp[b, None]
+                        x -= xbar[b, None]
+                        x *= np.exp(-lam * (ts - last[b]))[:, None]
+                        x += xbar[b, None]
+                    observe(snap_i, b, x, paths.ya[b])
                 snap_i += 1
             else:  # the window end: the paths advance and rebound, all clocks rescale
-                next_time -= w
-                next_time *= np.maximum(bx, paths.by)
+                for b in blocks:  # to unit rate under the old bounds
+                    nt = next_time[b]
+                    nt -= w
+                    nt *= np.maximum(bx[b], paths.by[b])
                 catch_up(paths.next_window(*pending_proposals()))
-                next_time /= np.maximum(bx, paths.by)
-                next_time += w
+                for b in blocks:
+                    nt = next_time[b]
+                    nt /= np.maximum(bx[b], paths.by[b])
+                    nt += w
                 windows += 1
             edge = min(paths.w, math.nextafter(snaps[snap_i] - 1e-15, -math.inf))
             continue
@@ -794,12 +815,14 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
             xi += r[_XBAR]
         fx = f(xi)
         q = g[_DRAWN].astype(np.intp) + 1  # the proposal's pair
-        refill = (q % 4 == 0).nonzero()[0]  # neurons whose pair q starts a block
-        for jj, b in zip(j.take(refill).tolist(), (q.take(refill) // 4).tolist()):
-            block = pairs[jj]
-            block[:] = uniform_array(keys[jj // n], [jj % n], b, 1).reshape(4, 2)
+        slot = q % 4
+        draws = pairs.take(j * 3 + slot - 1, axis=0)  # a refilling neuron's row is replaced below
+        refill = (slot == 0).nonzero()[0]  # neurons whose pair q starts a block
+        for i, jj, b in zip(refill.tolist(), j.take(refill).tolist(), (q.take(refill) // 4).tolist()):
+            block = uniform_array(keys[jj // n], [jj % n], b, 1).reshape(4, 2)
             block[:, 1] = -np.log1p(-block[:, 1])
-        draws = pairs.reshape(-1, 2).take(j * 4 + q % 4, axis=0)
+            draws[i] = block[0]
+            pairs[3 * jj : 3 * jj + 3] = block[1:]
         bound = np.maximum(g[_BX], paths.by.take(j))
         z = draws[:, 0] * bound
         pending.append((j, t, z))

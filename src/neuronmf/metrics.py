@@ -106,6 +106,7 @@ def _w1_rows(s, xs, F, G):
         below, above = s < xs[0], s >= xs[-1]
         fc[below], gc[below] = 0.0, 0.0
         fc[above], gc[above] = 1.0, G[-1] + (s[above] - xs[-1])
+        del j, dx, below, above  # from here on the call holds s, fc, gc and hstar
 
         # H at the levels k/n through the quantile: F[q-1] < u <= F[q]
         u = np.arange(n + 1) / n

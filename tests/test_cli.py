@@ -450,12 +450,30 @@ class TestChaosCommand:
             lines.append(",".join([str(n)] + ["{:.17g}".format(float(sup)) for sup in sups]))
         assert (tmp_path / "o" / "chaos_curve.csv").read_text() == "\n".join(lines) + "\n"
 
+    def test_batch_shapes(self):
+        # the benchmark's chaos workload (24 and 48 replicates) and ACCEPT-6 (64)
+        # over N = 50..1600: 24 replicates at N = 1600 fill one batch, 48 two and
+        # 64 three, so a benchmark round runs 13 batches
+        grid = [50, 100, 200, 400, 800, 1600]
+        assert cli._chaos_batches([1600], 24) == [(1600, 0, 24)]
+        assert cli._chaos_batches([1600], 48) == [(1600, 0, 24), (1600, 24, 48)]
+        assert cli._chaos_batches([1600], 64) == [(1600, 0, 22), (1600, 22, 44), (1600, 44, 64)]
+        assert len(cli._chaos_batches(grid, 24)) + len(cli._chaos_batches(grid, 48)) == 13
+        for replicates in (24, 48, 64):
+            tasks = cli._chaos_batches(grid, replicates)
+            assert all((stop - first) * n <= cli._BATCH_CELLS for n, first, stop in tasks)
+            for n in grid:  # each size's replicates once, in order
+                reps = [rep for m, first, stop in tasks if m == n for rep in range(first, stop)]
+                assert reps == list(range(replicates))
+
     @pytest.mark.parametrize("cpus,workers", [(None, []), (2, [2]), (64, [3])])
     def test_pool_size_bounded_by_tasks_and_cores(self, tmp_path, monkeypatch, cpus, workers):
         # a process pool starts all its workers at once: --threads 10**6 must
-        # not ask for more than the 3 batches and the cores. The fake pool
-        # records its size and maps in this process
-        sizes = []
+        # not ask for more than the 3 batches and the cores. It must get the
+        # largest batch (rows x N) first, and the reports must not depend on
+        # that order. The fake pool records its size and its tasks and maps in
+        # this process
+        sizes, mapped = [], []
 
         class RecordingPool:
             def __init__(self, max_workers, initializer, initargs):
@@ -469,7 +487,8 @@ class TestChaosCommand:
                 return False
 
             def map(self, fn, tasks):
-                return map(fn, tasks)
+                mapped.append(list(tasks))
+                return map(fn, mapped[-1])
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -481,5 +500,6 @@ class TestChaosCommand:
         assert main(["chaos", "--config", cfg, "--out", str(tmp_path / "a"), "--threads", "1"]) == 0
         assert main(["chaos", "--config", cfg, "--out", str(tmp_path / "b"), "--threads", str(10**6)]) == 0
         assert sizes == workers
+        assert mapped == [[(20, 0, 2), (10, 0, 2), (5, 0, 2)]] * len(workers)
         for name in ("chaos_report.json", "chaos_curve.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -354,16 +355,19 @@ class TestCoupledBatch:
         paths = _LimitPaths(sol.drift(), cfg.rate, cfg.lam, t_end=cfg.horizon, window=_WINDOW_DRIFT)
         seen = np.zeros((len(snaps), len(seeds), cfg.n))
 
-        def observe(k, x, y):
-            seen[k] = x
+        def observe(k, rows, x, y):
+            seen[k, rows] = x
 
         logs, _ = _coupled_loop(cfg, seeds, paths, np.asarray(snaps), observe, 10**8, True)
         return logs, seen
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 50, 130])
-    def test_row_equals_its_batch_of_one(self, lam, n):
-        # n = 130 makes the particle bound epochs longer than one spike
+    def test_row_equals_its_batch_of_one(self, monkeypatch, lam, n):
+        # n = 130 makes the particle bound epochs longer than one spike. The
+        # batches run whole, then with every pass over the batch (the first
+        # bound pass, the window ends, the snapshots) split into row blocks of
+        # one row and of two rows, which do not divide a batch of three
         cfg = exp_config(lam=lam, n=n)
         snaps = [0.5, 2.0]
         sol = solve_marginals(cfg, snapshot_times=snaps)
@@ -372,7 +376,18 @@ class TestCoupledBatch:
         def batch(*seeds):
             return dict(zip(seeds, simulate_coupled(cfg, sol, snaps, seeds=list(seeds))))
 
-        runs = [batch(a, b, c), batch(c, a), batch(a), batch(b), batch(c)]
+        bounds, w1 = limitlaw._LimitPaths._bounds, limitlaw.w1_samples_vs_law
+        runs = []
+        for block_rows in (None, 1, 2):
+            split = []  # rows of each bound pass and each snapshot's W1 pass
+            if block_rows is not None:
+                monkeypatch.setattr(limitlaw, "_BLOCK_CELLS", block_rows * n)
+                monkeypatch.setattr(limitlaw._LimitPaths, "_bounds",
+                                    lambda paths, ya, *args: split.append(len(ya)) or bounds(paths, ya, *args))
+                monkeypatch.setattr(limitlaw, "w1_samples_vs_law", lambda x, law: split.append(len(x)) or w1(x, law))
+            runs += [batch(a, b, c), batch(c, a), batch(a), batch(b), batch(c)]
+            if block_rows is not None:
+                assert set(split) == {1, block_rows}
         for seed in (a, b, c):
             rows = [run[seed] for run in runs if seed in run]
             for stats in rows[1:]:
@@ -440,6 +455,24 @@ class TestCoupledBatch:
             for name in ("times", "indices", "pre_potentials", "initial_values"):
                 assert getattr(log, name).tobytes() == getattr(solo, name).tobytes(), name
             assert (log.proposals, log.bound_overshoots) == (solo.proposals, solo.bound_overshoots)
+
+    def test_batch_memory_per_cell(self):
+        # a batch's state is 96 bytes per cell (y, bx and the draw count, three
+        # stored pairs, the clock, the limit path's position and bound) and every
+        # pass over the whole batch runs in row blocks of limitlaw._BLOCK_CELLS
+        # cells, so a call peaks below 130 bytes per cell plus a fixed allowance
+        # for what does not grow with the batch: the law's tables, numpy's
+        # iterator buffers, the per-row arrays
+        n, rows = 1600, 24
+        cfg = exp_config(lam=0.0, n=n, horizon=0.1)
+        sol = solve_marginals(cfg, snapshot_times=[0.1])
+        tracemalloc.start()
+        try:
+            simulate_coupled(cfg, sol, [0.1], seeds=range(rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 130 * rows * n + 2**18
 
     def test_seeds_give_one_stats_each(self):
         cfg = exp_config(lam=1.0, n=5)
