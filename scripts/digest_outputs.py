@@ -7,11 +7,12 @@ timing.txt, which holds wall-clock time. Then it prints one digest over the
 EventLogs and snapshots of simulate, and one over the CoupledStats of
 simulate_coupled (the fields named in COUPLED_FIELDS), each for lambda in
 {0, 1, 2} x N in {1, 2, 50, 400}, one over simulate_coupled batches of 7
-rows at N=1600, which span several row blocks with a short last one, and
-a last one over simulate at the shapes of the small-N ensembles: N <= 3
-at f=x and a polynomial rate, N=1 from a point mass at lambda 2 with no
-snapshots, and N in {127, 128, 129}, where a bound epoch grows from one
-spike to two.
+rows at N=1600, which span several row blocks with a short last one, one
+over simulate at the shapes of the small-N ensembles: N <= 3 at f=x and a
+polynomial rate, N=1 from a point mass at lambda 2 with no snapshots, and
+N in {127, 128, 129}, where a bound epoch grows from one spike to two, and
+a last one over a simulate_coupled batch of 2 rows at N=1600, lambda 1 and
+horizon 4, where each row passes 4096 spikes and folds its affine map.
 The neuronmf package is imported from the path, so the same script
 digests any tree; two trees give the same reports where they print the
 same lines:
@@ -164,6 +165,20 @@ def small_n_digest():
     return [("library/simulate_small_n", h.hexdigest())]
 
 
+def fold_digest():
+    """(label, digest) over a simulate_coupled batch whose rows pass 4096 spikes, the fold of the affine map."""
+    h = hashlib.sha256()
+    config = neuronmf.SystemConfig(
+        n=1600, lam=1.0, rate=neuronmf.RateFunction.power(1.0, 2.0), initial=neuronmf.InitialLaw.exponential(1.0),
+        horizon=4.0, seed=SEED,
+    )
+    snaps = [1.0, 2.0, 3.0, 4.0]
+    sol = neuronmf.solve_marginals(config, snapshot_times=snaps)
+    for stats in neuronmf.simulate_coupled(config, sol, snaps, seeds=[SEED, SEED + 1]):
+        _feed(h, *(getattr(stats, name) for name in COUPLED_FIELDS))
+    return [("library/simulate_coupled_fold", h.hexdigest())]
+
+
 def main() -> int:
     print(f"neuronmf from {Path(neuronmf.__file__).parent}", file=sys.stderr)
     failed = []
@@ -179,7 +194,7 @@ def main() -> int:
             for f in sorted(out.iterdir()):
                 if f.name != "timing.txt":
                     lines.append((f"{label}/{f.name}", hashlib.sha256(f.read_bytes()).hexdigest()))
-    lines += library_digests() + split_batch_digest() + small_n_digest()
+    lines += library_digests() + split_batch_digest() + small_n_digest() + fold_digest()
     for label, digest in lines:
         print(digest, label)
     for problem in failed:

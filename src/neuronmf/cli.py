@@ -263,9 +263,10 @@ def _init_pool(state: dict):
 
 
 # rows x neurons of one coupled batch, the coupled engine's only memory cap.
-# The batch holds 96 bytes per cell and its passes work in row blocks of
-# limitlaw._BLOCK_CELLS cells, so it peaks at ~120-130 bytes per cell, ~5 MB
-# at the cap; at N=1600 a batch holds 24 replicates, at N <= 800 all 48
+# The batch holds 104 bytes per cell and its passes work in row blocks of
+# limitlaw._BLOCK_CELLS cells or in place, so it peaks at ~125-135 bytes per
+# cell, ~5 MB at the cap; at N=1600 a batch holds 24 replicates, at N <= 800
+# all 48
 _BATCH_CELLS = 40_000
 
 

@@ -27,11 +27,13 @@ particle/limit coupling runs R replicates of the N-neuron system in
 lockstep on (R, N) arrays (_coupled_loop, on particle's engine rules):
 every proposal's mark is logged for its limit path, and the paths take
 the logged marks in one vectorized pass at each window end and snapshot,
-which all rows share. The batch keeps 96 bytes per cell, and each pass
-over the whole batch works in row blocks of at most _BLOCK_CELLS cells, so
-its temporaries stay bounded and the caller sizes the batch (the chaos
-command caps it at cli._BATCH_CELLS cells). Each snapshot's W1 is one call
-per row block, from the law's table (TransportedDensity.w1_table).
+which all rows share. The batch keeps 104 bytes per cell (the neuron's
+proposal bound among them), each pass over the whole batch that needs
+temporaries works in row blocks of at most _BLOCK_CELLS cells and the
+others run in place, so its temporaries stay bounded and the caller sizes
+the batch (the chaos command caps it at cli._BATCH_CELLS cells). Each
+snapshot's W1 is one call per row block, from the law's table
+(TransportedDensity.w1_table).
 """
 
 from __future__ import annotations
@@ -669,12 +671,48 @@ def simulate_coupled(
 
 
 # rows of the coupled engine's per-neuron array: the particle's stored value
-# y, its bound bx and the number of proposals the neuron made; proposals run
-# at max(bx, by), with by the limit path's bound
-_Y, _BX, _DRAWN = range(3)
+# y, its bound bx, the number of proposals the neuron made, and the bound
+# B = max(bx, by) its proposals run at, with by the limit path's bound
+_Y, _BX, _DRAWN, _B = range(4)
 # and of its per-row array: the affine map x = amp * (y + shift), the mean
 # xbar and the time of the row's last spike
 _AMP, _SHIFT, _XBAR, _LAST = range(4)
+
+
+def _rebuild(rows, times, bounds, bx, bmax, by, next_time):
+    """Epoch rebuild of each row k of rows at its time, in place.
+
+    bounds(k) gives the new particle bounds of row k, or of the rows k. The
+    clocks go back to unit rate under the old bound bmax, then forward under
+    the new bmax = max(bx, by). Up to two rows go one at a time on their row
+    views; more share one pass over gathered (e, N) copies, which costs
+    less than e row passes. Both take the same IEEE operations per cell.
+    """
+    if rows.size > 2:
+        nt = next_time[rows]
+        nt -= times[:, None]
+        nt *= bmax[rows]
+        bx[rows] = new = bounds(rows)
+        bm = np.maximum(new, by[rows])
+        nt /= bm
+        nt += times[:, None]
+        bmax[rows], next_time[rows] = bm, nt
+        return
+    for k, now in zip(rows.tolist(), times.tolist()):
+        nt, bm = next_time[k], bmax[k]
+        nt -= now
+        nt *= bm
+        bx[k] = new = bounds(k)
+        np.maximum(new, by[k], out=bm)
+        nt /= bm
+        nt += now
+
+
+def _fold(k, y, amp, shift, xbar):
+    """Fold row k's affine map into its stored values y[k], and re-mean xbar[k] from them."""
+    y[k] = amp[k] * (y[k] + shift[k])
+    amp[k], shift[k] = 1.0, 0.0
+    xbar[k] = float(np.sort(y[k]).mean())  # caps the float drift of the running mean
 
 
 def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_events):
@@ -687,16 +725,21 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     run at B = max(bx, by), where by bounds the paths up to the window end
     paths.w, and each proposal's mark z = u * B_i is logged for limit path
     i, which takes it when the paths next advance (_LimitPaths.advance).
+    B is stored with each neuron, set at the first bound pass, at each of
+    its row's epoch rebuilds and at each window end, so a step reads it
+    with the neuron's other state and the clock rescales multiply by it.
 
     Window ends and snapshot times are common to all rows. Each step takes
     one proposal in every row whose next proposal comes before both (a
     snapshot within 1e-15 of a proposal is observed first); the other rows
     idle. Once every row idles, the earliest common time is handled once
     for the batch: the limit paths advance to it, then a snapshot observes
-    every row, and a window end rebounds the paths and rescales all clocks.
-    Those passes and the first bound pass are O(R N) and run block by block
-    (_row_blocks). Epoch rebuilds, refills, folds and the event budget stay
-    per row, so no row's arithmetic depends on another's, nor on the blocks.
+    every row, and a window end rebounds the paths and rescales all clocks
+    in place. The first bound pass and the snapshots are O(R N) with
+    temporaries and run block by block (_row_blocks). Epoch rebuilds
+    (_rebuild: up to two due rows one at a time on their row views, more in
+    one gathered pass), refills, folds (_fold) and the event budget stay per
+    row, so no row's arithmetic depends on another's, nor on the blocks.
 
     observe(k, rows, x, y) receives, for each row block rows (a slice), the
     potentials of its particles and of its limit paths at the k-th snapshot
@@ -716,8 +759,8 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     # set-up or by the proposal that reads it, so pairs[3j : 3j + 3] holds
     # pairs 1-3 of the neuron's current block; a clock is kept as its unit
     # exponential -log1p(-u)
-    cells = np.zeros((3, rows * n))
-    y, bx, drawn = cells.reshape(3, rows, n)  # (R, N) views
+    cells = np.zeros((4, rows * n))
+    y, bx, drawn, bmax = cells.reshape(4, rows, n)  # (R, N) views
     keys, xbar0 = [], np.empty(rows)
     pairs = np.empty((rows, n, 3, 2))
     next_time = np.empty((rows, n))  # unit-rate clocks drawn at time 0
@@ -735,26 +778,18 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     state = np.zeros((4, rows))
     amp, shift, xbar, last = state
     amp[:], xbar[:] = 1.0, xbar0
-    blocks = _row_blocks(rows, n)  # every pass over the whole batch runs block by block
+    blocks = _row_blocks(rows, n)  # the passes with temporaries run block by block
     for b in blocks:
         bx[b] = _dominating_rates(f, lam, n, y[b], shift[b, None], amp[b, None], xbar[b, None])
-        next_time[b] /= np.maximum(bx[b], paths.by[b])
-    ntf, row_base = next_time.reshape(-1), np.arange(rows) * n
+    np.maximum(bx, paths.by, out=bmax)
+    next_time /= bmax
+    ntf, bflat, row_base = next_time.reshape(-1), cells[_B], np.arange(rows) * n
 
-    def rebuild(e, now):  # bound pass of rows e at their times now
-        new_bx = _dominating_rates(f, lam, n, y[e], shift[e, None], amp[e, None], xbar[e, None])
-        by = paths.by[e]
-        nt = next_time[e]
-        nt -= now[:, None]
-        nt *= np.maximum(bx[e], by)
-        nt /= np.maximum(new_bx, by)
-        nt += now[:, None]
-        bx[e], next_time[e] = new_bx, nt
-        rebuilds[e] += 1
+    def bounds(k):  # the particle bounds of row k (or rows k) for its next epoch
+        return _dominating_rates(f, lam, n, y[k], shift[k, None], amp[k, None], xbar[k, None])
 
-    overshoots, spikes, rebuilds = np.zeros((3, rows), dtype=np.int64)
-    rebuilds += 1
-    total_spikes = windows = snap_i = 0
+    overshoots, spikes = np.zeros((2, rows), dtype=np.int64)
+    spike_steps = windows = snap_i = 0  # spike_steps bounds every row's spike count
     events, pending = [], []  # spikes to log; proposals the limit paths have not taken
     snaps = snap_times.tolist() + [math.inf]
 
@@ -789,16 +824,13 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
                         x += xbar[b, None]
                     observe(snap_i, b, x, paths.ya[b])
                 snap_i += 1
-            else:  # the window end: the paths advance and rebound, all clocks rescale
-                for b in blocks:  # to unit rate under the old bounds
-                    nt = next_time[b]
-                    nt -= w
-                    nt *= np.maximum(bx[b], paths.by[b])
+            else:  # the window end: all clocks go to unit rate, the paths advance and rebound
+                next_time -= w
+                next_time *= bmax
                 catch_up(paths.next_window(*pending_proposals()))
-                for b in blocks:
-                    nt = next_time[b]
-                    nt /= np.maximum(bx[b], paths.by[b])
-                    nt += w
+                np.maximum(bx, paths.by, out=bmax)
+                next_time /= bmax
+                next_time += w
                 windows += 1
             edge = min(paths.w, math.nextafter(snaps[snap_i] - 1e-15, -math.inf))
             continue
@@ -807,29 +839,32 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
         t, j = tau.take(act), flat.take(act)
         g = cells.take(j, axis=1)
         r = state.take(act, axis=1)
-        xi = r[_AMP] * (g[_Y] + r[_SHIFT])
-        if lam != 0.0:  # xbar + decay * (xi - xbar); at lam = 0 the potential rests at its anchor
+        if lam != 0.0:  # xbar + decay * (amp * (y + shift) - xbar)
+            xi = r[_AMP] * (g[_Y] + r[_SHIFT])
             decay = np.exp(-lam * (t - r[_LAST]))
             xi -= r[_XBAR]
             xi *= decay
             xi += r[_XBAR]
+        else:  # the potential rests at its anchor, and amp = 1
+            xi = g[_Y] + r[_SHIFT]
         fx = f(xi)
-        q = g[_DRAWN].astype(np.intp) + 1  # the proposal's pair
+        g[_DRAWN] += 1.0
+        q = g[_DRAWN].astype(np.intp)  # the proposal's pair
         slot = q % 4
         draws = pairs.take(j * 3 + slot - 1, axis=0)  # a refilling neuron's row is replaced below
         refill = (slot == 0).nonzero()[0]  # neurons whose pair q starts a block
-        for i, jj, b in zip(refill.tolist(), j.take(refill).tolist(), (q.take(refill) // 4).tolist()):
-            block = uniform_array(keys[jj // n], [jj % n], b, 1).reshape(4, 2)
-            block[:, 1] = -np.log1p(-block[:, 1])
-            draws[i] = block[0]
-            pairs[3 * jj : 3 * jj + 3] = block[1:]
-        bound = np.maximum(g[_BX], paths.by.take(j))
+        if refill.size:
+            for i, jj, b in zip(refill.tolist(), j.take(refill).tolist(), (q.take(refill) // 4).tolist()):
+                block = uniform_array(keys[jj // n], [jj % n], b, 1).reshape(4, 2)
+                block[:, 1] = -np.log1p(-block[:, 1])
+                draws[i] = block[0]
+                pairs[3 * jj : 3 * jj + 3] = block[1:]
+        bound = g[_B]
         z = draws[:, 0] * bound
         pending.append((j, t, z))
         over = fx > g[_BX]
         if np.count_nonzero(over):
             overshoots[act[over]] += 1
-        g[_DRAWN] += 1.0
         hit = (z <= fx).nonzero()[0]
         if hit.size == 0:
             cells[:, j] = g
@@ -858,19 +893,19 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
         cells[:, j] = g
         count = spikes.take(srows) + 1
         spikes[srows] = count
-        total_spikes += hit.size
-        if total_spikes > event_budget and count.max() > event_budget:
+        spike_steps += 1
+        if spike_steps > event_budget and count.max() > event_budget:
             raise EventBudgetExceededError(f"more than {event_budget} spikes")
         if log_events:
             events.append((srows, th, idx.take(srows), xh))
-        for k in srows[count % 4096 == 0].tolist() if total_spikes >= 4096 else ():
-            y[k] = amp[k] * (y[k] + shift[k])  # fold the affine map into y
-            amp[k], shift[k] = 1.0, 0.0
-            xbar[k] = float(np.sort(y[k]).mean())  # cap float drift of the running mean
-        due = (count % m == 0).nonzero()[0]  # rows whose bound epoch ends
-        if due.size:
-            rebuild(srows.take(due), th.take(due))
-        ntf[j] = t + draws[:, 1] / (np.maximum(bx.take(j), paths.by.take(j)) if due.size else bound)
+        for k in srows[count % 4096 == 0].tolist() if spike_steps >= 4096 else ():
+            _fold(k, y, amp, shift, xbar)
+        due = count % m == 0 if m > 1 else slice(None)  # rows whose bound epoch ends
+        e = srows[due]
+        if e.size:
+            _rebuild(e, th[due], bounds, bx, bmax, paths.by, next_time)
+            bound = bflat.take(j)
+        ntf[j] = t + draws[:, 1] / bound
 
     # each row's spikes, in time order: a stable sort by row keeps the step order
     ev_rows, ev_t, ev_i, ev_x = (np.concatenate(c) for c in zip(*events)) if events else np.zeros((4, 0))
@@ -878,6 +913,7 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     cuts = np.cumsum(np.bincount(ev_rows.astype(int), minlength=rows))[:-1]
     per_row = zip(*(np.split(c[order], cuts) for c in (ev_t, ev_i.astype(int), ev_x)))
     proposals = drawn.sum(axis=1).astype(np.int64)  # each proposal moved its neuron one pair on
+    rebuilds = spikes // m + 1  # the first bound pass, then one per epoch of m spikes
     logs = [
         EventLog(times, i_r, pre, int(proposals[r]), x0[r], int(overshoots[r]), int(rebuilds[r]))
         for r, (times, i_r, pre) in enumerate(per_row)

@@ -71,7 +71,7 @@ class RateFunction:
     def __call__(self, x):
         out = None
         for e, c in self.terms:  # x * x rounds like np.power(x, 2); x * x * x would not round like np.power(x, 3)
-            term = c * x if e == 1 else c * (x * x) if e == 2 else c * np.power(x, e)
+            term = c * x if e == 1 else (x * x if c == 1.0 else c * (x * x)) if e == 2 else c * np.power(x, e)
             out = term if out is None else out + term
         return out
 

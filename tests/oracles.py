@@ -56,7 +56,9 @@ def euler_particle_mean(rate, lam, n, horizon, dt, replicates, rng):
     State is float32 with preallocated buffers: per-step rounding (~1e-7)
     is far below the Monte-Carlo error this oracle is compared at. Jumps
     are rare (f(x) dt ~ 1e-4), so only the rows with a jump are updated;
-    a row without one would gain exactly 0.
+    a row without one would gain exactly 0. At lam = 0 such a row does not
+    move at all, so its jump probabilities f(x) dt are kept from the last
+    step and recomputed only for the rows that jumped.
     Returns (mean of final xbar, standard error).
     """
     steps = int(round(horizon / dt))
@@ -68,10 +70,12 @@ def euler_particle_mean(rate, lam, n, horizon, dt, replicates, rng):
     dt32 = np.float32(dt)
     inv_n = np.float32(1.0 / n)
     lam_dt = np.float32(lam * dt)
+    prob = np.multiply(rate(x), dt32)
     for _ in range(steps):
         rng.random(out=u, dtype=np.float32)
-        np.multiply(rate(x), dt32, out=buf)
-        np.less(u, buf, out=jumps)
+        if lam:
+            np.multiply(rate(x), dt32, out=prob)
+        np.less(u, prob, out=jumps)
         if lam:
             # the row mean in numpy's float32 order, ((x_0 + x_1) + ...) / n, without a reduction
             xbar[:] = x[:, :1]
@@ -89,5 +93,7 @@ def euler_particle_mean(rate, lam, n, horizon, dt, replicates, rng):
             sub[hit] = 0.0
             sub += (hit.sum(axis=1, keepdims=True, dtype=np.int64) - hit).astype(np.float32) * inv_n
             x[rows] = sub
+            if not lam:
+                prob[rows] = rate(sub) * dt32
     final = x.mean(axis=1, dtype=np.float64)
     return float(final.mean()), float(final.std(ddof=1) / np.sqrt(replicates))

@@ -327,22 +327,27 @@ class TestSimulateCoupled:
             plain += simulate(cfg, [1.0, 2.0])[0].proposals
         assert coupled <= 1.25 * plain
 
-    def test_rebuilds_per_epoch_and_window(self):
+    def test_rebuilds_per_epoch_and_window(self, monkeypatch):
         # the coupled engine's O(N) passes: per row, one per particle bound epoch
         # plus the first; per batch, one per limit-path window end, not one per row
         n = 400
         cfg = SystemConfig(n=n, lam=1.0, rate=FX2, initial=InitialLaw.exponential(1.0), horizon=2.0, seed=101)
         sol = solve_marginals(exp_config(lam=1.0), snapshot_times=[2.0])
         m = max(1, int(_EPOCH_DRIFT * n))
-        windows = []
+        windows, rebuilt = [], []
+        rebuild = limitlaw._rebuild
+        monkeypatch.setattr(limitlaw, "_rebuild",
+                            lambda rows, *args: rebuilt.extend(rows.tolist()) or rebuild(rows, *args))
         for seeds in ([101, 102, 103], [101]):
+            rebuilt.clear()
             paths = _LimitPaths(sol.drift(), FX2, 1.0, t_end=2.0, window=_WINDOW_DRIFT)
             logs, passes = _coupled_loop(cfg, seeds, paths, np.array([2.0]), lambda *seen: None, 10**8, True)
             assert passes == paths.k - 1 > 0
             windows.append(passes)
-            for log in logs:
+            for r, log in enumerate(logs):
                 assert m > 1 and log.bound_overshoots == 0
                 assert log.rebuilds <= log.spikes / m + 1
+                assert log.rebuilds == rebuilt.count(r) + 1  # the epoch passes made, and the first
         assert windows[0] == windows[1]
 
 
@@ -376,6 +381,9 @@ class TestCoupledBatch:
         def batch(*seeds):
             return dict(zip(seeds, simulate_coupled(cfg, sol, snaps, seeds=list(seeds))))
 
+        rebuilt = []  # rows of each step's epoch rebuild
+        rebuild = limitlaw._rebuild
+        monkeypatch.setattr(limitlaw, "_rebuild", lambda rows, *args: rebuilt.append(rows.size) or rebuild(rows, *args))
         bounds, w1 = limitlaw._LimitPaths._bounds, limitlaw.w1_samples_vs_law
         runs = []
         for block_rows in (None, 1, 2):
@@ -388,6 +396,8 @@ class TestCoupledBatch:
             runs += [batch(a, b, c), batch(c, a), batch(a), batch(b), batch(c)]
             if block_rows is not None:
                 assert set(split) == {1, block_rows}
+        if n >= 50:  # steps that rebuild two rows one by one, and three in one gathered pass
+            assert {2, 3} <= set(rebuilt)
         for seed in (a, b, c):
             rows = [run[seed] for run in runs if seed in run]
             for stats in rows[1:]:
@@ -395,15 +405,9 @@ class TestCoupledBatch:
                     assert getattr(stats, name).tobytes() == getattr(rows[0], name).tobytes(), name
                 assert (stats.proposals, stats.bound_overshoots) == (rows[0].proposals, rows[0].bound_overshoots)
 
-    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
-    @pytest.mark.parametrize("rate", [FX2, RateFunction.polynomial([1.0, 1.0])])
-    @pytest.mark.parametrize("n", [1, 2, 50, 400])
-    def test_rows_replay_through_apply_spike(self, lam, rate, n):
-        # apply_spike and ParticleState.positions, replayed over each row's
-        # logged spikes, give its pre-spike potentials and its snapshots
-        cfg = exp_config(lam=lam, rate=rate, n=n)
-        snaps = [0.5, 1.0, 2.0]
-        logs, seen = self.run(cfg, solve_marginals(cfg, snapshot_times=snaps), [101, 102, 103], snaps)
+    @staticmethod
+    def replay(lam, logs, snaps, seen):
+        """Replay each row's logged spikes through apply_spike: its pre-spike potentials and snapshots within 1e-12."""
         for r, log in enumerate(logs):
             x0 = log.initial_values
             state = ParticleState(t=0.0, lam=lam, xbar=float(np.sort(x0).mean()), anchor_time=0.0, anchor_x=x0.copy())
@@ -417,6 +421,38 @@ class TestCoupledBatch:
                     k += 1
                 assert np.max(np.abs(state.positions(ts) - x[r])) <= 1e-12, f"row {r} t={ts}"
             assert k == log.spikes
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("rate", [FX2, RateFunction.polynomial([1.0, 1.0])])
+    @pytest.mark.parametrize("n", [1, 2, 50, 400])
+    def test_rows_replay_through_apply_spike(self, lam, rate, n):
+        # apply_spike and ParticleState.positions, replayed over each row's
+        # logged spikes, give its pre-spike potentials and its snapshots
+        cfg = exp_config(lam=lam, rate=rate, n=n)
+        snaps = [0.5, 1.0, 2.0]
+        logs, seen = self.run(cfg, solve_marginals(cfg, snapshot_times=snaps), [101, 102, 103], snaps)
+        self.replay(lam, logs, snaps, seen)
+
+    def test_fold_after_4096_spikes(self, monkeypatch):
+        # at N = 1600, lambda 1, each row passes 4096 spikes before t = 4 and
+        # folds its affine map into its stored values; a row of a batch of two
+        # still equals its batch of one, bitwise, and replays through apply_spike
+        cfg = exp_config(lam=1.0, n=1600, horizon=4.0)
+        snaps = [2.0, 4.0]
+        sol = solve_marginals(cfg, snapshot_times=snaps)
+        folded = []
+        fold = limitlaw._fold
+        monkeypatch.setattr(limitlaw, "_fold", lambda k, *args: folded.append(k) or fold(k, *args))
+        logs, seen = self.run(cfg, sol, [1, 2], snaps)
+        assert sorted(folded) == [0, 1] and all(log.spikes >= 4096 for log in logs)
+        for r, seed in enumerate((1, 2)):
+            (solo,), solo_seen = self.run(cfg, sol, [seed], snaps)
+            for name in ("times", "indices", "pre_potentials", "initial_values"):
+                assert getattr(logs[r], name).tobytes() == getattr(solo, name).tobytes(), name
+            assert (logs[r].proposals, logs[r].rebuilds) == (solo.proposals, solo.rebuilds)
+            assert logs[r].bound_overshoots == solo.bound_overshoots == 0
+            assert seen[:, r].tobytes() == solo_seen[:, 0].tobytes()
+        self.replay(1.0, logs, snaps, seen)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("n", [1, 2, 50, 400])
