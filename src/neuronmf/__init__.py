@@ -13,10 +13,8 @@ from .limitlaw import (
     CoupledStats,
     MarginalSolution,
     MassDriftError,
-    NonlinearPath,
     TransportedDensity,
     simulate_coupled,
-    simulate_nonlinear_path,
     solve_marginals,
 )
 from .metrics import RateFit, fit_rate, h_distance, tv_densities, w1_samples, w1_samples_vs_law
@@ -56,7 +54,6 @@ __all__ = [
     "InvariantResult",
     "MarginalSolution",
     "MassDriftError",
-    "NonlinearPath",
     "OutOfGridError",
     "ParticleState",
     "QuadratureError",
@@ -78,7 +75,6 @@ __all__ = [
     "invariant_density",
     "simulate",
     "simulate_coupled",
-    "simulate_nonlinear_path",
     "solve_a_star",
     "solve_marginals",
     "stationarity_residual",

@@ -19,21 +19,20 @@ predictor-corrector pass per dt-slab on the self-consistent drift
 a_t = lam * m_t + p_t, with per-slab survival factors accumulated
 multiplicatively, so the representation never diffuses numerically.
 
-The limit process itself is simulated by thinning against the same drift
-(_LimitPaths: one bound and one position formula, on the drift's cached
-flow integral, so every path and batch on one solution shares it). A
-single path runs its own short loop, one proposal at a time. The
-particle/limit coupling runs R replicates of the N-neuron system in
-lockstep on (R, N) arrays (_coupled_loop, on particle's engine rules):
-every proposal's mark is logged for its limit path, and the paths take
-the logged marks in one vectorized pass at each window end and snapshot,
-which all rows share. The batch keeps 104 bytes per cell (the neuron's
-proposal bound among them), each pass over the whole batch that needs
-temporaries works in row blocks of at most _BLOCK_CELLS cells and the
-others run in place, so its temporaries stay bounded and the caller sizes
-the batch (the chaos command caps it at cli._BATCH_CELLS cells). Each
-snapshot's W1 is one call per row block, from the law's table
-(TransportedDensity.w1_table).
+The limit process itself is simulated as the particles' shadow, by
+thinning against the same drift (_LimitPaths: one bound and one position
+formula, on the drift's cached flow integral, so every batch on one
+solution shares it). The particle/limit coupling runs R replicates of
+the N-neuron system in lockstep on (R, N) arrays (_coupled_loop, on
+particle's engine rules): every proposal's mark is logged for its limit
+path, and the paths take the logged marks in one vectorized pass at each
+window end and snapshot, which all rows share. The batch keeps 104 bytes
+per cell (the neuron's proposal bound among them), each pass over the
+whole batch that needs temporaries works in row blocks of at most
+_BLOCK_CELLS cells and the others run in place, so its temporaries stay
+bounded and the caller sizes the batch (the chaos command caps it at
+cli._BATCH_CELLS cells). Each snapshot's W1 is one call per row block,
+from the law's table (TransportedDensity.w1_table).
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import h_distance, w1_samples_vs_law
-from .model import ConfigError, DriftSeries, FlowIntegral, RateFunction, SystemConfig
+from .model import ConfigError, DriftSeries, RateFunction, SystemConfig
 from .particle import (
     _EPOCH_DRIFT,
     EventBudgetExceededError,
@@ -411,7 +410,7 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
 
 
 # ---------------------------------------------------------------------------
-# Nonlinear process: single paths and the particle/limit coupling
+# Nonlinear process: the particle/limit coupling
 # ---------------------------------------------------------------------------
 
 
@@ -442,26 +441,25 @@ class _LimitPaths:
     bound stays valid after jumps. I is the drift's cached flow integral fi
     (DriftSeries.integral), shared by every batch on the drift; the bound
     position carries a slack that covers its quadrature. Windows are
-    window/abar long (one window up to t_end by default).
+    _WINDOW_DRIFT/abar long, the last one ending at t_end (a drift with
+    abar = 0 has one window up to t_end).
 
-    Paths may take (R, N) shape, R replicates of N. advance applies a batch
-    of proposals and re-anchors all paths at a later time; next_window
-    does so at the window end and bounds the paths up to the next one. A
-    single path may instead take its proposals one at a time (propose),
-    each re-anchoring and re-bounding it.
+    Paths take (R, N) shape, R replicates of N. advance applies a batch of
+    proposals and re-anchors all paths at a later time; next_window does
+    so at the window end and bounds the paths up to the next one.
     """
 
-    def __init__(self, drift: DriftSeries, rate: RateFunction, lam: float, t_end=None, window=math.inf):
+    def __init__(self, drift: DriftSeries, rate: RateFunction, lam: float, t_end: float):
         self.fi = drift.integral(lam)
         self.rate = rate
         self.lam = lam
-        self.t_end = self.fi.t_end if t_end is None else float(t_end)
+        self.t_end = float(t_end)
         self.abar = self.fi.a_max
         self.slack = 10.0 * self.fi.tol  # covers the quadrature error of the computed flow
-        self.h = window / self.abar if self.abar > 0 else math.inf
+        self.h = _WINDOW_DRIFT / self.abar if self.abar > 0 else math.inf
 
     def start(self, y0):
-        """Anchor the paths at y0 at time 0 and bound them up to the first window end."""
+        """Anchor the paths at y0, an (R, N) array, at time 0 and bound them up to the first window end."""
         self.ya = np.array(y0, dtype=float)
         self.by = np.empty(self.ya.shape)
         self.t0, self.i0 = 0.0, self.fi.at(0.0)
@@ -472,9 +470,8 @@ class _LimitPaths:
         self.k += 1
         self.w = min(self.k * self.h, self.t_end)
         self.i_w = self.fi.at(self.w)
-        ya, by = np.atleast_2d(self.ya, self.by)
-        for rows in _row_blocks(*ya.shape):
-            by[rows] = self._bounds(ya[rows], self.t0, self.i0)
+        for rows in _row_blocks(*self.ya.shape):
+            self.by[rows] = self._bounds(self.ya[rows], self.t0, self.i0)
 
     def _bounds(self, ya, ta, ia):
         if self.lam == 0.0:
@@ -486,10 +483,6 @@ class _LimitPaths:
             x += ya
         x += self.slack
         return np.asarray(self.rate(x), dtype=float)
-
-    def positions(self, t: float) -> np.ndarray:
-        """The paths at t, if no proposal came between their anchor and t."""
-        return self.fi.at(t) + np.exp(-self.lam * (t - self.t0)) * (self.ya - self.i0)
 
     def advance(self, t1: float, cells=(), times=(), marks=()):
         """Apply proposals (t, z) to the paths, then re-anchor every path at t1.
@@ -537,62 +530,6 @@ class _LimitPaths:
         over = self.advance(self.w, cells, times, marks)
         self._bound_window()
         return over
-
-    def propose(self, t: float, z: float) -> bool:
-        """Whether a single path jumps at the proposal (t, z), which re-anchors and re-bounds it."""
-        i_t = self.fi.at(t)
-        y = i_t + math.exp(-self.lam * (t - self.t0)) * (self.ya.item(0) - self.i0)
-        jumped = z <= self.rate(y)
-        y = 0.0 if jumped else y
-        self.ya[0], self.t0, self.i0 = y, t, i_t
-        lam = self.lam
-        rise = self.i_w - i_t if lam == 0.0 else -math.expm1(-lam * (self.w - t)) * max(self.abar / lam - y, 0.0)
-        self.by[0] = self.rate(y + rise + self.slack)
-        return jumped
-
-
-@dataclass
-class NonlinearPath:
-    """One realization of the limit process: flow between jumps, resets to 0."""
-
-    y0: float
-    jump_times: np.ndarray
-    lam: float
-    _flow: FlowIntegral
-
-    def value(self, t: float) -> float:
-        k = int(np.searchsorted(self.jump_times, t, side="right"))
-        s, y = (0.0, self.y0) if k == 0 else (float(self.jump_times[k - 1]), 0.0)
-        return self._flow.at(t) + math.exp(-self.lam * (t - s)) * (y - self._flow.at(s))
-
-
-def simulate_nonlinear_path(
-    drift: DriftSeries,
-    y0: float,
-    rate: RateFunction,
-    lam: float,
-    rng: np.random.Generator,
-    t_end: float | None = None,
-) -> NonlinearPath:
-    """Exact thinning of one limit path against the solved drift.
-
-    Proposals run at the _LimitPaths bound for the single window [0, t_end],
-    re-anchored at every proposal: between jumps y' <= abar - lam y, so
-    the flow from (t_i, y_i) stays below the comparison solution at t_end
-    (y_i + I(t_end) - I(t_i) when lam = 0). Acceptance needs only
-    pointwise flow values.
-    """
-    paths = _LimitPaths(drift, rate, lam, t_end)
-    paths.start([y0])
-    jumps = []
-    t = 0.0
-    while paths.by[0] > 0.0:
-        t = t + rng.exponential() / paths.by[0]
-        if t >= paths.t_end:
-            break
-        if paths.propose(t, rng.random() * paths.by[0]):
-            jumps.append(t)
-    return NonlinearPath(y0=float(y0), jump_times=np.asarray(jumps), lam=lam, _flow=paths.fi)
 
 
 @dataclass
@@ -646,7 +583,7 @@ def simulate_coupled(
     laws = [sol.snapshot_at(ts) for ts in snap_times]
 
     f = config.rate
-    paths = _LimitPaths(sol.drift(), f, config.lam, t_end=config.horizon, window=_WINDOW_DRIFT)
+    paths = _LimitPaths(sol.drift(), f, config.lam, config.horizon)
     mean_abs, mean_h, w1s = np.zeros((3, len(seeds), snap_times.size))
 
     def observe(k, rows, x, y):  # the W1 pass first: it holds the most temporaries

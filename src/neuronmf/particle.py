@@ -16,7 +16,7 @@ potential, so f(x_i + (m-1)/N) does the same. At every lam the bounds are
 rebuilt once per epoch of m = max(1, floor(N/64)) spikes, so at every
 spike below N = 128. Simulation is by thinning against them, with one
 proposal clock per neuron. Neuron i reads its own counter-based uniform
-stream (rng.uniform_blocks, keyed by the seed and its integer label):
+stream (rng.uniform_array, keyed by the seed and its integer label):
 uniform 0 is its initial potential, uniform 1 its first clock, and each
 proposal takes the next pair (mark, next clock), so that permuting neuron
 stream labels exactly permutes trajectories.
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ConfigError, SystemConfig
-from .rng import BLOCK_UNIFORMS, stream_key, uniform_array, uniform_blocks
+from .rng import BLOCK_UNIFORMS, stream_key, uniform_array
 from .rng import substream  # noqa: F401  (benchmark/tracing.py wraps this name)
 
 
@@ -271,7 +271,7 @@ def simulate(
         overshoots += bool(fx > bounds.item(i))
         k, row = used[i], draws[i]
         if k == len(row):  # doubles the neuron's blocks; other rows are untouched
-            row += uniform_blocks(key, labels[i : i + 1], k // BLOCK_UNIFORMS, k // BLOCK_UNIFORMS)[0]
+            row += uniform_array(key, labels[i : i + 1], k // BLOCK_UNIFORMS, k // BLOCK_UNIFORMS)[0].tolist()
         used[i] = k + 2
         if row[k] * bounds.item(i) <= fx:
             spikes += 1
@@ -322,16 +322,14 @@ def check_apriori(log: EventLog, snapshots, config: SystemConfig) -> BoundReport
     xbar0 = float(x0.mean())
     sorted_x0 = np.sort(x0)
 
-    for k in range(log.spikes):
-        t = log.times[k]
-        i = log.indices[k]
-        z = k / n  # spikes strictly before t
-        bound = x0[i] + (4 * lam * t + 4) * (xbar0 + z)
-        report.checked += 1
-        if log.pre_potentials[k] > bound + 1e-9:
-            report.envelope_violations.append((float(t), int(i), float(log.pre_potentials[k]), float(bound)))
+    # spike k has k spikes strictly before it
+    t, i, pre = log.times, log.indices, log.pre_potentials
+    bound = x0[i] + (4 * lam * t + 4) * (xbar0 + np.arange(log.spikes) / n)
+    report.checked += log.spikes
+    bad = (pre > bound + 1e-9).nonzero()[0]
+    report.envelope_violations += zip(t[bad].tolist(), i[bad].tolist(), pre[bad].tolist(), bound[bad].tolist())
 
-    increments = (n - 1) / n - log.pre_potentials
+    increments = (n - 1) / n - pre
     for snap in snapshots:
         k = int(np.searchsorted(log.times, snap.time, side="right"))
         z = k / n

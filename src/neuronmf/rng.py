@@ -12,8 +12,8 @@ parallelized:
   (i, b) under that key. Its eight little-endian 64-bit words w are the
   uniforms (w >> 11) 2^-53 in [0, 1), so draw k of label i is a pure
   function of (run key, i, k), whatever else is read with it.
-  uniform_blocks reads any run of blocks for many labels in one call, as
-  lists; uniform_array reads the same uniforms as one array.
+  uniform_array reads any run of blocks for many labels in one call, as
+  one array.
 """
 
 from __future__ import annotations
@@ -63,17 +63,12 @@ def stream_key(seed: int, *labels) -> bytes:
     return _key(seed, labels).to_bytes(16, "little")
 
 
-def uniform_blocks(key: bytes, labels, first: int, count: int) -> list[list[float]]:
+def uniform_array(key: bytes, labels, first: int, count: int) -> np.ndarray:
     """Blocks [first, first + count) of each label's uniform stream under key.
 
-    Labels are ints in [-2^63, 2^63). Returns one list of
+    Labels are ints in [-2^63, 2^63). Returns one row of
     BLOCK_UNIFORMS * count uniforms per label, in label order.
     """
-    return uniform_array(key, labels, first, count).tolist()
-
-
-def uniform_array(key: bytes, labels, first: int, count: int) -> np.ndarray:
-    """uniform_blocks as one (len(labels), BLOCK_UNIFORMS * count) array."""
     keyed = hashlib.blake2b(key=key, digest_size=64)  # copying it skips re-absorbing the key
     raw = bytearray()
     for lab in labels:

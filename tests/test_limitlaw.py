@@ -13,15 +13,14 @@ from neuronmf import (
     RateFunction,
     SystemConfig,
     Tolerances,
+    flow,
     simulate,
     simulate_coupled,
-    simulate_nonlinear_path,
     solve_marginals,
-    substream,
     survival,
 )
 from neuronmf import limitlaw
-from neuronmf.limitlaw import _WINDOW_DRIFT, _coupled_loop, _LimitPaths
+from neuronmf.limitlaw import _coupled_loop, _LimitPaths
 from neuronmf.particle import _EPOCH_DRIFT, ParticleState, apply_spike
 from neuronmf.rng import stream_key
 from oracles import upwind_marginals
@@ -40,6 +39,21 @@ def exp_config(lam=0.0, rate=FX2, horizon=2.0, dt=0.0, n=1):
         seed=1,
         tolerances=Tolerances(dt=dt),
     )
+
+
+def coupled_batch(cfg, sol, seeds, snaps):
+    """One coupled batch on sol's drift, spikes logged: (EventLogs, particle and limit-path potentials per snapshot).
+
+    The potentials come as (len(snaps), len(seeds), N) arrays.
+    """
+    paths = _LimitPaths(sol.drift(), cfg.rate, cfg.lam, cfg.horizon)
+    xs, ys = np.zeros((2, len(snaps), len(seeds), cfg.n))
+
+    def observe(k, rows, x, y):
+        xs[k, rows], ys[k, rows] = x, y
+
+    logs, _ = _coupled_loop(cfg, list(seeds), paths, np.asarray(snaps), observe, 10**8, True)
+    return logs, xs, ys
 
 
 class TestSolveMarginals:
@@ -175,51 +189,45 @@ class TestSolveMarginals:
 
 
 class TestNonlinearPath:
-    def test_zero_start_zero_drift(self):
-        from neuronmf import DriftSeries
+    """The law of the limit paths the coupled engine runs, 4000 paths per check, each within 3 standard errors.
 
-        drift = DriftSeries.constant(0.0, 2.0)
-        path = simulate_nonlinear_path(drift, 0.0, FX2, 0.0, substream(3, "p"))
-        assert path.jump_times.size == 0
-        assert path.value(1.7) == 0.0
+    Path i of a row takes only neuron i's proposal marks, thinned under
+    f(y_i) <= by_i <= B_i, and any dominating envelope thins the same
+    Poisson measure (Lewis-Shedler), so the N paths of the R rows are
+    i.i.d. copies of the limit process.
+    """
 
     def test_no_jump_probability_matches_survival(self):
+        # from a point mass at 1.3 on the Exp(1) solution's drift at lambda 0, a
+        # path that never jumped sits at 1.3 + I(1) and one that jumped below I(1)
         sol = solve_marginals(exp_config(rate=FX2), snapshot_times=[2.0])
         drift = sol.drift()
-        y0, t, reps = 1.3, 1.0, 4000
+        y0, t = 1.3, 1.0
+        cfg = SystemConfig(n=1000, lam=0.0, rate=FX2, initial=InitialLaw.point_mass(y0), horizon=t, seed=9)
+        _, _, (y,) = coupled_batch(cfg, sol, range(9, 13), [t])
         kappa = survival(0.0, t, y0, FX2, 0.0, drift)
-        hits = sum(
-            1
-            for r in range(reps)
-            if not np.any(simulate_nonlinear_path(drift, y0, FX2, 0.0, substream(9, "nj", r), t_end=t).jump_times <= t)
-        )
-        se = math.sqrt(kappa * (1 - kappa) / reps)
-        assert abs(hits / reps - kappa) <= 3 * se
+        frequency = np.mean(y > drift.integral(0.0).at(t))
+        assert abs(frequency - kappa) <= 3 * math.sqrt(kappa * (1 - kappa) / y.size)
 
     def test_mean_rate_matches_solver(self):
-        sol = solve_marginals(exp_config(rate=FX2), snapshot_times=[2.0])
-        drift = sol.drift()
-        reps = 4000
-        rng0 = substream(11, "y0")
-        vals = np.empty(reps)
-        for r in range(reps):
-            y0 = rng0.exponential(1.0)
-            path = simulate_nonlinear_path(drift, y0, FX2, 0.0, substream(11, "sc", r), t_end=2.0)
-            vals[r] = FX2(path.value(2.0))
-        se = vals.std(ddof=1) / math.sqrt(reps)
-        assert abs(vals.mean() - sol.p[-1]) <= 3 * se
+        for lam in (0.0, 1.0):
+            cfg = exp_config(lam=lam, n=1000)
+            sol = solve_marginals(cfg, snapshot_times=[2.0])
+            _, _, (y,) = coupled_batch(cfg, sol, range(11, 15), [2.0])
+            vals = FX2(y)
+            assert abs(vals.mean() - sol.p[-1]) <= 3 * vals.std(ddof=1) / math.sqrt(vals.size), f"lam={lam}"
 
     def test_path_envelope(self):
         # Y_t <= Y_0 + int_0^t a_s ds path-wise
-        sol = solve_marginals(exp_config(rate=FX2, lam=1.0), snapshot_times=[2.0])
+        cfg = exp_config(lam=1.0, n=1000)
+        sol = solve_marginals(cfg, snapshot_times=[2.0])
         drift = sol.drift()
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (drift.a[1:] + drift.a[:-1]) * np.diff(drift.times))])
-        for r in range(50):
-            y0 = 0.5 + 0.1 * r
-            path = simulate_nonlinear_path(drift, y0, FX2, 1.0, substream(13, "env", r), t_end=2.0)
-            for t in [0.5, 1.0, 1.7, 2.0]:
-                bound = y0 + np.interp(t, drift.times, cum)
-                assert path.value(t) <= bound + 1e-9
+        snaps = [0.5, 1.0, 1.7, 2.0]
+        logs, _, ys = coupled_batch(cfg, sol, range(13, 17), snaps)
+        y0 = np.stack([log.initial_values for log in logs])
+        for t, y in zip(snaps, ys):
+            assert np.all(y <= y0 + np.interp(t, drift.times, cum) + 1e-9), f"t={t}"
 
 
 class TestWindowBound:
@@ -230,7 +238,7 @@ class TestWindowBound:
         drift = solve_marginals(exp_config(lam=lam), snapshot_times=[2.0]).drift()
         if constant:
             drift = DriftSeries.constant(float(np.max(drift.a)), 2.0)
-        paths = _LimitPaths(drift, FX2, lam, t_end=2.0, window=_WINDOW_DRIFT)
+        paths = _LimitPaths(drift, FX2, lam, 2.0)
         y0 = np.linspace(0.0, 2.0 * paths.abar / max(lam, 1.0), 9)
         if lam > 0:
             y0 = np.append(y0, paths.abar / lam)
@@ -238,10 +246,10 @@ class TestWindowBound:
         fi = paths.fi
         for _ in range(4):
             t0, w = paths.t0, paths.w
-            assert np.all(FX2(paths.positions(w)) <= paths.by)
+            assert np.all(FX2(flow(t0, w, paths.ya, lam, drift)) <= paths.by)
             for s in np.linspace(t0, w, 5):
                 i_s = fi.at(s)
-                ys = paths.positions(s)
+                ys = flow(t0, s, paths.ya, lam, drift)
                 by = paths._bounds(ys, s, i_s)
                 for u in np.linspace(s, w, 7):
                     flow_u = fi.at(u) + math.exp(-lam * (u - s)) * (ys - i_s)  # phi_{s,u}(ys)
@@ -250,8 +258,8 @@ class TestWindowBound:
             assert paths.w > w
 
     def test_single_window_without_drift(self):
-        paths = _LimitPaths(DriftSeries.constant(0.0, 2.0), FX2, 1.0, t_end=2.0, window=_WINDOW_DRIFT)
-        paths.start([0.5])
+        paths = _LimitPaths(DriftSeries.constant(0.0, 2.0), FX2, 1.0, 2.0)
+        paths.start([[0.5]])
         assert paths.w == 2.0
 
 
@@ -340,7 +348,7 @@ class TestSimulateCoupled:
                             lambda rows, *args: rebuilt.extend(rows.tolist()) or rebuild(rows, *args))
         for seeds in ([101, 102, 103], [101]):
             rebuilt.clear()
-            paths = _LimitPaths(sol.drift(), FX2, 1.0, t_end=2.0, window=_WINDOW_DRIFT)
+            paths = _LimitPaths(sol.drift(), FX2, 1.0, 2.0)
             logs, passes = _coupled_loop(cfg, seeds, paths, np.array([2.0]), lambda *seen: None, 10**8, True)
             assert passes == paths.k - 1 > 0
             windows.append(passes)
@@ -353,18 +361,6 @@ class TestSimulateCoupled:
 
 class TestCoupledBatch:
     """Replicates run in lockstep: each row is its own replicate, whatever else the batch holds."""
-
-    @staticmethod
-    def run(cfg, sol, seeds, snaps):
-        """(EventLogs, particle potentials per snapshot) of one batch, spikes logged."""
-        paths = _LimitPaths(sol.drift(), cfg.rate, cfg.lam, t_end=cfg.horizon, window=_WINDOW_DRIFT)
-        seen = np.zeros((len(snaps), len(seeds), cfg.n))
-
-        def observe(k, rows, x, y):
-            seen[k, rows] = x
-
-        logs, _ = _coupled_loop(cfg, seeds, paths, np.asarray(snaps), observe, 10**8, True)
-        return logs, seen
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 50, 130])
@@ -430,7 +426,7 @@ class TestCoupledBatch:
         # logged spikes, give its pre-spike potentials and its snapshots
         cfg = exp_config(lam=lam, rate=rate, n=n)
         snaps = [0.5, 1.0, 2.0]
-        logs, seen = self.run(cfg, solve_marginals(cfg, snapshot_times=snaps), [101, 102, 103], snaps)
+        logs, seen, _ = coupled_batch(cfg, solve_marginals(cfg, snapshot_times=snaps), [101, 102, 103], snaps)
         self.replay(lam, logs, snaps, seen)
 
     def test_fold_after_4096_spikes(self, monkeypatch):
@@ -443,10 +439,10 @@ class TestCoupledBatch:
         folded = []
         fold = limitlaw._fold
         monkeypatch.setattr(limitlaw, "_fold", lambda k, *args: folded.append(k) or fold(k, *args))
-        logs, seen = self.run(cfg, sol, [1, 2], snaps)
+        logs, seen, _ = coupled_batch(cfg, sol, [1, 2], snaps)
         assert sorted(folded) == [0, 1] and all(log.spikes >= 4096 for log in logs)
         for r, seed in enumerate((1, 2)):
-            (solo,), solo_seen = self.run(cfg, sol, [seed], snaps)
+            (solo,), solo_seen, _ = coupled_batch(cfg, sol, [seed], snaps)
             for name in ("times", "indices", "pre_potentials", "initial_values"):
                 assert getattr(logs[r], name).tobytes() == getattr(solo, name).tobytes(), name
             assert (logs[r].proposals, logs[r].rebuilds) == (solo.proposals, solo.rebuilds)
@@ -476,7 +472,7 @@ class TestCoupledBatch:
         busy, quiet = None, []
         for seed in range(32):
             refilled.clear()
-            (log,), _ = self.run(cfg, sol, [seed], [4.0])
+            (log,), *_ = coupled_batch(cfg, sol, [seed], [4.0])
             if log.rebuilds > 1 and refilled and busy is None:
                 busy = (seed, log)
             elif log.rebuilds == 1 and not refilled and len(quiet) < 2:
@@ -484,7 +480,7 @@ class TestCoupledBatch:
         assert busy is not None and len(quiet) == 2
         refilled.clear()
         (seed_q0, solo_q0), (seed_b, solo_b), (seed_q1, solo_q1) = quiet[0], busy, quiet[1]
-        logs, _ = self.run(cfg, sol, [seed_q0, seed_b, seed_q1], [4.0])
+        logs, *_ = coupled_batch(cfg, sol, [seed_q0, seed_b, seed_q1], [4.0])
         assert set(refilled) == {stream_key(seed_b, "prop")}
         assert [log.rebuilds for log in logs] == [1, solo_b.rebuilds, 1]
         for log, solo in zip(logs, (solo_q0, solo_b, solo_q1)):
@@ -493,12 +489,12 @@ class TestCoupledBatch:
             assert (log.proposals, log.bound_overshoots) == (solo.proposals, solo.bound_overshoots)
 
     def test_batch_memory_per_cell(self):
-        # a batch's state is 96 bytes per cell (y, bx and the draw count, three
-        # stored pairs, the clock, the limit path's position and bound) and every
-        # pass over the whole batch runs in row blocks of limitlaw._BLOCK_CELLS
-        # cells, so a call peaks below 130 bytes per cell plus a fixed allowance
-        # for what does not grow with the batch: the law's tables, numpy's
-        # iterator buffers, the per-row arrays
+        # a batch's state is 104 bytes per cell (y, bx, the draw count and the
+        # bound B, three stored pairs, the clock, the limit path's position and
+        # bound) and every pass over the whole batch runs in row blocks of
+        # limitlaw._BLOCK_CELLS cells, so a call peaks below 130 bytes per cell
+        # plus a fixed allowance for what does not grow with the batch: the
+        # law's tables, numpy's iterator buffers, the per-row arrays
         n, rows = 1600, 24
         cfg = exp_config(lam=0.0, n=n, horizon=0.1)
         sol = solve_marginals(cfg, snapshot_times=[0.1])

@@ -6,9 +6,11 @@ from scipy import stats
 
 from neuronmf import (
     ConfigError,
+    EventLog,
     InitialLaw,
     ParticleState,
     RateFunction,
+    Snapshot,
     SystemConfig,
     apply_spike,
     check_apriori,
@@ -328,6 +330,20 @@ class TestCheckApriori:
                 assert snaps[0].mean == pytest.approx(expected, abs=1e-12)
                 return
         pytest.fail("no single-spike run found")
+
+    def test_doctored_run_reports_its_violations(self):
+        # N = 2 at lambda 1 from x0 = (1, 3), so xbar0 = 2: spike k at t of
+        # neuron i has the envelope x0[i] + (4t + 4)(2 + k/2), 13 and 23 here,
+        # and the snapshot at 2 (two spikes before it) x0 + 12 * 3 = (37, 39);
+        # the second spike and the snapshot's top value are raised above them
+        cfg = make_config(n=2, lam=1.0)
+        log = EventLog(np.array([0.5, 1.0]), np.array([0, 1]), np.array([0.5, 24.0]), 2, np.array([1.0, 3.0]))
+        xbar = 2.0 + (0.0 - 23.5) / 2  # the mean the two spikes leave
+        snaps = [Snapshot(0.0, np.array([1.0, 3.0]), 2.0), Snapshot(2.0, np.array([0.25, 40.0]), xbar)]
+        report = check_apriori(log, snaps, cfg)
+        assert report.envelope_violations == [(1.0, 1, 24.0, 23.0), (2.0, -1, 40.0, 39.0)]
+        assert report.checked == 2 + 2 * 2
+        assert report.mean_residual == 0.0 and not report.ok
 
     def test_full_run_no_violations(self):
         cfg = make_config(n=100, lam=1.0)
