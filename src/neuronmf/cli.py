@@ -31,7 +31,7 @@ from .invariant import ROOT_ABS, solve_a_star
 from .limitlaw import MassDriftError, simulate_coupled, solve_marginals
 from .metrics import fit_rate, tv_densities
 from .model import ConfigError, InitialLaw, RateFunction, SystemConfig, Tolerances, survival
-from .particle import EventBudgetExceededError, check_apriori, simulate
+from .particle import MEAN_RESIDUAL_ABS, EventBudgetExceededError, check_apriori, simulate
 from .quadrature import QuadratureError
 from .rng import derive_seed
 
@@ -144,6 +144,21 @@ def _write_timing(out: Path, seconds: float):
         fh.write(f"wall_clock_s={seconds:.3f}\n")
 
 
+def _gate(checks) -> int:
+    """Exit code of a command's gates: 0 when every check holds, else 1.
+
+    A check is (holds, name, value, relation, bound): the verdict the report
+    records, and how it fails, read "value relation bound". The first failing
+    check is printed as one stderr line.
+    """
+    for holds, name, value, relation, bound in checks:
+        if not holds:
+            value, bound = np.asarray(value).item(), np.asarray(bound).item()  # plain Python reprs
+            print(f"tolerance violated: {name} {value!r} {relation} {bound!r}", file=sys.stderr)
+            return 1
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -180,7 +195,13 @@ def cmd_simulate(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
             "ok": report.ok,
         },
     )
-    return 0 if report.ok else 1
+    residual, violations = report.mean_residual, len(report.envelope_violations)
+    return _gate(
+        [
+            (violations == 0, "envelope_violations", violations, ">", 0),
+            (residual <= MEAN_RESIDUAL_ABS, "mean_residual", residual, ">", MEAN_RESIDUAL_ABS),
+        ]
+    )
 
 
 def cmd_invariant(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
@@ -197,13 +218,8 @@ def cmd_invariant(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
         ["x", "g"],
         list(zip(result.density_xs.tolist(), result.density_values.tolist())),
     )
-    res = result.residuals
-    ok = (
-        res["normalization"] <= ROOT_ABS
-        and res["self_consistency"] <= 10 * ROOT_ABS
-        and res["fixed_point"] <= 10 * ROOT_ABS
-    )
-    return 0 if ok else 1
+    bounds = {"normalization": ROOT_ABS, "self_consistency": 10 * ROOT_ABS, "fixed_point": 10 * ROOT_ABS}
+    return _gate([(result.residuals[k] <= b, k, result.residuals[k], ">", b) for k, b in bounds.items()])
 
 
 def _loidetau_residual(sol, snap, system: SystemConfig) -> float:
@@ -249,9 +265,13 @@ def cmd_solve_limit(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
             }
         )
     mass_abs = system.tolerances.mass_abs
-    ok = not any(r["mass_error"] > mass_abs or r["loidetau_residual"] > mass_abs for r in rows)
-    _write_json(out / "limit_report.json", {"snapshots": rows, "ok": ok})
-    return 0 if ok else 1
+    checks = [
+        (not r[k] > mass_abs, f"{k} at t={float(r['t'])!r}", r[k], ">", mass_abs)
+        for r in rows
+        for k in ("mass_error", "loidetau_residual")
+    ]
+    _write_json(out / "limit_report.json", {"snapshots": rows, "ok": all(c[0] for c in checks)})
+    return _gate(checks)
 
 
 _POOL_STATE: dict = {}
@@ -335,12 +355,16 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
     sups = {n: [float(np.max(np.mean([getattr(s, name) for s in runs[n]], axis=0))) for name in names] for n in n_grid}
     per_n = {str(n): {f"sup_{name}": sup for name, sup in zip(names, sups[n])} for n in n_grid}
     slopes = {}
-    passed = True
+    checks = []
     for k, name in enumerate(names):
         fit = fit_rate([(n, sups[n][k]) for n in n_grid])
         slopes[name] = {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
-        if not (slope_lo <= fit.slope <= slope_hi) or fit.r_squared < r2_min:
-            passed = False
+        checks += [
+            (slope_lo <= fit.slope, f"{name} slope", fit.slope, "<", slope_lo),
+            (fit.slope <= slope_hi, f"{name} slope", fit.slope, ">", slope_hi),
+            (not fit.r_squared < r2_min, f"{name} r_squared", fit.r_squared, "<", r2_min),
+        ]
+    passed = all(c[0] for c in checks)
 
     _write_csv(out / "chaos_curve.csv", ["n"] + [f"sup_{name}" for name in names], [(n, *sups[n]) for n in n_grid])
     _write_json(
@@ -356,7 +380,7 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
             "pass": passed,
         },
     )
-    return 0 if passed else 1
+    return _gate(checks)
 
 
 def cmd_equilibrium(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
@@ -386,9 +410,15 @@ def cmd_equilibrium(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
         _write_csv(out / "tv.csv", ["time", "tv"], rows)
         after1 = [(t, tv) for t, tv in sorted(tvs.items()) if t >= 1.0]
         slack = 10 * system.tolerances.mass_abs
-        monotone = all(b[1] <= a[1] + slack for a, b in zip(after1, after1[1:]))
+        checks = [
+            (b[1] <= a[1] + slack, f"monotone_after_1: tv at t={float(b[0])!r}", b[1], ">", a[1] + slack)
+            for a, b in zip(after1, after1[1:])
+        ]
+        monotone = all(c[0] for c in checks)
         t5 = min((t for t in tvs if t >= 5.0), default=None)
         final_ok = t5 is None or tvs[max(tvs)] <= tvs[t5] + slack
+        if not final_ok:
+            checks.append((False, f"final_le_tv5: tv at t={float(max(tvs))!r}", tvs[max(tvs)], ">", tvs[t5] + slack))
         passed = monotone and final_ok
         _write_json(
             out / "equilibrium_report.json",
@@ -402,7 +432,7 @@ def cmd_equilibrium(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
                 "pass": passed,
             },
         )
-        return 0 if passed else 1
+        return _gate(checks)
 
     sol = solve_marginals(system, snapshot_times=time_grid)
     mask = sol.times >= 1.0
@@ -422,7 +452,7 @@ def cmd_equilibrium(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
             "pass": passed,
         },
     )
-    return 0 if passed else 1
+    return _gate([(passed, "inf_a_after_1", inf_a, "<=", floor)])
 
 
 _COMMANDS = {

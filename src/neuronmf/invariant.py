@@ -35,6 +35,7 @@ from .quadrature import simpson_refine  # noqa: F401  (benchmark/tracing.py wrap
 _PANELS = 16
 _MAX_GROWTH = 120
 _MAX_DOUBLINGS = 14
+_LADDER = 8  # rungs of V that _ladder tests per array pass
 _DENSITY_NODES = 2000  # nodes of the reported density
 ROOT_ABS = 1e-8  # |Gamma(a) - 1| at the root is at most half of it; the CLI gates the residuals on it
 _QUAD_ABS = 1e-10  # absolute tolerance of every pass; the residual pass runs at a tenth of it
@@ -66,6 +67,7 @@ class _Pass:
     gamma3: float  # int f g / p, which is 1 at any a
     dgamma: float  # dGamma/da over [0, V], on the converged grid
     extra: np.ndarray
+    panels: int  # the converged panel count
 
     def inner_at(self, q):
         """Cubic Hermite interpolant of the inner exponent; linear past V."""
@@ -87,7 +89,52 @@ def _running_simpson(y, h):
     return out
 
 
-def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, dx, fx, e: []) -> _Pass:
+def _tail(fx_v: float, e_v: float, x_v: float, a: float) -> float:
+    """Bound on the outer integrals past V, from f(x(V)), exp(-inner(V)) and x(V).
+
+    inner(v) >= inner(V) + g (v - V) with g = f(x(V))/a and x' <= 1, so the
+    int f g tail is exactly exp(-inner(V)). In Python floats, so a rate that
+    underflows gives an infinite tail, not a warning.
+    """
+    g = fx_v / a
+    return e_v / g * max(1.0, 1.0 / a, (x_v + 1.0 / g) / a) if g > 0.0 else math.inf
+
+
+def _ladder(a: float, lam: float, rate: RateFunction, tol: float) -> float:
+    """The first V = 1.5^k at which the 16-panel tail test passes, or the cap rung.
+
+    _pass's loop would search one grid per rung; here _LADDER rungs are
+    tested at once, as one (rungs, 17) array. The rungs come from repeated
+    1.5 * V and every node takes the loop's operations in the loop's order,
+    so each rung's tail is the loop's, bit for bit. The ignore guard hides
+    no warning the loop would raise: along a rung x, f(x), dv/du and the
+    inner exponent at panel ends are nondecreasing in v, so a rung that
+    overflows does so at its last node, where f(x(V)) = inf or inner(V) =
+    inf makes the tail 0. That rung passes and is returned, and _pass
+    evaluates it again under its own guard; the rungs before it are finite.
+    """
+    s, h, cap = lam / a, 1.0 / _PANELS, 1.5**_MAX_GROWTH
+    u = np.linspace(0.0, 1.0, _PANELS + 1)
+    rungs = [1.0]
+    while True:
+        while len(rungs) < _LADDER:
+            rungs.append(1.5 * rungs[-1])
+        big_v = np.array(rungs)[:, None]
+        with np.errstate(all="ignore"):
+            x = _x_of_v(big_v * u * u, s)[0]
+            fx = np.asarray(rate(x), dtype=float)
+            y = fx * (2.0 * big_v * u) / a
+            inner = np.cumsum(h / 3.0 * (y[:, :-2:2] + 4.0 * y[:, 1::2] + y[:, 2::2]), axis=1)[:, -1]
+            e_v = np.exp(-inner)
+        for v_k, f_k, e_k, x_k in zip(rungs, fx[:, -1].tolist(), e_v.tolist(), x[:, -1].tolist()):
+            if _tail(f_k, e_k, x_k, a) < 0.1 * tol or v_k >= cap:  # a NaN tail fails, as in _pass
+                return v_k
+        rungs = [1.5 * rungs[-1]]
+
+
+def _pass(
+    a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, dx, fx, e: [], *, hint: int | None = None
+) -> _Pass:
     """Integrate at a on one graded grid v = V u^2, refined until converged.
 
     Simpson's rule in u gives the running inner exponent and the outer
@@ -97,15 +144,26 @@ def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, 
     exp(-inner)) may return more integrands in v, whose integrals over
     [0, V] come back in _Pass.extra. dGamma/da is integrated once, on the
     converged grid, and takes no part in the convergence test.
+
+    The search for V at 16 panels runs in _ladder, a few rungs per array
+    pass. At each V the nodes, x, x', f(x) and dv/du are built once, at
+    max(n, hint) panels, and every coarser level reads them as strided
+    views: with n = 16 2^j panels the nodes u = k/n are exact dyadic values,
+    shared with every finer grid. A level past that grid, or a V that grows
+    after a doubling, builds a fresh one. The hint, a panel count of an
+    earlier pass, decides only which arrays are computed, never a value.
     """
     s = lam / a
-    big_v, n, prev = 1.0, _PANELS, None
+    big_v, n, prev = _ladder(a, lam, rate, tol), _PANELS, None
+    grid_v, size = None, 0  # V and panel count of the fine grid
     while True:
-        u = np.linspace(0.0, 1.0, n + 1)
-        v = big_v * u * u
-        x, dx = _x_of_v(v, s)
-        fx = np.asarray(rate(x), dtype=float)
-        jac = 2.0 * big_v * u  # dv/du
+        if big_v != grid_v or n > size:
+            grid_v, size = big_v, max(n, hint or n)
+            u = np.linspace(0.0, 1.0, size + 1)
+            fine_v = big_v * u * u
+            fine_x, fine_dx = _x_of_v(fine_v, s)
+            fine = (fine_v, fine_x, fine_dx, np.asarray(rate(fine_x), dtype=float), 2.0 * big_v * u)  # dv/du last
+        v, x, dx, fx, jac = (arr[:: size // n] for arr in fine)
         h = 1.0 / n
         inner = _running_simpson(fx * jac / a, h)
         with np.errstate(over="ignore"):  # on a coarse grid the half-panel rule can dip far below 0
@@ -114,12 +172,9 @@ def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, 
         w = np.where(np.arange(n + 1) % 2, 4.0, 2.0) * jac * (h / 3.0)
         w[-1] *= 0.5
         vals = np.asarray([e * dx, e / a, e * x / a, e * fx / a] + extra(x, dx, fx, e)) @ w
-        # tails past V, from inner(v) >= inner(V) + g (v - V) with g = f(x(V))/a
-        # and x' <= 1: the int f g tail is exactly exp(-inner(V)). In Python
-        # floats, so a rate that underflows gives an infinite tail, not a warning
-        g, e_v = float(fx[-1]) / a, float(e[-1])
-        vals[3] += e_v
-        tail = e_v / g * max(1.0, 1.0 / a, (float(x[-1]) + 1.0 / g) / a) if g > 0.0 else math.inf
+        e_v = float(e[-1])
+        vals[3] += e_v  # the int f g tail past V (see _tail)
+        tail = _tail(float(fx[-1]), e_v, float(x[-1]), a)
         finite = all(map(math.isfinite, vals.tolist()))  # a non-finite pass only doubles the panels
         if not tail < 0.1 * tol:
             if big_v >= 1.5**_MAX_GROWTH:
@@ -135,7 +190,7 @@ def _pass(a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, 
     # exponent's a-derivative is the running integral of (f'(x) (x - v x') - f(x))/a^2
     d_inner = _running_simpson((rate.deriv(x) * (x - v * dx) - fx) * jac / (a * a), h)
     dgamma = float((e * dx * (v * (s / a) - d_inner)) @ w)
-    return _Pass(v, inner, fx / a, *vals[:4], dgamma=dgamma, extra=vals[4:])
+    return _Pass(np.ascontiguousarray(v), inner, fx / a, *vals[:4], dgamma=dgamma, extra=vals[4:], panels=n)
 
 
 @dataclass
@@ -169,15 +224,16 @@ class InvariantResult:
         }
 
 
-def gamma(a: float, lam: float, rate: RateFunction, full: bool = False):
+def gamma(a: float, lam: float, rate: RateFunction, full: bool = False, *, hint: int | None = None):
     """The scalar monotone function whose unit root determines the invariant law.
 
     With full=True, the whole converged pass comes back instead (Gamma,
     dGamma/da and the grid), which is how the root search takes each pass.
+    hint is the panel count of an earlier pass (see _pass); it changes no value.
     """
     if a <= 0:
         raise ValueError("gamma needs a > 0")
-    grid = _pass(a, lam, rate, _QUAD_ABS)
+    grid = _pass(a, lam, rate, _QUAD_ABS, hint=hint)
     return grid if full else grid.gamma
 
 
@@ -190,16 +246,18 @@ def solve_a_star(lam: float, rate: RateFunction) -> InvariantResult:
     _QUAD_ABS; each pass is one gamma(..., full=True) call and gives Gamma
     and dGamma/da. Gamma(lam) < 1 and Gamma increases, so every pass moves
     an end of the bracket (lam, hi), and a step that leaves it bisects it
-    instead. The last pass is the
-    result's grid. At the root m = Gamma2/Gamma1 and p = a - lam m; the
+    instead. Each pass after the first is given the panel count its
+    predecessor converged at as a hint, and the residual pass twice the
+    root pass's count; a hint only spares arrays (see _pass). The last pass
+    is the result's grid. At the root m = Gamma2/Gamma1 and p = a - lam m; the
     residuals come from a second pass at a tenth of _QUAD_ABS: normalization
     |p Gamma1 - 1|, self-consistency |int f g - p|, and the fixed point
     |a - lam m - p| with m and p = 1/Gamma1 of that pass. Raises
     QuadratureError when a pass fails or the root is not reached.
     """
-    lo, hi, a = lam, math.inf, lam + 1.0
+    lo, hi, a, grid = lam, math.inf, lam + 1.0, None
     for passes in range(1, _MAX_ROOT_PASSES + 1):
-        grid = gamma(a, lam, rate, full=True)
+        grid = gamma(a, lam, rate, full=True, hint=grid and grid.panels)
         g, dg = grid.gamma, grid.dgamma
         if abs(g - 1.0) <= 0.5 * ROOT_ABS:  # margin for the finer recheck
             break
@@ -224,7 +282,7 @@ def solve_a_star(lam: float, rate: RateFunction) -> InvariantResult:
     result = InvariantResult(lam, rate, a, p, m, support, xs, np.empty(0), grid=grid, gamma_passes=passes)
     result.density_values = invariant_density(result, xs)
 
-    fine = _pass(a, lam, rate, 0.1 * _QUAD_ABS)
+    fine = _pass(a, lam, rate, 0.1 * _QUAD_ABS, hint=min(2 * grid.panels, _PANELS << _MAX_DOUBLINGS))
     result.residuals = {
         "normalization": abs(p * fine.gamma1 - 1.0),
         "self_consistency": abs(p * fine.gamma3 - p),

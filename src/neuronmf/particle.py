@@ -106,6 +106,9 @@ class EventLog:
         return self.spikes / self.proposals if self.proposals else 1.0
 
 
+MEAN_RESIDUAL_ABS = 1e-9  # bound on a snapshot mean's distance to the recorded running mean
+
+
 @dataclass
 class BoundReport:
     """Path-wise a priori checks on a finished run."""
@@ -116,7 +119,7 @@ class BoundReport:
 
     @property
     def ok(self) -> bool:
-        return not self.envelope_violations and self.mean_residual <= 1e-9
+        return not self.envelope_violations and self.mean_residual <= MEAN_RESIDUAL_ABS
 
 
 def init_system(config: SystemConfig, stream_labels=None) -> ParticleState:

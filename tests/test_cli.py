@@ -503,3 +503,61 @@ class TestChaosCommand:
         assert mapped == [[(20, 0, 2), (10, 0, 2), (5, 0, 2)]] * len(workers)
         for name in ("chaos_report.json", "chaos_curve.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestGateFailureLine:
+    """A failed gate exits 1 with one stderr line: the first failing check, from the report's values."""
+
+    def run(self, tmp_path, capsys, cfg):
+        out = tmp_path / "o"
+        code = main([cfg["command"], "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(out)])
+        return code, capsys.readouterr().err.splitlines(), out
+
+    def test_invariant_at_a_huge_rate_scale(self, tmp_path, capsys):
+        cfg = {"command": "invariant", "system": {"lambda": 1.0, "rate": {"kind": "power", "c": 1e12, "xi": 2.0}}}
+        code, err, out = self.run(tmp_path, capsys, cfg)
+        residuals = json.loads((out / "invariant.json").read_text())["residuals"]
+        assert residuals["normalization"] <= 1e-8 < residuals["self_consistency"]
+        assert code == 1
+        assert err == [f"tolerance violated: self_consistency {residuals['self_consistency']!r} > 1e-07"]
+
+    def test_equilibrium_floor_above_the_rate(self, tmp_path, capsys):
+        sys1 = dict(SYSTEM, n=1, horizon=2.0)
+        cfg = {"command": "equilibrium", "system": sys1, "floor": 1e9}
+        code, err, out = self.run(tmp_path, capsys, cfg)
+        report = json.loads((out / "equilibrium_report.json").read_text())
+        assert code == 1 and report["pass"] is False
+        assert err == [f"tolerance violated: inf_a_after_1 {report['inf_a_after_1']!r} <= 1000000000.0"]
+
+    def test_chaos_slope_outside_its_band(self, tmp_path, capsys):
+        sys0 = {"lambda": 0.0, "rate": {"kind": "power", "c": 1.0, "xi": 2.0},
+                "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 0.5, "seed": 5}
+        cfg = {"command": "chaos", "system": sys0, "snapshot_times": [0.5], "n_grid": [4, 8, 16],
+               "replicates": 2, "slope_band": [5.0, 6.0], "r_squared_min": 0.0}
+        code, err, out = self.run(tmp_path, capsys, cfg)
+        report = json.loads((out / "chaos_report.json").read_text())
+        assert code == 1 and report["pass"] is False
+        assert err == [f"tolerance violated: mean_abs_diff slope {report['slopes']['mean_abs_diff']['slope']!r} < 5.0"]
+
+    def test_solve_limit_residual(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_loidetau_residual", lambda sol, snap, system: 0.5)
+        cfg = {"command": "solve-limit", "system": dict(SYSTEM, n=1), "snapshot_times": [0.25, 0.5]}
+        code, err, out = self.run(tmp_path, capsys, cfg)
+        assert code == 1 and json.loads((out / "limit_report.json").read_text())["ok"] is False
+        assert err == ["tolerance violated: loidetau_residual at t=0.25 0.5 > 0.0001"]
+
+    @pytest.mark.parametrize("field,value,line", [
+        ("mean_residual", 1e-6, "mean_residual 1e-06 > 1e-09"),
+        ("envelope_violations", [(0.1, 0, 9.0, 1.0)] * 3, "envelope_violations 3 > 0"),
+    ])
+    def test_simulate_bound_report(self, tmp_path, capsys, monkeypatch, field, value, line):
+        real = cli.check_apriori
+
+        def doctored(log, snaps, system):
+            return dataclasses.replace(real(log, snaps, system), **{field: value})
+
+        monkeypatch.setattr(cli, "check_apriori", doctored)
+        cfg = {"command": "simulate", "system": dict(SYSTEM, n=3), "snapshot_times": [0.5]}
+        code, err, out = self.run(tmp_path, capsys, cfg)
+        assert code == 1 and json.loads((out / "bound_report.json").read_text())["ok"] is False
+        assert err == [f"tolerance violated: {line}"]

@@ -267,3 +267,116 @@ class TestRootSearch:
         res = solve_a_star(1.0, FX)
         assert len(calls) == res.gamma_passes
         assert calls[-1] == res.a_star
+
+
+def _bitwise_equal(got, ref):
+    """Names of the pass fields where got and the reference pass differ in any bit."""
+    fields = ("v", "inner", "slope", "gamma", "gamma1", "gamma2", "gamma3", "dgamma", "extra")
+    arrays = ((np.asarray(getattr(got, f), float), np.asarray(getattr(ref, f), float)) for f in fields)
+    return [f for f, (x, y) in zip(fields, arrays) if x.shape != y.shape or x.tobytes() != y.tobytes()]
+
+
+def _pairings(a, p):
+    """An extra(x, x', f(x), e) of two generator pairings, as stationarity_residual builds them."""
+    tfs = [(np.arctan, lambda x: 1.0 / (1.0 + x * x)), (np.tanh, lambda x: 1.0 / np.cosh(x) ** 2)]
+
+    def extra(x, dx, fx, e):
+        return [((0.0 - value(x)) * fx * (p / a) + deriv(x) * p * dx) * e for value, deriv in tfs]
+
+    return extra
+
+
+PASS_RATES = {
+    "x": FX,
+    "x^1.5": RateFunction.power(1.0, 1.5),
+    "x^3": RateFunction.power(1.0, 3.0),
+    "x+x^2": RateFunction.polynomial([1.0, 1.0]),
+}
+
+
+class TestPassMatchesReference:
+    """_pass, with its V ladder and its levels read off one fine grid, against
+    the one-grid-per-level loop it replaced (tests/oracles.py), bit for bit."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.5, 4.0])
+    @pytest.mark.parametrize("name", list(PASS_RATES))
+    def test_every_field_bitwise(self, name, lam):
+        from oracles import reference_pass
+
+        from neuronmf.invariant import _MAX_DOUBLINGS, _PANELS, _QUAD_ABS, _pass
+
+        rate = PASS_RATES[name]
+        a_star = solve_a_star(lam, rate).a_star
+        for a in (0.5 * a_star, a_star, 2.0 * a_star):
+            for tol in (_QUAD_ABS, 0.1 * _QUAD_ABS):
+                for kw in ({}, {"extra": _pairings(a, 0.7)}):
+                    ref = reference_pass(a, lam, rate, tol, **kw)
+                    exact = ref.v.size - 1
+                    for hint in (None, _PANELS, exact, min(4 * exact, _PANELS << _MAX_DOUBLINGS)):
+                        got = _pass(a, lam, rate, tol, hint=hint, **kw)
+                        assert got.panels == exact
+                        assert _bitwise_equal(got, ref) == [], (a, tol, bool(kw), hint)
+
+    @pytest.mark.parametrize("lam,a,tol", [(2.5, 3.5, 1e-11), (4.0, 11.0, 1e-10), (4.0, 11.0, 1e-11)])
+    def test_v_growing_after_a_doubling(self, lam, a, tol):
+        # x^60: the tail test passes at 16 panels, fails again on a finer grid,
+        # and V grows there, so the fine grid of the first V must not be reused
+        from oracles import reference_pass
+
+        from neuronmf.invariant import _ladder, _pass
+
+        rate = RateFunction.power(1.0, 60.0)
+        ref = reference_pass(a, lam, rate, tol)
+        assert ref.v[-1] > _ladder(a, lam, rate, tol)
+        exact = ref.v.size - 1
+        for hint in (None, 16, exact, 4 * exact):
+            assert _bitwise_equal(_pass(a, lam, rate, tol, hint=hint), ref) == [], hint
+
+    @pytest.mark.parametrize("name", ["x", "x+x^2"])
+    def test_first_rung_of_the_ladder(self, name):
+        # lambda 0 and a = 0.01, far below a*: the inner exponent passes 25
+        # by v = 1, so V = 1, the ladder's first rung, is the pass's V
+        from oracles import reference_pass
+
+        from neuronmf.invariant import _QUAD_ABS, _ladder, _pass
+
+        rate = PASS_RATES[name]
+        ref = reference_pass(0.01, 0.0, rate, _QUAD_ABS)
+        assert _ladder(0.01, 0.0, rate, _QUAD_ABS) == ref.v[-1] == 1.0
+        for hint in (None, 4 * (ref.v.size - 1)):
+            assert _bitwise_equal(_pass(0.01, 0.0, rate, _QUAD_ABS, hint=hint), ref) == [], hint
+
+    @pytest.mark.parametrize("c,xi", [(1e-12, 2.0), (5e-324, 3.0)], ids=["doubling-cap", "growth-cap"])
+    def test_failure_raises_the_same_message(self, c, xi):
+        from oracles import reference_pass
+
+        from neuronmf import QuadratureError
+        from neuronmf.invariant import _QUAD_ABS, _pass
+
+        rate = RateFunction.power(c, xi)
+        with pytest.raises(QuadratureError) as ref:
+            reference_pass(2.0, 1.0, rate, _QUAD_ABS)
+        for hint in (None, 1024):
+            with pytest.raises(QuadratureError) as got:
+                _pass(2.0, 1.0, rate, _QUAD_ABS, hint=hint)
+            assert str(got.value) == str(ref.value)
+
+
+class TestTimeChange:
+    """Time u = c t turns rate c f at lambda into rate f at lambda/c: a* and p
+    scale by c, and m, a position, does not change."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.5, 4.0])
+    @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+    def test_scaled_rate_solves_the_time_changed_problem(self, c, lam):
+        rates = [
+            lambda k: RateFunction.power(k, 1.0),
+            lambda k: RateFunction.power(k, 1.5),
+            lambda k: RateFunction.power(k, 2.0),
+            lambda k: RateFunction.polynomial([k, k]),
+        ]
+        for rate in rates:
+            scaled, base = solve_a_star(lam, rate(c)), solve_a_star(lam / c, rate(1.0))
+            assert scaled.a_star == pytest.approx(c * base.a_star, rel=1e-7, abs=0.0)
+            assert scaled.p == pytest.approx(c * base.p, rel=1e-7, abs=0.0)
+            assert scaled.m == pytest.approx(base.m, rel=1e-7, abs=0.0)
