@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """SHA-256 digests of what fixed seeded runs write, to check byte identity between two trees.
 
-Runs fixed configs of all five CLI commands (chaos at --threads 1 and 2)
-and prints one line "sha256 label/file" per output file except
+Runs fixed configs of all five CLI commands (chaos at --threads 1 and 2;
+solve-limit at every rate shape and from a point mass whose bisected steps
+outgrow the solver's node arrays; equilibrium at lambda 0 with f = x as
+well as x^2) and prints one line "sha256 label/file" per output file except
 timing.txt, which holds wall-clock time. Then it prints one digest over the
 EventLogs and snapshots of simulate, and one over the CoupledStats of
 simulate_coupled (the fields named in COUPLED_FIELDS), each for lambda in
@@ -73,7 +75,22 @@ RUNS = [
         for lam in (0.0, 1.0)
         for name, initial in (("exp", EXP1), ("density", DENSITY), ("point", {"kind": "point_mass", "x0": 0.5}))
     ),
+    # poly from the truncated density: from Exp(1) its loidetau check misses its bound at t=0.5
+    *(
+        (f"solve_limit_lam{lam:g}_{name}_{start}", "solve-limit", {
+            "system": _system(lam, 2.0, rate=RATES[name], initial=initial),
+            "snapshot_times": [0.0, 0.5, 1.0, 2.0],
+        }, 1)
+        for lam in (0.0, 1.0)
+        for name, start, initial in (("x", "exp", EXP1), ("x1.5", "exp", EXP1), ("poly", "density", DENSITY))
+    ),
+    # 1,070 births against 1,002 node slots: the solver's arrays double
+    ("solve_limit_lam0_point3", "solve-limit", {"system": _system(0.0, 2.0, initial={"kind": "point_mass", "x0": 3.0}),
+                                                "snapshot_times": [0.0, 0.5, 1.0, 2.0]}, 1),
     ("equilibrium_lam0", "equilibrium", {"system": _system(0.0, 6.0), "time_grid": [0.0, 1.0, 2.0, 4.0, 5.0, 6.0]}, 1),
+    # the benchmark's equilibrium at f = x, where every decay factor is 1
+    ("equilibrium_lam0_x", "equilibrium", {"system": dict(_system(0.0, 6.0, rate=RATES["x"]), tolerances={"dt": 0.01}),
+                                           "time_grid": [0.0, 1.0, 2.0, 4.0, 5.0, 6.0]}, 1),
     ("equilibrium_lam1", "equilibrium", {"system": _system(1.0, 3.0)}, 1),
     *(
         (f"chaos_lam{lam:g}_threads{threads}", "chaos", {

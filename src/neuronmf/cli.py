@@ -464,10 +464,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ConfigError, which main prints as one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call to main rather than at import."""
-    parser = argparse.ArgumentParser(prog="neuronmf", description=__doc__)
+    parser = _Parser(prog="neuronmf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
@@ -479,11 +486,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-
-    t0 = time.perf_counter()
-    out = Path(args.out)
     try:
+        args = _parser().parse_args(argv)
+        t0 = time.perf_counter()
+        out = Path(args.out)
         cfg = load_config(args.config)
         if not isinstance(cfg, dict) or "command" not in cfg:
             raise ConfigError('config needs a top-level "command" field')

@@ -148,8 +148,8 @@ class TransportedDensity:
 
     def rows(self):
         """(y, density, part) rows for CSV export."""
-        out = [(float(y), float(d), "jump") for y, d in zip(self.jump_pos[::-1], self.jump_density[::-1])]
-        out += [(float(y), float(d), "initial") for y, d in zip(self.init_pos, self.init_density)]
+        out = [(y, d, "jump") for y, d in zip(self.jump_pos[::-1].tolist(), self.jump_density[::-1].tolist())]
+        out += [(y, d, "initial") for y, d in zip(self.init_pos.tolist(), self.init_density.tolist())]
         out += [(float(pos), float(mass), "atom") for _, pos, _, mass in self.atoms]
         return out
 
@@ -199,15 +199,30 @@ def _slab_geometry(lam: float, abar: float, dt: float):
     return (1.0, d1, d2), (0.0, abar * (1.0 - d1) / lam, abar * (1.0 - d2) / lam)
 
 
-def _slab_survival(rate, positions, rates, decays, offsets, dt):
+def _affine(x, scale, shift, out):
+    """scale * x + shift into out; a scale of exactly 1.0 is skipped, as the product is x."""
+    if scale == 1.0:
+        return np.add(x, shift, out=out)
+    np.multiply(scale, x, out=out)
+    return np.add(out, shift, out=out)
+
+
+def _slab_survival(rate, positions, rates, decays, offsets, dt, end, f2, mid, fac):
     """(end positions, their rates, exp(-int_slab f(phi))) per start; rates = f(positions).
 
-    The survival exponent is 3-point Simpson over the slab.
+    The survival exponent is 3-point Simpson over the slab. The positions
+    go into end and their rates into f2 (or are end itself, for f(x) = x),
+    the factors into fac; mid takes the midpoint positions.
     """
-    end = decays[2] * positions + offsets[2]
-    f2 = np.asarray(rate(end), dtype=float)
-    f1 = np.asarray(rate(decays[1] * positions + offsets[1]), dtype=float)
-    return end, f2, np.exp(-dt / 6.0 * (rates + 4.0 * f1 + f2))
+    _affine(positions, decays[2], offsets[2], end)
+    f2 = rate(end, out=f2)
+    f1 = rate(_affine(positions, decays[1], offsets[1], mid), out=fac)
+    # -dt / 6.0 * (rates + 4.0 * f1 + f2), in place
+    np.multiply(4.0, f1, out=fac)
+    np.add(rates, fac, out=fac)
+    np.add(fac, f2, out=fac)
+    np.multiply(-dt / 6.0, fac, out=fac)
+    return end, f2, np.exp(fac, out=fac)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -217,6 +232,12 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     w[:-1] += half
     w[1:] += half
     return w
+
+
+def _workspace(size: int) -> list:
+    """The solver step's arrays, each of the nodes' capacity: end positions,
+    their rates, midpoint positions (then w surv fac), slab factors, w surv."""
+    return [np.empty(size) for _ in range(5)]
 
 
 class _Nodes:
@@ -231,6 +252,9 @@ class _Nodes:
     density value dens. The newest jump node holds only the left half of
     its s-interval; the right half comes with the next birth, from pb, that
     node's p at birth (no older node's is read, so pb is one float).
+    solve_marginals swaps x and f with arrays of its workspace at every
+    committed step (for f(x) = x, f is x itself), so only their first n
+    entries are kept; past n they hold whatever the workspace left there.
     """
 
     def __init__(self, rate, xs, g0v, atoms, capacity: int):
@@ -275,6 +299,15 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
     its mass()); the solve aborts with MassDriftError when it leaves
     [1 - mass_abs, 1 + mass_abs]. snapshot_times may repeat and come in any
     order.
+
+    A step allocates no node array: it works in place in a workspace of
+    five arrays of the nodes' capacity (_workspace), allocated afresh when
+    a birth doubles the nodes. A committed step swaps the workspace's new
+    positions and rates with the nodes' x and f instead of copying them.
+    Factors of exactly 1 (the decays at lam = 0, and 1/d2 in the density
+    update) are skipped, and every other element sees the operations of
+    the step on fresh temporaries, in the same order, so every value is
+    the same bit for bit.
     """
     lam = config.lam
     rate = config.rate
@@ -336,20 +369,31 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
     if 0 in snap_steps:
         freeze(0.0, a0, p0)
 
+    work = _workspace(nodes.x.size)
+
     def attempt(t_lo: float, t_hi: float):
-        """Predictor-corrector trial step [t_lo, t_hi]; nothing committed."""
+        """Predictor-corrector trial step [t_lo, t_hi]; nothing committed.
+
+        The new positions and rates it returns are views of work[0] and
+        work[1], or both of work[0] for f(x) = x.
+        """
+        nonlocal work
+        if work[0].size != nodes.x.size:  # the nodes doubled at the last birth
+            work = None  # freed before its successor is allocated
+            work = _workspace(nodes.x.size)
         h = t_hi - t_lo
         n = nodes.n
         x = nodes.x[:n]
         f = nodes.f[:n]
-        ws = nodes.w[:n] * nodes.surv[:n]
+        end, f2, x_mid, fac, ws = (a[:n] for a in work)
+        np.multiply(nodes.w[:n], nodes.surv[:n], out=ws)
         # the newest jump node's right half-interval, up to the node born at t_hi
         ws[-1] += 0.5 * h * nodes.pb * nodes.surv[n - 1]
         abar = a_series[-1]
         for _ in range(1 + _CORRECTOR_PASSES):
             decays, offsets = _slab_geometry(lam, abar, h)
-            x_new, f_new, fac = _slab_survival(rate, x, f, decays, offsets, h)
-            wsf = ws * fac
+            x_new, f_new, fac = _slab_survival(rate, x, f, decays, offsets, h, end, f2, x_mid, fac)
+            wsf = np.multiply(ws, fac, out=x_mid)
             p_new = float(wsf @ f_new)
             m_new = float(wsf @ x_new)
             a_new = lam * m_new + p_new
@@ -375,13 +419,18 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
                 pending.append((t, mid))
                 continue
 
-            # commit the slab
+            # commit the slab: the new positions and rates swap places with the old
             j0, n = nodes.j0, nodes.n
-            nodes.x[:n] = x_new
-            nodes.f[:n] = f_new
+            nodes.x, work[0] = work[0], nodes.x
+            if f_new is x_new:  # f(x) = x: the rates are the positions
+                nodes.f = nodes.x
+            else:
+                nodes.f, work[1] = work[1], nodes.f
             nodes.surv[:n] *= fac
             nodes.dens[j0:n] *= fac[j0:]
-            nodes.dens[j0:n] *= 1.0 / d2
+            inv_d2 = 1.0 / d2
+            if inv_d2 != 1.0:  # exactly 1 at lam = 0
+                nodes.dens[j0:n] *= inv_d2
             nodes.w[n - 1] += 0.5 * (t_next - t) * nodes.pb
             decay0 *= d2
             nodes.birth(p_new, p_new / a_new if a_new > 0 else 0.0, 0.5 * (t_next - t) * p_new)

@@ -6,7 +6,10 @@ discretization of the strong transport equation, and the event-driven
 simulator against a naive fixed-step Euler scheme with per-step jump
 probabilities. reference_pass is the invariant solver's cumulative
 quadrature pass as first written, one grid per refinement level, kept as
-the bitwise reference of the faster pass.
+the bitwise reference of the faster pass; reference_solve_marginals is the
+marginal solver as first written, fresh temporaries in every step, and
+reference_rate the rate evaluation before its out argument, kept as the
+bitwise references of the solver on its workspace and of the rate kernel.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from neuronmf.limitlaw import MarginalSolution, MassDriftError, TransportedDensity
 from neuronmf.quadrature import QuadratureError
 
 
@@ -186,4 +190,241 @@ def reference_pass(a, lam, rate, tol, extra=lambda x, dx, fx, e: []):
     return SimpleNamespace(
         v=v, inner=inner, slope=fx / a, gamma=vals[0], gamma1=vals[1], gamma2=vals[2], gamma3=vals[3],
         dgamma=dgamma, extra=vals[4:],
+    )
+
+
+def reference_rate(rate, x):
+    """neuronmf.model.RateFunction.__call__ as it was before its out argument."""
+    out = None
+    for e, c in rate.terms:  # x * x rounds like np.power(x, 2); x * x * x would not round like np.power(x, 3)
+        term = c * x if e == 1 else (x * x if c == 1.0 else c * (x * x)) if e == 2 else c * np.power(x, e)
+        out = term if out is None else out + term
+    return out
+
+
+# the marginal solver's constants, as neuronmf.limitlaw has them
+_INIT_NODES = 2000  # nodes of a continuous initial law
+_CORRECTOR_PASSES = 1  # per step, after the predictor
+_ADAPT_REL = 0.02  # relative drift change above which a step is bisected
+
+
+def _slab_geometry(lam: float, abar: float, dt: float):
+    """Decay factors and flow offsets at {0, dt/2, dt} for constant drift."""
+    if lam == 0.0:
+        return (1.0, 1.0, 1.0), (0.0, 0.5 * abar * dt, abar * dt)
+    d1 = math.exp(-0.5 * lam * dt)
+    d2 = math.exp(-lam * dt)
+    return (1.0, d1, d2), (0.0, abar * (1.0 - d1) / lam, abar * (1.0 - d2) / lam)
+
+
+def _slab_survival(rate, positions, rates, decays, offsets, dt):
+    """(end positions, their rates, exp(-int_slab f(phi))) per start; rates = f(positions).
+
+    The survival exponent is 3-point Simpson over the slab.
+    """
+    end = decays[2] * positions + offsets[2]
+    f2 = np.asarray(rate(end), dtype=float)
+    f1 = np.asarray(rate(decays[1] * positions + offsets[1]), dtype=float)
+    return end, f2, np.exp(-dt / 6.0 * (rates + 4.0 * f1 + f2))
+
+
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """w with w @ y == np.trapezoid(y, x) up to rounding."""
+    w = np.zeros(x.size)
+    half = 0.5 * np.diff(x)
+    w[:-1] += half
+    w[1:] += half
+    return w
+
+
+class _Nodes:
+    """Every transported node of the solver, in arrays grown by doubling.
+
+    The initial-law nodes come first, then the atoms, then from index j0
+    the jump nodes in birth order. Each node has a position x, its rate f(x),
+    a weight w (quadrature weight times birth density: g0 times the
+    trapezoid weight in x, an atom's mass, or p at birth times the
+    trapezoid weight in s) and its accumulated survival surv, so the
+    represented mass is w @ surv (mass()). Jump nodes also keep their
+    density value dens. The newest jump node holds only the left half of
+    its s-interval; the right half comes with the next birth, from pb, that
+    node's p at birth (no older node's is read, so pb is one float).
+    """
+
+    def __init__(self, rate, xs, g0v, atoms, capacity: int):
+        self.j0 = xs.size + len(atoms)
+        size = max(capacity, self.j0 + 1)
+        self.x, self.f, self.w, self.surv, self.dens = np.zeros((5, size))
+        self.x[: self.j0] = np.concatenate([xs, [x0 for x0, _ in atoms]])
+        self.f[: self.j0] = np.asarray(rate(self.x[: self.j0]), dtype=float)
+        self.w[: self.j0] = np.concatenate([g0v * _trapezoid_weights(xs), [mass for _, mass in atoms]])
+        self.surv[: self.j0] = 1.0
+        self.f0 = float(rate(0.0))  # rate of a newborn node at the reset point
+        self.n = self.j0
+
+    def birth(self, pb: float, dens: float, weight: float):
+        """Append a jump node at the reset point 0 with survival 1."""
+        if self.n == self.x.size:
+            for name in ("x", "f", "w", "surv", "dens"):
+                old = getattr(self, name)
+                new = np.zeros(2 * old.size)
+                new[: old.size] = old
+                setattr(self, name, new)
+        k = self.n
+        self.x[k], self.f[k], self.w[k], self.surv[k], self.dens[k] = 0.0, self.f0, weight, 1.0, dens
+        self.pb = pb
+        self.n += 1
+
+    def mass(self) -> float:
+        return float(self.w[: self.n] @ self.surv[: self.n])
+
+
+def reference_solve_marginals(config, *, snapshot_times=()):
+    """neuronmf.limitlaw.solve_marginals as it was before its workspace:
+    every step's arrays are fresh temporaries, copied into the nodes at commit.
+
+    March the transported density over [0, horizon] in steps of config.dt.
+
+    Initial-law nodes, atoms and jump nodes share one set of arrays
+    (_Nodes), so a predictor or corrector pass is one _slab_survival call
+    over all nodes, one position update and two dot products (p and m).
+    One new jump node is born per step, so memory is O(horizon/dt). Steps
+    over which the drift would change by more than _ADAPT_REL (relatively)
+    are bisected, up to 8 levels, which resolves fast initial transients
+    without shrinking dt globally. After each step the mass w @ surv is
+    recomputed from the node arrays (_Nodes.mass, which a snapshot keeps as
+    its mass()); the solve aborts with MassDriftError when it leaves
+    [1 - mass_abs, 1 + mass_abs]. snapshot_times may repeat and come in any
+    order.
+    """
+    lam = config.lam
+    rate = config.rate
+    horizon = config.horizon
+    mass_abs = config.tolerances.mass_abs
+    dt = config.dt
+
+    snap_req = np.unique(config.check_times(snapshot_times))
+
+    k = max(2, int(round(horizon / dt)))
+    grid = np.union1d(np.linspace(0.0, horizon, k + 1), snap_req)
+    grid = grid[np.concatenate([[True], np.diff(grid) > 1e-9 * dt])]
+
+    xs, g0v, atoms = config.initial.solver_nodes(_INIT_NODES)
+    ni = xs.size
+
+    p0 = float(np.trapezoid(np.asarray(rate(xs), float) * g0v, xs)) if xs.size else 0.0
+    m0 = float(np.trapezoid(xs * g0v, xs)) if xs.size else 0.0
+    for x0, mass in atoms:
+        p0 += float(rate(x0)) * mass
+        m0 += x0 * mass
+    a0 = lam * m0 + p0
+
+    nodes = _Nodes(rate, xs, g0v, atoms, capacity=ni + len(atoms) + grid.size)
+    nodes.birth(p0, p0 / a0 if a0 > 0 else 0.0, 0.0)  # the s=0 node rides at the splice point
+    decay0 = 1.0
+
+    times = [0.0]
+    a_series = [a0]
+    p_series = [p0]
+    m_series = [m0]
+    snapshots = []
+
+    def freeze(t, a_t, p_t):
+        j0, n = nodes.j0, nodes.n
+        snapshots.append(
+            TransportedDensity(
+                t=float(t),
+                splice=float(nodes.x[j0]),
+                a_t=a_t,
+                p_t=p_t,
+                node_mass=nodes.mass(),
+                jump_pos=nodes.x[j0:n].copy(),
+                jump_weight=nodes.surv[j0:n].copy(),
+                jump_density=nodes.dens[j0:n].copy(),
+                init_x=xs,
+                init_pos=nodes.x[:ni].copy(),
+                init_g0=g0v,
+                init_density=g0v * nodes.surv[:ni] / decay0,
+                atoms=[
+                    (x0, float(nodes.x[ni + i]), mass, mass * float(nodes.surv[ni + i]))
+                    for i, (x0, mass) in enumerate(atoms)
+                ],
+            )
+        )
+
+    # each requested time freezes at the kept grid node at or just before it
+    snap_steps = set((np.searchsorted(grid, snap_req, side="right") - 1).tolist())
+    if 0 in snap_steps:
+        freeze(0.0, a0, p0)
+
+    def attempt(t_lo: float, t_hi: float):
+        """Predictor-corrector trial step [t_lo, t_hi]; nothing committed."""
+        h = t_hi - t_lo
+        n = nodes.n
+        x = nodes.x[:n]
+        f = nodes.f[:n]
+        ws = nodes.w[:n] * nodes.surv[:n]
+        # the newest jump node's right half-interval, up to the node born at t_hi
+        ws[-1] += 0.5 * h * nodes.pb * nodes.surv[n - 1]
+        abar = a_series[-1]
+        for _ in range(1 + _CORRECTOR_PASSES):
+            decays, offsets = _slab_geometry(lam, abar, h)
+            x_new, f_new, fac = _slab_survival(rate, x, f, decays, offsets, h)
+            wsf = ws * fac
+            p_new = float(wsf @ f_new)
+            m_new = float(wsf @ x_new)
+            a_new = lam * m_new + p_new
+            if not math.isfinite(a_new):
+                raise MassDriftError(f"non-finite drift at t={t_hi}")
+            abar = 0.5 * (a_series[-1] + a_new)  # trapezoidal average for the redo
+        return x_new, f_new, fac, decays[2], p_new, m_new, a_new
+
+    for step in range(grid.size - 1):
+        pending = [(float(grid[step]), float(grid[step + 1]))]
+        while pending:
+            t, t_next = pending.pop()
+            x_new, f_new, fac, d2, p_new, m_new, a_new = attempt(t, t_next)
+
+            a_prev = a_series[-1]
+            scale = max(abs(a_prev), abs(a_new), 1e-12)
+            if (
+                abs(a_new - a_prev) > _ADAPT_REL * scale
+                and (t_next - t) > (grid[step + 1] - grid[step]) / 256.0
+            ):
+                mid = 0.5 * (t + t_next)
+                pending.append((mid, t_next))
+                pending.append((t, mid))
+                continue
+
+            # commit the slab
+            j0, n = nodes.j0, nodes.n
+            nodes.x[:n] = x_new
+            nodes.f[:n] = f_new
+            nodes.surv[:n] *= fac
+            nodes.dens[j0:n] *= fac[j0:]
+            nodes.dens[j0:n] *= 1.0 / d2
+            nodes.w[n - 1] += 0.5 * (t_next - t) * nodes.pb
+            decay0 *= d2
+            nodes.birth(p_new, p_new / a_new if a_new > 0 else 0.0, 0.5 * (t_next - t) * p_new)
+
+            times.append(float(t_next))
+            a_series.append(a_new)
+            p_series.append(p_new)
+            m_series.append(m_new)
+
+            mass = nodes.mass()
+            if abs(mass - 1.0) > mass_abs:
+                raise MassDriftError(f"mass {mass:.8f} drifted beyond {mass_abs} at t={t_next}")
+
+        if step + 1 in snap_steps:
+            freeze(grid[step + 1], a_series[-1], p_series[-1])
+
+    return MarginalSolution(
+        lam=lam,
+        rate=rate,
+        times=np.asarray(times),
+        a=np.asarray(a_series),
+        p=np.asarray(p_series),
+        m=np.asarray(m_series),
+        snapshots=snapshots,
     )

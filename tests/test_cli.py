@@ -117,6 +117,25 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["invariant"], "the following arguments are required: --config"),
+            (["invariant", "--config", "c.json", "--threads", "x"], "argument --threads: invalid int value: 'x'"),
+        ],
+    )
+    def test_malformed_command_line(self, capsys, argv, message):
+        # argparse's usage lines are not printed: one line, as for every other non-zero exit
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["invariant", "--help"])
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: neuronmf invariant") and captured.err == ""
+
     def test_short_n_grid(self, tmp_path):
         cfg = write_cfg(
             tmp_path,

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from neuronmf import limitlaw
 from neuronmf.limitlaw import _coupled_loop, _LimitPaths
 from neuronmf.particle import _EPOCH_DRIFT, ParticleState, apply_spike
 from neuronmf.rng import stream_key
-from oracles import upwind_marginals
+from oracles import reference_solve_marginals, upwind_marginals
 
 FX = RateFunction.power(1, 1)
 FX2 = RateFunction.power(1, 2)
@@ -186,6 +186,57 @@ class TestSolveMarginals:
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (np.array(q)[1:] + np.array(q)[:-1]) * np.diff(snaps_t))])
         for t, integral in zip(snaps_t, cum):
             assert integral <= 2 * 1.0 + 2 * FX2(2.0) * t + 1e-9
+
+
+def _assert_bitwise_equal(sol, ref):
+    """times, a, p, m and every field of every snapshot, atoms included, byte for byte."""
+
+    def raw(value):
+        return np.asarray(value, dtype=float).tobytes()
+
+    for name in ("times", "a", "p", "m"):
+        assert raw(getattr(sol, name)) == raw(getattr(ref, name)), name
+    assert len(sol.snapshots) == len(ref.snapshots)
+    for snap, ref_snap in zip(sol.snapshots, ref.snapshots):
+        for field in fields(snap):
+            assert raw(getattr(snap, field.name)) == raw(getattr(ref_snap, field.name)), (snap.t, field.name)
+
+
+class TestSolverMatchesReference:
+    """solve_marginals on its workspace against the solver as first written, bit for bit."""
+
+    RATES = [
+        FX,
+        RateFunction.power(2, 1),
+        FX2,
+        RateFunction.power(0.5, 2),
+        RateFunction.power(1, 1.5),
+        RateFunction.power(1.5, 3),
+        RateFunction.polynomial([0.5, 0, 1]),
+    ]
+    _xs = np.linspace(0.0, 3.0, 31)
+    INITIAL = [InitialLaw.exponential(1.0), InitialLaw.from_grid(_xs, _xs * (3.0 - _xs)), InitialLaw.point_mass(1.0)]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.5])
+    def test_every_rate_and_initial_law(self, lam):
+        # coarse steps, so mass_abs is widened: the solve is compared, not its accuracy
+        tol = Tolerances(dt=0.02, mass_abs=1e-2)
+        for rate in self.RATES:
+            for initial in self.INITIAL:
+                cfg = SystemConfig(n=1, lam=lam, rate=rate, initial=initial, horizon=1.0, seed=0, tolerances=tol)
+                snaps = [1.0, 0.0, 0.37, 0.5]
+                _assert_bitwise_equal(
+                    solve_marginals(cfg, snapshot_times=snaps), reference_solve_marginals(cfg, snapshot_times=snaps)
+                )
+
+    def test_bisection_past_the_node_capacity(self):
+        # x^2 from 3.0 at lam 0: 1,070 births, and the atom, against 1,002 slots (1 atom + 1,001 grid
+        # nodes), so the arrays double
+        cfg = SystemConfig(n=1, lam=0.0, rate=FX2, initial=InitialLaw.point_mass(3.0), horizon=2.0, seed=0)
+        sol = solve_marginals(cfg, snapshot_times=[0.5, 2.0])
+        nodes = 1 + len(sol.times)  # the atom and one birth per time
+        assert nodes > 1 + 1001
+        _assert_bitwise_equal(sol, reference_solve_marginals(cfg, snapshot_times=[0.5, 2.0]))
 
 
 class TestNonlinearPath:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +18,22 @@ from neuronmf import (
     substream,
     survival,
 )
+from oracles import reference_rate
 
 FX = RateFunction.power(1, 1)
 FX2 = RateFunction.power(1, 2)
+# x, 2x, x^2, 0.5 x^2, x^1.5, 1.5 x^3 and 0.5 x + x^3: every branch of the rate kernel
+KERNEL_RATES = [
+    FX,
+    RateFunction.power(2, 1),
+    FX2,
+    RateFunction.power(0.5, 2),
+    RateFunction.power(1, 1.5),
+    RateFunction.power(1.5, 3),
+    RateFunction.polynomial([0.5, 0, 1]),
+]
+# zeros, subnormals, values whose square or cube overflows to inf, inf and nan
+KERNEL_EDGES = np.array([0.0, 5e-324, 1e-310, 2.5e-308, 1e-160, 0.3, 1.0, 2.5, 1e103, 1e200, np.inf, np.nan])
 
 
 class TestRateFunction:
@@ -95,6 +109,56 @@ class TestRateFunction:
         for f in (FX2, RateFunction.power(0.5, 3)):
             c = f(1.0)
             assert np.all(np.asarray(f(grid)) >= c * grid - 1e-12)
+
+
+def _evaluated(fn):
+    """fn()'s bytes and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn()
+    return np.asarray(value, dtype=float).tobytes(), [str(w.message) for w in caught]
+
+
+class TestRateKernel:
+    @pytest.mark.parametrize("rate", KERNEL_RATES, ids=lambda r: str(r.terms))
+    @pytest.mark.parametrize("shape", [(12,), (3, 12)])
+    def test_out_is_bitwise_the_value_without_it(self, rate, shape):
+        # rows of the edge values in three orders, so a (k, n) input is not k copies of one row
+        x = np.stack([np.roll(KERNEL_EDGES, k) for k in range(3)]).reshape(-1)[: math.prod(shape)].reshape(shape)
+        buf = np.full(shape, 7.0)
+        expected = _evaluated(lambda: reference_rate(rate, x))
+        assert _evaluated(lambda: rate(x)) == expected
+        assert _evaluated(lambda: rate(x, out=buf)) == expected
+        with np.errstate(all="ignore"):
+            assert rate(x, out=buf) is (x if rate.terms == ((1.0, 1.0),) else buf)
+        values = np.frombuffer(expected[0])
+        assert np.isinf(values).any() and np.isnan(values).any()
+
+    @pytest.mark.parametrize("rate", KERNEL_RATES[:-1], ids=lambda r: str(r.terms))
+    def test_one_term_may_write_over_its_argument(self, rate):
+        x = KERNEL_EDGES.copy()
+        expected = _evaluated(lambda: reference_rate(rate, KERNEL_EDGES))
+        assert _evaluated(lambda: rate(x, out=x)) == expected
+
+    def test_more_terms_refuse_an_out_that_shares_x(self):
+        rate = KERNEL_RATES[-1]
+        x = KERNEL_EDGES.copy()
+        for out in (x, x[::-1], x[1:]):
+            with pytest.raises(ValueError, match="share memory"):
+                rate(x, out=out)
+        assert np.array_equal(x, KERNEL_EDGES, equal_nan=True)
+
+    def test_x_is_its_argument(self):
+        # 1.0 * x is exact, so f(x) = x hands back x itself and leaves out alone
+        buf = np.full(KERNEL_EDGES.shape, 7.0)
+        assert FX(KERNEL_EDGES) is KERNEL_EDGES
+        assert FX(KERNEL_EDGES, out=buf) is KERNEL_EDGES and np.all(buf == 7.0)
+        assert RateFunction.power(2, 1)(KERNEL_EDGES) is not KERNEL_EDGES
+        # as a first term it is added to the next one without a copy
+        poly = RateFunction.polynomial([1.0, 1.0])
+        with np.errstate(all="ignore"):
+            assert poly(KERNEL_EDGES, out=buf) is buf
+        assert _evaluated(lambda: poly(KERNEL_EDGES, out=buf)) == _evaluated(lambda: reference_rate(poly, KERNEL_EDGES))
 
 
 class TestInitialLaw:
@@ -245,6 +309,19 @@ class TestSurvival:
         # x(u) = 0.5 + 0.5 u, and int_0^6 x(u)^2 du = 28.5
         assert survival(0.0, 6.0, 0.5, rate, 0.0, d) == pytest.approx(math.exp(-28.5))
         assert sum(sizes) == 12 * 4 + 1
+
+    @pytest.mark.parametrize("rate", [FX, FX2, RateFunction.power(1, 1.5), RateFunction.polynomial([0.5, 0, 1])],
+                             ids=["x", "x2", "x1.5", "poly"])
+    def test_buffers_give_the_bits_of_fresh_arrays(self, rate):
+        # a RateFunction evaluates into the sweep's buffers (over the positions for one term);
+        # a plain callable returns fresh arrays, as every evaluation did before the buffers
+        # 3,000 points from s = 0 take 10 nodes per chunk, so runs end in a short chunk
+        d = DriftSeries(np.linspace(0, 3, 31), 0.5 + 0.3 * np.sin(np.linspace(0, 3, 31)))
+        s, x = np.linspace(0.0, 2.5, 40), np.linspace(0.0, 2.0, 40)
+        for lam in (0.0, 1.0):
+            for args in ((s, 3.0, 0.0), (0.0, 3.0, np.linspace(0.0, 2.0, 3000)), (s, 3.0, x)):
+                fresh = survival(*args, lambda y: np.array(reference_rate(rate, y)), lam, d)
+                assert survival(*args, rate, lam, d).tobytes() == fresh.tobytes()
 
     def test_empty_and_broadcast_shapes(self):
         d = DriftSeries.constant(1.0, 5.0)
