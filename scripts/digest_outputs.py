@@ -75,14 +75,15 @@ RUNS = [
         for lam in (0.0, 1.0)
         for name, initial in (("exp", EXP1), ("density", DENSITY), ("point", {"kind": "point_mass", "x0": 0.5}))
     ),
-    # poly from the truncated density: from Exp(1) its loidetau check misses its bound at t=0.5
     *(
         (f"solve_limit_lam{lam:g}_{name}_{start}", "solve-limit", {
             "system": _system(lam, 2.0, rate=RATES[name], initial=initial),
             "snapshot_times": [0.0, 0.5, 1.0, 2.0],
         }, 1)
         for lam in (0.0, 1.0)
-        for name, start, initial in (("x", "exp", EXP1), ("x1.5", "exp", EXP1), ("poly", "density", DENSITY))
+        for name, start, initial in (
+            ("x", "exp", EXP1), ("x1.5", "exp", EXP1), ("poly", "density", DENSITY), ("poly", "exp", EXP1)
+        )
     ),
     # 1,070 births against 1,002 node slots: the solver's arrays double
     ("solve_limit_lam0_point3", "solve-limit", {"system": _system(0.0, 2.0, initial={"kind": "point_mass", "x0": 3.0}),

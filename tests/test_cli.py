@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import pytest
 from neuronmf import DriftSeries, InitialLaw, RateFunction, SystemConfig, simulate_coupled, solve_marginals
 from neuronmf import cli
 from neuronmf.cli import _loidetau_residual, _system_from, main
+from neuronmf.model import survival
 from neuronmf.rng import derive_seed
 
 
@@ -326,6 +328,115 @@ class TestSolveLimitCommand:
         assert main(["solve-limit", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "series.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
+
+
+# the last-jump-time check's cases: Exp(1) to horizon 2, one snapshot early and one at the end
+CHECK_RATES = {
+    "x": RateFunction.power(1, 1),
+    "x2": RateFunction.power(1, 2),
+    "x1.5": RateFunction.power(1, 1.5),
+    "cubic": RateFunction.polynomial([0.5, 0.0, 1.0]),
+}
+
+
+EXP1_LAW = InitialLaw.exponential(1.0)
+
+
+@functools.cache
+def _solved(name, lam, initial=EXP1_LAW):
+    system = SystemConfig(n=1, lam=lam, rate=CHECK_RATES[name], initial=initial, horizon=2.0, seed=1)
+    return system, solve_marginals(system, snapshot_times=[0.5, 2.0])
+
+
+class TestLastJumpCheck:
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("name", list(CHECK_RATES))
+    def test_skipped_tail_bound_dominates(self, monkeypatch, name, lam):
+        # against survival on all 2000 nodes, at the check's cut and at cuts
+        # where the skipped nodes still carry mass; along the solved drift and
+        # along a = 0, the smallest drift the bound allows, where it is tightest
+        # (exact at lambda 0, so the slack is survival's 1e-8 on the exponent)
+        system, sol = _solved(name, lam)
+        no_drift = DriftSeries(times=sol.times, a=np.zeros(sol.times.size))
+        for snap in sol.snapshots:
+            x, g0 = snap.init_x, snap.init_g0
+            w = cli._trapezoid_weights(x)
+            for drift in (sol.drift(), no_drift):
+                mass = w * g0 * survival(0.0, snap.t, x, system.rate, lam, drift)
+                for cut in (1e-16, 1e-10, 1e-6, 1e-3):
+                    monkeypatch.setattr(cli, "_TAIL_BOUND", cut)
+                    k, bound = cli._initial_tail(x, g0, w, snap.t, system.rate, lam)
+                    assert bound < cut
+                    assert mass[k:].sum() <= bound * (1.0 + 1e-7)
+            # the cut at 1e-16 drops the nodes of the largest x, and most of them where the rate grows fast
+            monkeypatch.setattr(cli, "_TAIL_BOUND", 1e-16)
+            k = cli._initial_tail(x, g0, w, snap.t, system.rate, lam)[0]
+            assert k < (0.6 if name in ("x2", "cubic") else 1.0) * x.size
+
+    @pytest.mark.parametrize(
+        "name, lam, initial",
+        [
+            ("x2", 1.0, EXP1_LAW),
+            ("cubic", 0.0, EXP1_LAW),
+            ("cubic", 1.0, EXP1_LAW),
+            ("x2", 0.0, InitialLaw.point_mass(3.0)),
+        ],
+        ids=["x2-1-exp", "cubic-0-exp", "cubic-1-exp", "x2-0-point3"],
+    )
+    def test_jump_part_within_its_error_term(self, name, lam, initial):
+        # against a 1,025-node Simpson rule in the same graded variable
+        system, sol = _solved(name, lam, initial)
+        for snap in sol.snapshots:
+            t = snap.t
+            jump, err = cli._jump_part(sol, t, system)
+            v = np.linspace(0.0, 1.0, 1025)
+            s = t * v * v
+            kappa = survival(s, t, 0.0, system.rate, lam, sol.drift())
+            weights = np.where(np.arange(1025) % 2 == 1, 4.0, 2.0)
+            weights[[0, -1]] = 1.0
+            reference = weights @ (2.0 * t * v * cli._local_cubic(s, sol.times, sol.p) * kappa) / (3 * 1024)
+            assert abs(jump - reference) <= err
+
+    def test_error_terms_add_to_the_residual(self, monkeypatch):
+        system, sol = _solved("x2", 1.0)
+        snap = sol.snapshots[-1]
+        base = _loidetau_residual(sol, snap, system)
+        jump_part, initial_tail = cli._jump_part, cli._initial_tail
+        monkeypatch.setattr(cli, "_jump_part", lambda *a: (jump_part(*a)[0], jump_part(*a)[1] + 1e-3))
+        monkeypatch.setattr(cli, "_initial_tail", lambda *a: (initial_tail(*a)[0], initial_tail(*a)[1] + 2e-3))
+        assert _loidetau_residual(sol, snap, system) == pytest.approx(base + 3e-3, abs=1e-12)
+
+    def test_scaled_rate_series_fails(self):
+        system, sol = _solved("x2", 1.0)
+        bad = dataclasses.replace(sol, p=sol.p * (1.0 + 1e-3))
+        assert all(_loidetau_residual(bad, snap, system) > 1e-4 for snap in bad.snapshots)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_cubic_from_exp1_passes(self, tmp_path, lam):
+        # it read 2.0e-4 at t=0.5 with a 257-node trapezoid rule in s
+        sys0 = dict(SYSTEM, n=1, **{"lambda": lam}, horizon=2.0, rate={"kind": "polynomial", "coeffs": [0.5, 0.0, 1.0]})
+        snaps = [0.5, 1.0, 2.0]
+        cfg = write_cfg(tmp_path, "c.json", {"command": "solve-limit", "system": sys0, "snapshot_times": snaps})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve-limit", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def _write_csv_per_row(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("count", [0, 1, 3, 2 * cli._CSV_CHUNK + 5])
+    def test_same_bytes_as_per_row(self, tmp_path, count):
+        floats = [0.1, -1.0 / 3.0, 5e-324, 1e300, 0.0, -0.0, math.inf, 2.0]
+        rows = [(floats[i % 8] * (i + 1), i - 7, ("jump", "initial", "atom")[i % 3]) for i in range(count)]
+        cli._write_csv(tmp_path / "a.csv", ["y", "k", "part"], rows)
+        _write_csv_per_row(tmp_path / "b.csv", ["y", "k", "part"], rows)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestEquilibriumCommand:
