@@ -4,7 +4,11 @@
 Runs fixed configs of all five CLI commands (chaos at --threads 1 and 2;
 solve-limit at every rate shape and from a point mass whose bisected steps
 outgrow the solver's node arrays; equilibrium at lambda 0 with f = x as
-well as x^2) and prints one line "sha256 label/file" per output file except
+well as x^2; and runs long enough for the marginal solver to retire dead
+nodes: equilibrium at lambda 0 with f = x to horizon 20, whose initial and
+jump nodes retire, solve-limit at lambda 1 with x^2 to horizon 6, whose
+initial nodes retire, and solve-limit from a point mass with 1.5 x^3 to
+horizon 6, whose jump nodes retire) and prints one line "sha256 label/file" per output file except
 timing.txt, which holds wall-clock time. Then it prints one digest over the
 EventLogs and snapshots of simulate, and one over the CoupledStats of
 simulate_coupled (the fields named in COUPLED_FIELDS), each for lambda in
@@ -93,6 +97,17 @@ RUNS = [
     ("equilibrium_lam0_x", "equilibrium", {"system": dict(_system(0.0, 6.0, rate=RATES["x"]), tolerances={"dt": 0.01}),
                                            "time_grid": [0.0, 1.0, 2.0, 4.0, 5.0, 6.0]}, 1),
     ("equilibrium_lam1", "equilibrium", {"system": _system(1.0, 3.0)}, 1),
+    # the solver retires dead nodes every 64 grid steps
+    ("equilibrium_lam0_x_h20", "equilibrium", {
+        "system": dict(_system(0.0, 20.0, rate=RATES["x"]), tolerances={"dt": 0.01}),
+        "time_grid": [1.0, 2.0, 5.0, 10.0, 15.0, 20.0],
+    }, 1),
+    ("solve_limit_lam1_h6", "solve-limit", {"system": _system(1.0, 6.0), "snapshot_times": [0.0, 1.5, 3.0, 6.0]}, 1),
+    ("solve_limit_lam0_cubic_point_h6", "solve-limit", {
+        "system": _system(0.0, 6.0, rate={"kind": "power", "c": 1.5, "xi": 3.0},
+                          initial={"kind": "point_mass", "x0": 1.0}),
+        "snapshot_times": [0.0, 1.5, 3.0, 6.0],
+    }, 1),
     *(
         (f"chaos_lam{lam:g}_threads{threads}", "chaos", {
             "system": _system(lam, 2.0),

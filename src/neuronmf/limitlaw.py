@@ -70,8 +70,15 @@ class MassDriftError(RuntimeError):
 class TransportedDensity:
     """Frozen two-part (plus atoms) representation of g(t).
 
-    Jump nodes come in birth order. mass() is the solver's own w @ surv at
-    the freeze, the value its MassDriftError check took after that step.
+    Jump nodes come in birth order. The jump and initial arrays hold the
+    solver's live nodes only: the nodes it retired (solve_marginals) are
+    gone, but a sentinel node stays next to each gap, and so do the splice
+    node and the largest-x initial node, so density() falls to ~0 across
+    each gap and support() is that of the full grid. init_x and init_g0
+    stay the initial law's full grid. node_mass is the solver's own w @ surv
+    over the live nodes and retired_mass its bound on the retired nodes'
+    mass; mass() is the value the solver's MassDriftError check took after
+    that step (_checked_mass of the two).
     """
 
     t: float
@@ -87,9 +94,10 @@ class TransportedDensity:
     init_g0: np.ndarray
     init_density: np.ndarray  # g0 kappa_{0,t} e^{lam t} at init_pos
     atoms: list  # (origin, position, original mass, surviving mass)
+    retired_mass: float = 0.0
 
     def mass(self) -> float:
-        return self.node_mass
+        return _checked_mass(self.node_mass, self.retired_mass)
 
     def density(self, y):
         """Pointwise density (atoms excluded); zero outside the support."""
@@ -156,7 +164,12 @@ class TransportedDensity:
 
 @dataclass(eq=False)
 class MarginalSolution:
-    """Drift, mean-rate and mean series plus frozen densities at snapshots."""
+    """Drift, mean-rate and mean series plus frozen densities at snapshots.
+
+    The solver's counters come last: its bisected steps (committed steps
+    less the requested grid intervals), the nodes it retired and their
+    summed w surv at retirement.
+    """
 
     lam: float
     rate: RateFunction
@@ -165,6 +178,9 @@ class MarginalSolution:
     p: np.ndarray
     m: np.ndarray
     snapshots: list
+    bisections: int = 0
+    retired_nodes: int = 0
+    retired_mass: float = 0.0
 
     def __post_init__(self):
         # one series per solution, so its flow cache serves every caller
@@ -188,6 +204,20 @@ class MarginalSolution:
 _INIT_NODES = 2000  # nodes of a continuous initial law
 _CORRECTOR_PASSES = 1  # per step, after the predictor
 _ADAPT_REL = 0.02  # relative drift change above which a step is bisected
+# node retirement: every _RETIRE_EVERY grid intervals, a run of dead nodes
+# whose summed w surv (1 + x + f(x)) is below _RETIRE_BOUND is dropped
+_RETIRE_EVERY = 64
+_RETIRE_BOUND = 1e-16
+
+
+def _checked_mass(live: float, retired: float) -> float:
+    """The mass the solver checks: live, its nodes' w @ surv, moved away from 1 by retired.
+
+    retired bounds the retired nodes' mass, so |result - 1| is
+    |live - 1| + retired (up to rounding) and a check on it can only err
+    high. With nothing retired it is live, bit for bit.
+    """
+    return live - retired if live < 1.0 else live + retired
 
 
 def _slab_geometry(lam: float, abar: float, dt: float):
@@ -240,24 +270,33 @@ def _workspace(size: int) -> list:
     return [np.empty(size) for _ in range(5)]
 
 
-class _Nodes:
-    """Every transported node of the solver, in arrays grown by doubling.
+def _dead_run(share: np.ndarray) -> int:
+    """The number of nodes, from the start of share, whose summed share is below _RETIRE_BOUND."""
+    return int(np.searchsorted(np.cumsum(share), _RETIRE_BOUND))
 
-    The initial-law nodes come first, then the atoms, then from index j0
-    the jump nodes in birth order. Each node has a position x, its rate f(x),
-    a weight w (quadrature weight times birth density: g0 times the
-    trapezoid weight in x, an atom's mass, or p at birth times the
-    trapezoid weight in s) and its accumulated survival surv, so the
-    represented mass is w @ surv (mass()). Jump nodes also keep their
-    density value dens. The newest jump node holds only the left half of
-    its s-interval; the right half comes with the next birth, from pb, that
-    node's p at birth (no older node's is read, so pb is one float).
+
+class _Nodes:
+    """Every live transported node of the solver, in arrays grown by doubling.
+
+    The ni live initial-law nodes come first, in increasing x, then the
+    atoms, then from index j0 the live jump nodes in birth order. Each node
+    has a position x, its rate f(x), a weight w (quadrature weight times
+    birth density: g0 times the trapezoid weight in x, an atom's mass, or p
+    at birth times the trapezoid weight in s), its accumulated survival
+    surv, so the represented mass is w @ surv (live_mass()), and a density
+    factor dens: g0 for an initial node, the density value for a jump node.
+    The newest jump node holds only the left half of its s-interval; the
+    right half comes with the next birth, from pb, that node's p at birth
+    (no older node's is read, so pb is one float).
     solve_marginals swaps x and f with arrays of its workspace at every
     committed step (for f(x) = x, f is x itself), so only their first n
     entries are kept; past n they hold whatever the workspace left there.
+    retire() drops dead nodes in place; retired and retired_nodes count
+    them, retired as their summed w surv at retirement.
     """
 
     def __init__(self, rate, xs, g0v, atoms, capacity: int):
+        self.ni = xs.size
         self.j0 = xs.size + len(atoms)
         size = max(capacity, self.j0 + 1)
         self.x, self.f, self.w, self.surv, self.dens = np.zeros((5, size))
@@ -265,8 +304,11 @@ class _Nodes:
         self.f[: self.j0] = np.asarray(rate(self.x[: self.j0]), dtype=float)
         self.w[: self.j0] = np.concatenate([g0v * _trapezoid_weights(xs), [mass for _, mass in atoms]])
         self.surv[: self.j0] = 1.0
+        self.dens[: self.ni] = g0v
         self.f0 = float(rate(0.0))  # rate of a newborn node at the reset point
         self.n = self.j0
+        self.retired = 0.0
+        self.retired_nodes = 0
 
     def birth(self, pb: float, dens: float, weight: float):
         """Append a jump node at the reset point 0 with survival 1."""
@@ -281,8 +323,36 @@ class _Nodes:
         self.pb = pb
         self.n += 1
 
-    def mass(self) -> float:
+    def live_mass(self) -> float:
         return float(self.w[: self.n] @ self.surv[: self.n])
+
+    def mass(self) -> float:
+        return _checked_mass(self.live_mass(), self.retired)
+
+    def retire(self):
+        """Drop the dead run of largest-x initial nodes and of oldest jump nodes, in place.
+
+        A run is the longest one whose summed w surv (1 + x + f(x)) is below
+        _RETIRE_BOUND; the initial run ends before the last initial node,
+        the jump run starts after the splice node and ends before the
+        newest, and each keeps its node next to the live ones as a sentinel.
+        Atoms never retire.
+        """
+        n, ni, j0 = self.n, self.ni, self.j0
+        ws = self.w[:n] * self.surv[:n]
+        share = ws * (1.0 + self.x[:n] + self.f[:n])
+        cut_i = max(_dead_run(share[: max(ni - 1, 0)][::-1]) - 1, 0)
+        cut_j = max(_dead_run(share[j0 + 1 : n - 1]) - 1, 0)
+        if cut_i + cut_j == 0:
+            return
+        last = max(ni - 1, 0)  # the last initial node, or the first atom or the splice node
+        lo, hi = last - cut_i, j0 + 1 + cut_j  # initial nodes [lo, last) and jump nodes [j0 + 1, hi) go
+        self.retired += float(ws[lo:last].sum() + ws[j0 + 1 : hi].sum())
+        keep = np.r_[0:lo, last : j0 + 1, hi:n]
+        for arr in [self.x, self.w, self.surv, self.dens] + ([] if self.f is self.x else [self.f]):
+            arr[: keep.size] = arr[keep]
+        self.ni, self.j0, self.n = ni - cut_i, j0 - cut_i, keep.size
+        self.retired_nodes += cut_i + cut_j
 
 
 def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolution:
@@ -290,15 +360,30 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
 
     Initial-law nodes, atoms and jump nodes share one set of arrays
     (_Nodes), so a predictor or corrector pass is one _slab_survival call
-    over all nodes, one position update and two dot products (p and m).
-    One new jump node is born per step, so memory is O(horizon/dt). Steps
-    over which the drift would change by more than _ADAPT_REL (relatively)
-    are bisected, up to 8 levels, which resolves fast initial transients
-    without shrinking dt globally. After each step the mass w @ surv is
-    recomputed from the node arrays (_Nodes.mass, which a snapshot keeps as
-    its mass()); the solve aborts with MassDriftError when it leaves
-    [1 - mass_abs, 1 + mass_abs]. snapshot_times may repeat and come in any
-    order.
+    over all live nodes, one position update and two dot products (p and
+    m). One new jump node is born per step. Steps over which the drift
+    would change by more than _ADAPT_REL (relatively) are bisected, up to 8
+    levels, which resolves fast initial transients without shrinking dt
+    globally. snapshot_times may repeat and come in any order.
+
+    Dead nodes retire (_Nodes.retire): every _RETIRE_EVERY grid intervals
+    (bisected sub-steps do not count) one pass drops the run of
+    largest-x initial nodes and the run of oldest jump nodes whose summed
+    w surv (1 + x + f(x)) is below _RETIRE_BOUND, which bounds the run's
+    share of the mass, m and p. The splice node, the newest jump node (it
+    holds the pending half-interval), the last initial node (it sets
+    support()) and one sentinel per run stay, and so do atoms. So once old
+    mass dies the live nodes stop growing, and with them a step's work. A
+    step on the live nodes keeps its exact arithmetic, and a solve that
+    retires nothing is bit for bit the solve without retirement.
+
+    The mass check keeps a bound. surv never increases, so the summed w
+    surv of the retired nodes at their retirement (retired) bounds their
+    mass at every later time: the mass of all nodes lies in [live, live +
+    retired], with live the live nodes' w @ surv. After each step the
+    solve aborts with MassDriftError when |live - 1| + retired exceeds
+    mass_abs (_checked_mass, which a snapshot keeps as its mass()), so the
+    check can only err high.
 
     A step allocates no node array: it works in place in a workspace of
     five arrays of the nodes' capacity (_workspace), allocated afresh when
@@ -307,7 +392,9 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
     Factors of exactly 1 (the decays at lam = 0, and 1/d2 in the density
     update) are skipped, and every other element sees the operations of
     the step on fresh temporaries, in the same order, so every value is
-    the same bit for bit.
+    the same bit for bit. Overflow in the march (a rate such as x^60 run
+    out of range) is not warned about: it makes the drift non-finite,
+    which raises MassDriftError.
     """
     lam = config.lam
     rate = config.rate
@@ -322,7 +409,6 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
     grid = grid[np.concatenate([[True], np.diff(grid) > 1e-9 * dt])]
 
     xs, g0v, atoms = config.initial.solver_nodes(_INIT_NODES)
-    ni = xs.size
 
     p0 = float(np.trapezoid(np.asarray(rate(xs), float) * g0v, xs)) if xs.size else 0.0
     m0 = float(np.trapezoid(xs * g0v, xs)) if xs.size else 0.0
@@ -331,7 +417,7 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
         m0 += x0 * mass
     a0 = lam * m0 + p0
 
-    nodes = _Nodes(rate, xs, g0v, atoms, capacity=ni + len(atoms) + grid.size)
+    nodes = _Nodes(rate, xs, g0v, atoms, capacity=xs.size + len(atoms) + grid.size)
     nodes.birth(p0, p0 / a0 if a0 > 0 else 0.0, 0.0)  # the s=0 node rides at the splice point
     decay0 = 1.0
 
@@ -342,25 +428,26 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
     snapshots: list[TransportedDensity] = []
 
     def freeze(t, a_t, p_t):
-        j0, n = nodes.j0, nodes.n
+        ni, j0, n = nodes.ni, nodes.j0, nodes.n
         snapshots.append(
             TransportedDensity(
                 t=float(t),
                 splice=float(nodes.x[j0]),
                 a_t=a_t,
                 p_t=p_t,
-                node_mass=nodes.mass(),
+                node_mass=nodes.live_mass(),
                 jump_pos=nodes.x[j0:n].copy(),
                 jump_weight=nodes.surv[j0:n].copy(),
                 jump_density=nodes.dens[j0:n].copy(),
                 init_x=xs,
                 init_pos=nodes.x[:ni].copy(),
                 init_g0=g0v,
-                init_density=g0v * nodes.surv[:ni] / decay0,
+                init_density=nodes.dens[:ni] * nodes.surv[:ni] / decay0,
                 atoms=[
                     (x0, float(nodes.x[ni + i]), mass, mass * float(nodes.surv[ni + i]))
                     for i, (x0, mass) in enumerate(atoms)
                 ],
+                retired_mass=nodes.retired,
             )
         )
 
@@ -402,50 +489,53 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
             abar = 0.5 * (a_series[-1] + a_new)  # trapezoidal average for the redo
         return x_new, f_new, fac, decays[2], p_new, m_new, a_new
 
-    for step in range(grid.size - 1):
-        pending = [(float(grid[step]), float(grid[step + 1]))]
-        while pending:
-            t, t_next = pending.pop()
-            x_new, f_new, fac, d2, p_new, m_new, a_new = attempt(t, t_next)
+    with np.errstate(over="ignore", invalid="ignore"):  # once per solve: a non-finite drift raises
+        for step in range(grid.size - 1):
+            pending = [(float(grid[step]), float(grid[step + 1]))]
+            while pending:
+                t, t_next = pending.pop()
+                x_new, f_new, fac, d2, p_new, m_new, a_new = attempt(t, t_next)
 
-            a_prev = a_series[-1]
-            scale = max(abs(a_prev), abs(a_new), 1e-12)
-            if (
-                abs(a_new - a_prev) > _ADAPT_REL * scale
-                and (t_next - t) > (grid[step + 1] - grid[step]) / 256.0
-            ):
-                mid = 0.5 * (t + t_next)
-                pending.append((mid, t_next))
-                pending.append((t, mid))
-                continue
+                a_prev = a_series[-1]
+                scale = max(abs(a_prev), abs(a_new), 1e-12)
+                if (
+                    abs(a_new - a_prev) > _ADAPT_REL * scale
+                    and (t_next - t) > (grid[step + 1] - grid[step]) / 256.0
+                ):
+                    mid = 0.5 * (t + t_next)
+                    pending.append((mid, t_next))
+                    pending.append((t, mid))
+                    continue
 
-            # commit the slab: the new positions and rates swap places with the old
-            j0, n = nodes.j0, nodes.n
-            nodes.x, work[0] = work[0], nodes.x
-            if f_new is x_new:  # f(x) = x: the rates are the positions
-                nodes.f = nodes.x
-            else:
-                nodes.f, work[1] = work[1], nodes.f
-            nodes.surv[:n] *= fac
-            nodes.dens[j0:n] *= fac[j0:]
-            inv_d2 = 1.0 / d2
-            if inv_d2 != 1.0:  # exactly 1 at lam = 0
-                nodes.dens[j0:n] *= inv_d2
-            nodes.w[n - 1] += 0.5 * (t_next - t) * nodes.pb
-            decay0 *= d2
-            nodes.birth(p_new, p_new / a_new if a_new > 0 else 0.0, 0.5 * (t_next - t) * p_new)
+                # commit the slab: the new positions and rates swap places with the old
+                j0, n = nodes.j0, nodes.n
+                nodes.x, work[0] = work[0], nodes.x
+                if f_new is x_new:  # f(x) = x: the rates are the positions
+                    nodes.f = nodes.x
+                else:
+                    nodes.f, work[1] = work[1], nodes.f
+                nodes.surv[:n] *= fac
+                nodes.dens[j0:n] *= fac[j0:]
+                inv_d2 = 1.0 / d2
+                if inv_d2 != 1.0:  # exactly 1 at lam = 0
+                    nodes.dens[j0:n] *= inv_d2
+                nodes.w[n - 1] += 0.5 * (t_next - t) * nodes.pb
+                decay0 *= d2
+                nodes.birth(p_new, p_new / a_new if a_new > 0 else 0.0, 0.5 * (t_next - t) * p_new)
 
-            times.append(float(t_next))
-            a_series.append(a_new)
-            p_series.append(p_new)
-            m_series.append(m_new)
+                times.append(float(t_next))
+                a_series.append(a_new)
+                p_series.append(p_new)
+                m_series.append(m_new)
 
-            mass = nodes.mass()
-            if abs(mass - 1.0) > mass_abs:
-                raise MassDriftError(f"mass {mass:.8f} drifted beyond {mass_abs} at t={t_next}")
+                mass = nodes.mass()
+                if abs(mass - 1.0) > mass_abs:
+                    raise MassDriftError(f"mass {mass:.8f} drifted beyond {mass_abs} at t={t_next}")
 
-        if step + 1 in snap_steps:
-            freeze(grid[step + 1], a_series[-1], p_series[-1])
+            if step + 1 in snap_steps:
+                freeze(grid[step + 1], a_series[-1], p_series[-1])
+            if (step + 1) % _RETIRE_EVERY == 0:  # after the freeze, which shows the mass just checked
+                nodes.retire()
 
     return MarginalSolution(
         lam=lam,
@@ -455,6 +545,9 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
         p=np.asarray(p_series),
         m=np.asarray(m_series),
         snapshots=snapshots,
+        bisections=len(times) - grid.size,
+        retired_nodes=nodes.retired_nodes,
+        retired_mass=nodes.retired,
     )
 
 

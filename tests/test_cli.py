@@ -321,6 +321,15 @@ class TestSolveLimitCommand:
         assert len(report["snapshots"]) == 3
         assert (out / "density_000.csv").exists()
 
+    def test_overflowing_rate_fails_with_one_line(self, tmp_path, capsys):
+        # x^60 at a0 = E f(X0) ~ 3e71: the first step carries the nodes where x^60 overflows
+        sys0 = dict(SYSTEM, n=1, horizon=2.0, rate={"kind": "power", "c": 1.0, "xi": 60.0})
+        cfg = write_cfg(tmp_path, "c.json", {"command": "solve-limit", "system": sys0, "snapshot_times": [1.0, 2.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve-limit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "tolerance violated: non-finite drift at t=0.002\n"
+
     def test_delta0_trivial(self, tmp_path):
         out = tmp_path / "out"
         sys0 = dict(SYSTEM, n=1, initial={"kind": "point_mass", "x0": 0.0})

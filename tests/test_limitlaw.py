@@ -225,9 +225,9 @@ class TestSolverMatchesReference:
             for initial in self.INITIAL:
                 cfg = SystemConfig(n=1, lam=lam, rate=rate, initial=initial, horizon=1.0, seed=0, tolerances=tol)
                 snaps = [1.0, 0.0, 0.37, 0.5]
-                _assert_bitwise_equal(
-                    solve_marginals(cfg, snapshot_times=snaps), reference_solve_marginals(cfg, snapshot_times=snaps)
-                )
+                sol = solve_marginals(cfg, snapshot_times=snaps)
+                assert sol.retired_nodes == 0
+                _assert_bitwise_equal(sol, reference_solve_marginals(cfg, snapshot_times=snaps))
 
     def test_bisection_past_the_node_capacity(self):
         # x^2 from 3.0 at lam 0: 1,070 births, and the atom, against 1,002 slots (1 atom + 1,001 grid
@@ -236,7 +236,112 @@ class TestSolverMatchesReference:
         sol = solve_marginals(cfg, snapshot_times=[0.5, 2.0])
         nodes = 1 + len(sol.times)  # the atom and one birth per time
         assert nodes > 1 + 1001
+        assert sol.retired_nodes == 0
         _assert_bitwise_equal(sol, reference_solve_marginals(cfg, snapshot_times=[0.5, 2.0]))
+
+
+class TestNodeRetirement:
+    """Dead nodes retire from the solve, and it still agrees with the solver that keeps every node."""
+
+    RATES = [
+        RateFunction.power(1, 1),
+        RateFunction.power(1, 2),
+        RateFunction.power(1, 1.5),
+        RateFunction.power(1.5, 3),
+        RateFunction.polynomial([0.5, 0, 1]),
+    ]
+    _xs = np.linspace(0.0, 3.0, 31)
+    INITIAL = [InitialLaw.exponential(1.0), InitialLaw.from_grid(_xs, _xs * (3.0 - _xs)), InitialLaw.point_mass(1.0)]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.5])
+    def test_matches_the_solver_that_keeps_every_node(self, lam):
+        # 300 grid steps, so four retirement checks; coarse steps, so mass_abs is widened
+        tol = Tolerances(dt=0.02, mass_abs=1e-2)
+        snaps = [1.5, 3.0, 6.0]
+        for rate in self.RATES:
+            for initial in self.INITIAL:
+                cfg = SystemConfig(n=1, lam=lam, rate=rate, initial=initial, horizon=6.0, seed=0, tolerances=tol)
+                sol = solve_marginals(cfg, snapshot_times=snaps)
+                ref = reference_solve_marginals(cfg, snapshot_times=snaps)
+                if initial.kind == "exponential":
+                    assert sol.retired_nodes > 0
+                np.testing.assert_array_equal(sol.times, ref.times)
+                for name in ("a", "p", "m"):
+                    np.testing.assert_allclose(getattr(sol, name), getattr(ref, name), rtol=1e-12, atol=0)
+                for snap, ref_snap in zip(sol.snapshots, ref.snapshots, strict=True):
+                    assert abs(snap.node_mass - ref_snap.mass()) <= snap.retired_mass + 1e-15
+                    assert snap.support() == pytest.approx(ref_snap.support(), abs=1e-12)
+                    ys = np.linspace(0.0, min(snap.support()[1], ref_snap.support()[1]), 4001)
+                    # relative as well: at lam 2.5 the oldest jump nodes crowd within ~1e-10 of
+                    # a/lam, where the interpolant of a density of ~30 moves by ~1e-12 of its value
+                    np.testing.assert_allclose(snap.density(ys), ref_snap.density(ys), rtol=1e-11, atol=1e-12)
+        if lam == 0.0:  # a point mass has no initial nodes: its retired nodes are jump nodes
+            cfg = SystemConfig(n=1, lam=0.0, rate=self.RATES[3], initial=self.INITIAL[2], horizon=6.0, seed=0,
+                               tolerances=tol)
+            assert solve_marginals(cfg).retired_nodes > 0
+
+    def test_live_nodes_stop_growing(self):
+        cfg = exp_config(rate=FX, horizon=30.0, dt=0.01)
+        sol = solve_marginals(cfg, snapshot_times=[10.0, 30.0])
+        early, late = (snap.init_pos.size + snap.jump_pos.size for snap in sol.snapshots)  # no atoms
+        assert late <= 1.2 * early  # 1.67x when every node is kept
+        # every node the solve ever held: the initial grid and one birth per time
+        assert sol.retired_nodes == limitlaw._INIT_NODES + sol.times.size - late
+
+    def test_bisections_counted(self):
+        # x^2 from a point mass at 3 bisects its first steps; the snapshots sit on the grid
+        cfg = SystemConfig(n=1, lam=0.0, rate=FX2, initial=InitialLaw.point_mass(3.0), horizon=2.0, seed=0)
+        sol = solve_marginals(cfg, snapshot_times=[0.5, 2.0])
+        assert sol.bisections > 0
+        assert sol.bisections == sol.times.size - 1 - 1000
+
+    def test_mass_check_adds_the_retired_bound(self, monkeypatch):
+        # a bound far above 1e-16 retires enough mass that the worst checked |mass - 1| comes
+        # after a retirement; f = x at lambda 0 bisects no step, so a snapshot at every grid
+        # node sees every mass the solver checks
+        monkeypatch.setattr(limitlaw, "_RETIRE_BOUND", 1e-4)
+        cfg = exp_config(rate=FX, horizon=4.0, dt=0.02)
+        times = np.linspace(0.0, 4.0, 201)
+        sol = solve_marginals(cfg, snapshot_times=times)
+        assert sol.snapshots[-1].retired_mass == sol.retired_mass > 1e-5
+        for snap in sol.snapshots:
+            assert abs(snap.mass() - 1.0) == pytest.approx(abs(snap.node_mass - 1.0) + snap.retired_mass, rel=1e-12)
+        worst = max(abs(snap.mass() - 1.0) for snap in sol.snapshots)
+        assert max(abs(snap.node_mass - 1.0) for snap in sol.snapshots) < worst
+        below = replace(cfg, tolerances=Tolerances(mass_abs=math.nextafter(worst, 0.0), dt=0.02))
+        with pytest.raises(MassDriftError):
+            solve_marginals(below, snapshot_times=times)
+
+    def test_retire_keeps_its_fixed_nodes(self):
+        # initial nodes at x = 0..9 and g0 = 1, one atom, and jump nodes marked by their
+        # positions 100, 99, ...; surv 1e-30 marks a dead node
+        nodes = limitlaw._Nodes(FX, np.arange(10.0), np.ones(10), [(0.5, 0.25)], capacity=24)
+        for _ in range(8):
+            nodes.birth(0.0, 1.0, 1.0)
+        j0, n = nodes.j0, nodes.n
+        nodes.x[j0:n] = nodes.f[j0:n] = 100.0 - np.arange(n - j0)
+        dead = np.r_[5:10, j0 : j0 + 4]  # the splice node and the three oldest jump nodes
+        nodes.surv[dead] = 1e-30
+        # node 5: w surv 4e-17 alone, but 4.4e-16 with (1 + x + f(x)) = 11, so it stays live
+        nodes.surv[5] = 4e-17
+        w_dead = nodes.w[[7, 8, j0 + 1, j0 + 2]] * 1e-30
+        nodes.retire()
+        # the initial run 6-8 keeps its sentinel 6 and the last node 9, the jump run 1-3 its sentinel 3
+        assert nodes.x[: nodes.n].tolist() == [0, 1, 2, 3, 4, 5, 6, 9, 0.5, 100, 97, 96, 95, 94, 93]
+        assert (nodes.ni, nodes.j0, nodes.retired_nodes) == (8, 9, 4)
+        assert nodes.retired == pytest.approx(w_dead.sum(), rel=1e-15)
+        assert nodes.dens[: nodes.ni].tolist() == [1.0] * 8  # the kept initial nodes' g0
+
+    def test_retire_without_initial_nodes(self):
+        # a point mass: the atom, then the jump nodes
+        nodes = limitlaw._Nodes(FX, np.empty(0), np.empty(0), [(0.5, 1.0)], capacity=8)
+        for _ in range(6):
+            nodes.birth(0.0, 1.0, 1.0)
+        nodes.x[1:7] = 100.0 - np.arange(6)
+        nodes.surv[1:5] = 1e-30
+        nodes.retire()
+        assert nodes.x[: nodes.n].tolist() == [0.5, 100, 97, 96, 95]
+        assert (nodes.ni, nodes.j0, nodes.retired_nodes) == (0, 1, 2)
 
 
 class TestNonlinearPath:
