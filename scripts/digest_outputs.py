@@ -19,6 +19,10 @@ polynomial rate, N=1 from a point mass at lambda 2 with no snapshots, and
 N in {127, 128, 129}, where a bound epoch grows from one spike to two, and
 a last one over a simulate_coupled batch of 2 rows at N=1600, lambda 1 and
 horizon 4, where each row passes 4096 spikes and folds its affine map.
+Its first line names the numpy build the digests hold for: the numpy
+version, its baseline CPU features and the dispatch targets active on this
+CPU. numpy's exp, log, power and arctan loops round differently at
+different SIMD levels, so digests from two builds or levels do not compare.
 The neuronmf package is imported from the path, so the same script
 digests any tree; two trees give the same reports where they print the
 same lines:
@@ -36,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from numpy._core import _multiarray_umath as umath
 
 import neuronmf
 from neuronmf.cli import main as cli_main
@@ -213,6 +218,8 @@ def fold_digest():
 
 
 def main() -> int:
+    active = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]  # the targets this CPU runs
+    print(f"numpy {np.__version__} baseline {' '.join(umath.__cpu_baseline__)} dispatch {' '.join(active) or '-'}")
     print(f"neuronmf from {Path(neuronmf.__file__).parent}", file=sys.stderr)
     failed = []
     lines = []

@@ -8,7 +8,7 @@ invariant distributions of that limit, coupling experiments measuring the
 1/sqrt(N) convergence rate, and distance/rate-fit utilities.
 """
 
-from .invariant import InvariantResult, SmoothFunction, gamma, invariant_density, solve_a_star, stationarity_residual
+from .invariant import InvariantResult, gamma, invariant_density, solve_a_star
 from .limitlaw import (
     CoupledStats,
     MarginalSolution,
@@ -17,7 +17,7 @@ from .limitlaw import (
     simulate_coupled,
     solve_marginals,
 )
-from .metrics import RateFit, fit_rate, h_distance, tv_densities, w1_samples, w1_samples_vs_law
+from .metrics import RateFit, fit_rate, h_distance, tv_densities, w1_samples_vs_law
 from .model import (
     ConfigError,
     DriftSeries,
@@ -61,7 +61,6 @@ __all__ = [
     "RateFunction",
     "Snapshot",
     "SystemConfig",
-    "SmoothFunction",
     "Tolerances",
     "TransportedDensity",
     "apply_spike",
@@ -77,10 +76,8 @@ __all__ = [
     "simulate_coupled",
     "solve_a_star",
     "solve_marginals",
-    "stationarity_residual",
     "substream",
     "survival",
     "tv_densities",
-    "w1_samples",
     "w1_samples_vs_law",
 ]

@@ -66,7 +66,6 @@ class _Pass:
     gamma2: float
     gamma3: float  # int f g / p, which is 1 at any a
     dgamma: float  # dGamma/da over [0, V], on the converged grid
-    extra: np.ndarray
     panels: int  # the converged panel count
 
     def inner_at(self, q):
@@ -132,18 +131,14 @@ def _ladder(a: float, lam: float, rate: RateFunction, tol: float) -> float:
         rungs = [1.5 * rungs[-1]]
 
 
-def _pass(
-    a: float, lam: float, rate: RateFunction, tol: float, extra=lambda x, dx, fx, e: [], *, hint: int | None = None
-) -> _Pass:
+def _pass(a: float, lam: float, rate: RateFunction, tol: float, *, hint: int | None = None) -> _Pass:
     """Integrate at a on one graded grid v = V u^2, refined until converged.
 
     Simpson's rule in u gives the running inner exponent and the outer
     integrals; the grading makes fractional powers of x smooth at 0. V grows
     1.5x until the tails past it are below tol/10, and the panels double
-    until every integral moves by less than tol. extra(x, x', f(x),
-    exp(-inner)) may return more integrands in v, whose integrals over
-    [0, V] come back in _Pass.extra. dGamma/da is integrated once, on the
-    converged grid, and takes no part in the convergence test.
+    until every integral moves by less than tol. dGamma/da is integrated
+    once, on the converged grid, and takes no part in the convergence test.
 
     The search for V at 16 panels runs in _ladder, a few rungs per array
     pass. At each V the nodes, x, x', f(x) and dv/du are built once, at
@@ -171,7 +166,7 @@ def _pass(
         # outer Simpson weights in u times dv/du, which is 0 at node 0
         w = np.where(np.arange(n + 1) % 2, 4.0, 2.0) * jac * (h / 3.0)
         w[-1] *= 0.5
-        vals = np.asarray([e * dx, e / a, e * x / a, e * fx / a] + extra(x, dx, fx, e)) @ w
+        vals = np.asarray([e * dx, e / a, e * x / a, e * fx / a]) @ w
         e_v = float(e[-1])
         vals[3] += e_v  # the int f g tail past V (see _tail)
         tail = _tail(float(fx[-1]), e_v, float(x[-1]), a)
@@ -190,7 +185,7 @@ def _pass(
     # exponent's a-derivative is the running integral of (f'(x) (x - v x') - f(x))/a^2
     d_inner = _running_simpson((rate.deriv(x) * (x - v * dx) - fx) * jac / (a * a), h)
     dgamma = float((e * dx * (v * (s / a) - d_inner)) @ w)
-    return _Pass(np.ascontiguousarray(v), inner, fx / a, *vals[:4], dgamma=dgamma, extra=vals[4:], panels=n)
+    return _Pass(np.ascontiguousarray(v), inner, fx / a, *vals, dgamma=dgamma, panels=n)
 
 
 @dataclass
@@ -304,34 +299,3 @@ def invariant_density(result: InvariantResult, x):
     v = xm * _ratio(-np.log1p(-y), y)
     out[mask] = p / (a - lam * xm) * np.exp(-result.grid.inner_at(v))
     return float(out[0]) if x.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class SmoothFunction:
-    """Smooth bounded test function with its derivative, for generator checks."""
-
-    value: object
-    deriv: object
-    name: str = ""
-
-
-def stationarity_residual(result: InvariantResult, test_functions) -> float:
-    """Max |generator pairing| over the test functions, integrated to _QUAD_ABS.
-
-    For each phi, evaluates int [phi(0) - phi(x)] f(x) g(x) dx +
-    int phi'(x) (a - lam x) g(x) dx, which vanishes at stationarity. In v,
-    g dx = (p/a) exp(-inner) dv and (a - lam x) g dx = p exp(-inner) x' dv.
-    """
-    a, p = result.a_star, result.p
-
-    def pairings(x, dx, fx, e):
-        rows = []
-        for tf in test_functions:
-            phi0 = float(np.asarray(tf.value(0.0), float))
-            jump = (phi0 - np.asarray(tf.value(x), float)) * fx * (p / a)
-            drift = np.asarray(tf.deriv(x), float) * p * dx
-            rows.append((jump + drift) * e)
-        return rows
-
-    res = _pass(a, result.lam, result.rate, _QUAD_ABS, extra=pairings).extra
-    return float(np.max(np.abs(res), initial=0.0))

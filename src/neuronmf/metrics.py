@@ -1,4 +1,4 @@
-"""Distances between samples, laws and densities, plus log-log rate fits."""
+"""Distances between samples and laws and between densities, plus log-log rate fits."""
 
 from __future__ import annotations
 
@@ -9,31 +9,13 @@ import numpy as np
 from .quadrature import cumulative_trapezoid
 
 
-def w1_samples(u, v) -> float:
-    """W1 between two equal-length empirical measures.
-
-    In one dimension the optimal coupling matches order statistics, so the
-    distance is the mean absolute difference of the sorted samples.
-    """
-    u = np.sort(np.asarray(u, dtype=float))
-    v = np.sort(np.asarray(v, dtype=float))
-    if u.size != v.size or u.size == 0:
-        raise ValueError("need equal, nonzero sample sizes")
-    return float(np.mean(np.abs(u - v)))
-
-
 def w1_samples_vs_law(samples, law):
     """W1 between an empirical measure and a law with piecewise-linear cdf.
 
-    For 1-d samples, computes int |F_n - F| dx exactly on the merged
-    breakpoints of the empirical cdf (steps at the sorted samples) and the
-    law's cdf grid, splitting cells where the linear cdf crosses the
-    empirical level, and returns a float.
-
-    For 2-d samples, each row is one empirical measure, and the result is
-    the array of the rows' W1, computed in quantile form from the law's
-    table (_w1_rows): one call for all rows, and row r's value does not
-    depend on the other rows.
+    Each row of 2-d samples is one empirical measure, and the result is the
+    array of the rows' W1, computed in quantile form from the law's table
+    (_w1_rows): one call for all rows, and row r's value does not depend on
+    the other rows. 1-d samples are one such row, and give a float.
 
     law is either an (xs, F) pair or an object with a cdf_grid() method;
     F must increase from 0 to 1. An object may also cache its table by a
@@ -45,35 +27,12 @@ def w1_samples_vs_law(samples, law):
     if abs(F[-1] - 1.0) > 1e-9 or F[0] < -1e-12 or np.any(np.diff(F) < -1e-12):
         raise ValueError("law cdf must increase from 0 to 1")
     s = np.sort(np.asarray(samples, dtype=float))
-    n = s.shape[-1]
-    if n == 0:
+    if s.shape[-1] == 0:
         raise ValueError("need at least one sample")
-    if s.ndim == 2:
-        G = law.w1_table()[2] if hasattr(law, "w1_table") else cumulative_trapezoid(F, xs)
-        return _w1_rows(s, xs, F, G)
-
-    # merged breakpoints over the union of both supports
-    grid = np.union1d(xs, s)
-    lo = min(xs[0], s[0])
-    hi = max(xs[-1], s[-1])
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    f_law = np.interp(grid, xs, F, left=0.0, right=1.0)
-    f_emp = np.searchsorted(s, grid, side="right") / n
-
-    # d = F - F_n is linear on each cell except at empirical steps, which
-    # sit exactly on breakpoints; integrate |linear| per cell analytically
-    d_left = (f_law - f_emp)[:-1]
-    # just before the right endpoint the empirical cdf still has its left value
-    f_emp_right = np.searchsorted(s, grid[1:], side="left") / n
-    d_right = np.interp(grid[1:], xs, F, left=0.0, right=1.0) - f_emp_right
-    h = np.diff(grid)
-    same = d_left * d_right >= 0
-    area = np.where(
-        same,
-        0.5 * (np.abs(d_left) + np.abs(d_right)) * h,
-        0.5 * (d_left**2 + d_right**2) / np.maximum(np.abs(d_right - d_left), 1e-300) * h,
-    )
-    return float(np.sum(area))
+    G = law.w1_table()[2] if hasattr(law, "w1_table") else cumulative_trapezoid(F, xs)
+    if s.ndim == 1:
+        return float(_w1_rows(s[None], xs, F, G)[0])
+    return _w1_rows(s, xs, F, G)
 
 
 def _w1_rows(s, xs, F, G):

@@ -10,11 +10,16 @@ the bitwise reference of the faster pass; reference_solve_marginals is the
 marginal solver as first written, fresh temporaries in every step, and
 reference_rate the rate evaluation before its out argument, kept as the
 bitwise references of the solver on its workspace and of the rate kernel.
+w1_merged is W1 against a law on the merged breakpoints of the two cdfs,
+the reference of the package's quantile form, and w1_samples W1 between
+two samples; stationarity_residual pairs the invariant law with the
+limit's generator through reference_pass's extra integrands.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -147,7 +152,7 @@ def reference_pass(a, lam, rate, tol, extra=lambda x, dx, fx, e: []):
     1.5x until the tails past it are below tol/10, and the panels double
     until every integral moves by less than tol. extra(x, x', f(x),
     exp(-inner)) may return more integrands in v, whose integrals over
-    [0, V] come back in _Pass.extra. dGamma/da is integrated once, on the
+    [0, V] come back in .extra. dGamma/da is integrated once, on the
     converged grid, and takes no part in the convergence test.
     """
     s = lam / a
@@ -191,6 +196,92 @@ def reference_pass(a, lam, rate, tol, extra=lambda x, dx, fx, e: []):
         v=v, inner=inner, slope=fx / a, gamma=vals[0], gamma1=vals[1], gamma2=vals[2], gamma3=vals[3],
         dgamma=dgamma, extra=vals[4:],
     )
+
+
+_QUAD_ABS = 1e-10  # the invariant solver's pass tolerance, as neuronmf.invariant has it
+
+
+@dataclass(frozen=True)
+class SmoothFunction:
+    """Smooth bounded test function with its derivative, for generator checks."""
+
+    value: object
+    deriv: object
+    name: str = ""
+
+
+def stationarity_residual(result, test_functions) -> float:
+    """Max |generator pairing| over the test functions, integrated to _QUAD_ABS.
+
+    For each phi, evaluates int [phi(0) - phi(x)] f(x) g(x) dx +
+    int phi'(x) (a - lam x) g(x) dx, which vanishes at stationarity. In v,
+    g dx = (p/a) exp(-inner) dv and (a - lam x) g dx = p exp(-inner) x' dv.
+    result is a neuronmf.invariant.InvariantResult.
+    """
+    a, p = result.a_star, result.p
+
+    def pairings(x, dx, fx, e):
+        rows = []
+        for tf in test_functions:
+            phi0 = float(np.asarray(tf.value(0.0), float))
+            jump = (phi0 - np.asarray(tf.value(x), float)) * fx * (p / a)
+            drift = np.asarray(tf.deriv(x), float) * p * dx
+            rows.append((jump + drift) * e)
+        return rows
+
+    res = reference_pass(a, result.lam, result.rate, _QUAD_ABS, extra=pairings).extra
+    return float(np.max(np.abs(res), initial=0.0))
+
+
+def w1_samples(u, v) -> float:
+    """W1 between two equal-length empirical measures.
+
+    In one dimension the optimal coupling matches order statistics, so the
+    distance is the mean absolute difference of the sorted samples.
+    """
+    u = np.sort(np.asarray(u, dtype=float))
+    v = np.sort(np.asarray(v, dtype=float))
+    if u.size != v.size or u.size == 0:
+        raise ValueError("need equal, nonzero sample sizes")
+    return float(np.mean(np.abs(u - v)))
+
+
+def w1_merged(samples, law) -> float:
+    """W1 between a 1-d sample and a law with piecewise-linear cdf.
+
+    Computes int |F_n - F| dx exactly on the merged breakpoints of the
+    empirical cdf (steps at the sorted samples) and the law's cdf grid,
+    splitting cells where the linear cdf crosses the empirical level. law
+    is an (xs, F) pair or an object with a cdf_grid() method.
+    """
+    xs, F = law if isinstance(law, tuple) else law.cdf_grid()
+    xs = np.asarray(xs, dtype=float)
+    F = np.asarray(F, dtype=float)
+    s = np.sort(np.asarray(samples, dtype=float))
+    n = s.size
+
+    # merged breakpoints over the union of both supports
+    grid = np.union1d(xs, s)
+    lo = min(xs[0], s[0])
+    hi = max(xs[-1], s[-1])
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    f_law = np.interp(grid, xs, F, left=0.0, right=1.0)
+    f_emp = np.searchsorted(s, grid, side="right") / n
+
+    # d = F - F_n is linear on each cell except at empirical steps, which
+    # sit exactly on breakpoints; integrate |linear| per cell analytically
+    d_left = (f_law - f_emp)[:-1]
+    # just before the right endpoint the empirical cdf still has its left value
+    f_emp_right = np.searchsorted(s, grid[1:], side="left") / n
+    d_right = np.interp(grid[1:], xs, F, left=0.0, right=1.0) - f_emp_right
+    h = np.diff(grid)
+    same = d_left * d_right >= 0
+    area = np.where(
+        same,
+        0.5 * (np.abs(d_left) + np.abs(d_right)) * h,
+        0.5 * (d_left**2 + d_right**2) / np.maximum(np.abs(d_right - d_left), 1e-300) * h,
+    )
+    return float(np.sum(area))
 
 
 def reference_rate(rate, x):

@@ -8,13 +8,12 @@ from neuronmf import (
     InitialLaw,
     RateFunction,
     SystemConfig,
-    SmoothFunction,
     gamma,
     invariant_density,
     solve_a_star,
     solve_marginals,
-    stationarity_residual,
 )
+from oracles import SmoothFunction, stationarity_residual
 
 FX = RateFunction.power(1, 1)
 FX2 = RateFunction.power(1, 2)
@@ -271,19 +270,9 @@ class TestRootSearch:
 
 def _bitwise_equal(got, ref):
     """Names of the pass fields where got and the reference pass differ in any bit."""
-    fields = ("v", "inner", "slope", "gamma", "gamma1", "gamma2", "gamma3", "dgamma", "extra")
+    fields = ("v", "inner", "slope", "gamma", "gamma1", "gamma2", "gamma3", "dgamma")
     arrays = ((np.asarray(getattr(got, f), float), np.asarray(getattr(ref, f), float)) for f in fields)
     return [f for f, (x, y) in zip(fields, arrays) if x.shape != y.shape or x.tobytes() != y.tobytes()]
-
-
-def _pairings(a, p):
-    """An extra(x, x', f(x), e) of two generator pairings, as stationarity_residual builds them."""
-    tfs = [(np.arctan, lambda x: 1.0 / (1.0 + x * x)), (np.tanh, lambda x: 1.0 / np.cosh(x) ** 2)]
-
-    def extra(x, dx, fx, e):
-        return [((0.0 - value(x)) * fx * (p / a) + deriv(x) * p * dx) * e for value, deriv in tfs]
-
-    return extra
 
 
 PASS_RATES = {
@@ -309,13 +298,12 @@ class TestPassMatchesReference:
         a_star = solve_a_star(lam, rate).a_star
         for a in (0.5 * a_star, a_star, 2.0 * a_star):
             for tol in (_QUAD_ABS, 0.1 * _QUAD_ABS):
-                for kw in ({}, {"extra": _pairings(a, 0.7)}):
-                    ref = reference_pass(a, lam, rate, tol, **kw)
-                    exact = ref.v.size - 1
-                    for hint in (None, _PANELS, exact, min(4 * exact, _PANELS << _MAX_DOUBLINGS)):
-                        got = _pass(a, lam, rate, tol, hint=hint, **kw)
-                        assert got.panels == exact
-                        assert _bitwise_equal(got, ref) == [], (a, tol, bool(kw), hint)
+                ref = reference_pass(a, lam, rate, tol)
+                exact = ref.v.size - 1
+                for hint in (None, _PANELS, exact, min(4 * exact, _PANELS << _MAX_DOUBLINGS)):
+                    got = _pass(a, lam, rate, tol, hint=hint)
+                    assert got.panels == exact
+                    assert _bitwise_equal(got, ref) == [], (a, tol, hint)
 
     @pytest.mark.parametrize("lam,a,tol", [(2.5, 3.5, 1e-11), (4.0, 11.0, 1e-10), (4.0, 11.0, 1e-11)])
     def test_v_growing_after_a_doubling(self, lam, a, tol):

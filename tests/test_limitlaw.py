@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from neuronmf import (
     ConfigError,
@@ -13,6 +14,7 @@ from neuronmf import (
     RateFunction,
     SystemConfig,
     Tolerances,
+    derive_seed,
     flow,
     simulate,
     simulate_coupled,
@@ -490,6 +492,22 @@ class TestSimulateCoupled:
             coupled += simulate_coupled(cfg, sol, [1.0, 2.0], seeds=[seed])[0].proposals
             plain += simulate(cfg, [1.0, 2.0])[0].proposals
         assert coupled <= 1.25 * plain
+
+    def test_particle_absorption_time_ks(self):
+        # N=1: the particle's drift vanishes, so its first spike time is Exp(f(x0)),
+        # whatever bounds and windows the coupled engine thins it under
+        x0, lam, horizon = 1.5, 2.0, 8.0
+        cfg = SystemConfig(n=1, lam=lam, rate=FX2, initial=InitialLaw.point_mass(x0), horizon=horizon, seed=1)
+        sol = solve_marginals(cfg, snapshot_times=[horizon])
+        times = []
+        for batch in range(4):
+            seeds = [derive_seed(2026, "ks-coupled", batch, row) for row in range(2500)]
+            paths = _LimitPaths(sol.drift(), FX2, lam, horizon)
+            logs, _ = _coupled_loop(cfg, seeds, paths, np.array([horizon]), lambda *seen: None, 10**8, True)
+            assert all(log.spikes == 1 for log in logs)
+            times += [log.times[0] for log in logs]
+        res = kstest(times, "expon", args=(0.0, 1.0 / FX2(x0)))
+        assert res.pvalue >= 0.01
 
     def test_rebuilds_per_epoch_and_window(self, monkeypatch):
         # the coupled engine's O(N) passes: per row, one per particle bound epoch

@@ -13,9 +13,9 @@ from neuronmf import (
     h_distance,
     solve_marginals,
     tv_densities,
-    w1_samples,
     w1_samples_vs_law,
 )
+from oracles import w1_merged, w1_samples
 
 finite_samples = st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=30)
 
@@ -87,12 +87,13 @@ class TestW1VsLaw:
 
 
 class TestW1Rows:
-    """The rows form of w1_samples_vs_law (one W1 per row of a 2-d sample) against the 1-d form."""
+    """w1_samples_vs_law's quantile rows form (one W1 per row of a 2-d sample) against
+    the merged-breakpoint form (tests/oracles.py)."""
 
     @staticmethod
     def assert_rows_match(rows, law):
         got = w1_samples_vs_law(rows, law)
-        want = np.array([w1_samples_vs_law(row, law) for row in rows])
+        want = np.array([w1_merged(row, law) for row in rows])
         assert got.shape == (len(rows),)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 

@@ -211,6 +211,40 @@ class TestSimulate:
         assert proposals > 0
 
 
+class TestTimeChange:
+    """Rate c f at lam over [0, T] is rate f at lam/c over [0, cT], time scaled by c.
+
+    Spike rates and decay rates both scale by c, so with c a power of two
+    every clock, bound and decay exponent scales exactly, and the two runs
+    agree bit for bit: a time constant in absolute units would break it.
+    """
+
+    RATES = {"x^2": lambda c: RateFunction.power(c, 2), "x+x^2": lambda c: RateFunction.polynomial([c, c])}
+    SNAPS = [0.25, 0.5, 1.0, 1.5]
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("c", [2.0, 4.0, 0.5])
+    def test_runs_equal_bitwise(self, c, lam):
+        spikes = 0
+        for n in [1, 3, 50, 400]:
+            for name, rate in self.RATES.items():
+                for seed in [1, 2]:
+                    fast, fast_snaps = simulate(make_config(n=n, lam=lam, rate=rate(c), seed=seed), self.SNAPS)
+                    slow_cfg = make_config(n=n, lam=lam / c, rate=rate(1.0), horizon=2.0 * c, seed=seed)
+                    slow, slow_snaps = simulate(slow_cfg, [c * t for t in self.SNAPS])
+                    case = (n, name, seed)
+                    spikes += fast.spikes
+                    assert np.array_equal(slow.times, c * fast.times), case
+                    for field in ("indices", "pre_potentials", "initial_values"):
+                        assert np.array_equal(getattr(slow, field), getattr(fast, field)), (field, *case)
+                    assert (slow.proposals, slow.bound_overshoots, slow.rebuilds) == (
+                        fast.proposals, fast.bound_overshoots, fast.rebuilds), case
+                    for a, b in zip(fast_snaps, slow_snaps, strict=True):
+                        assert b.time == c * a.time and b.mean == a.mean, case
+                        assert np.array_equal(b.sorted_values, a.sorted_values), case
+        assert spikes > 0
+
+
 class TestSnapshotTimes:
     CFG = make_config(n=3, lam=1.0, horizon=1.0)
 
