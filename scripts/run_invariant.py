@@ -27,9 +27,6 @@ def main() -> int:
         "system": {
             "lambda": args.lam,
             "rate": {"kind": "power", "c": args.c, "xi": args.xi},
-            "initial": {"kind": "exponential", "rate": 1.0},
-            "horizon": 1.0,
-            "seed": 1,
         },
     }
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:

@@ -367,9 +367,9 @@ def _init_pool(state: dict):
 
 # rows x neurons of one coupled batch, the coupled engine's only memory cap.
 # The batch holds 104 bytes per cell and its passes work in row blocks of
-# limitlaw._BLOCK_CELLS cells or in place, so it peaks at ~125-135 bytes per
-# cell, ~5 MB at the cap; at N=1600 a batch holds 24 replicates, at N <= 800
-# all 48
+# limitlaw._BLOCK_CELLS cells or in place, so it peaks at ~126-130 bytes per
+# cell (tracemalloc, 24 x 1600), ~5 MB at the cap; at N=1600 a batch holds 24
+# replicates, at N <= 800 all 48
 _BATCH_CELLS = 40_000
 
 

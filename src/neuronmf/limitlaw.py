@@ -32,7 +32,7 @@ whole batch that needs temporaries works in row blocks of at most
 _BLOCK_CELLS cells and the others run in place, so its temporaries stay
 bounded and the caller sizes the batch (the chaos command caps it at
 cli._BATCH_CELLS cells). Each snapshot's W1 is one call per row block,
-from the law's table (TransportedDensity.w1_table).
+on the law's cdf grid, built once per call.
 """
 
 from __future__ import annotations
@@ -119,9 +119,6 @@ class TransportedDensity:
 
     def cdf_grid(self):
         """Piecewise-linear cdf (ys, F), normalized to end at exactly 1."""
-        cached = getattr(self, "_cdf_cache", None)
-        if cached is not None:
-            return cached
         ys = self.jump_pos[::-1]
         ds = self.jump_density[::-1]
         if self.init_x.size:
@@ -136,18 +133,7 @@ class TransportedDensity:
         total = cdf[-1]
         if total <= 0:
             raise MassDriftError("empty transported density")
-        cdf = cdf / total
-        self._cdf_cache = (ys, cdf)
-        return self._cdf_cache
-
-    def w1_table(self):
-        """(ys, F, G): cdf_grid() and G = int F from its first node, for the rows form of
-        metrics.w1_samples_vs_law."""
-        cached = getattr(self, "_w1_cache", None)
-        if cached is None:
-            ys, cdf = self.cdf_grid()
-            cached = self._w1_cache = (ys, cdf, cumulative_trapezoid(cdf, ys))
-        return cached
+        return ys, cdf / total
 
     def support(self):
         hi = self.init_pos[-1] if self.init_x.size else self.splice
@@ -237,16 +223,15 @@ def _affine(x, scale, shift, out):
     return np.add(out, shift, out=out)
 
 
-def _slab_survival(rate, positions, rates, decays, offsets, dt, end, f2, mid, fac):
+def _slab_survival(rate, positions, rates, decays, offsets, dt, end, mid, fac):
     """(end positions, their rates, exp(-int_slab f(phi))) per start; rates = f(positions).
 
     The survival exponent is 3-point Simpson over the slab. The positions
-    go into end and their rates into f2 (or are end itself, for f(x) = x),
-    the factors into fac; mid takes the midpoint positions.
+    go into end, the factors into fac; mid takes the midpoint positions.
     """
     _affine(positions, decays[2], offsets[2], end)
-    f2 = rate(end, out=f2)
-    f1 = rate(_affine(positions, decays[1], offsets[1], mid), out=fac)
+    f2 = rate(end)
+    f1 = rate(_affine(positions, decays[1], offsets[1], mid))
     # -dt / 6.0 * (rates + 4.0 * f1 + f2), in place
     np.multiply(4.0, f1, out=fac)
     np.add(rates, fac, out=fac)
@@ -266,8 +251,8 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 def _workspace(size: int) -> list:
     """The solver step's arrays, each of the nodes' capacity: end positions,
-    their rates, midpoint positions (then w surv fac), slab factors, w surv."""
-    return [np.empty(size) for _ in range(5)]
+    midpoint positions (then w surv fac), slab factors, w surv."""
+    return [np.empty(size) for _ in range(4)]
 
 
 def _dead_run(share: np.ndarray) -> int:
@@ -288,8 +273,8 @@ class _Nodes:
     The newest jump node holds only the left half of its s-interval; the
     right half comes with the next birth, from pb, that node's p at birth
     (no older node's is read, so pb is one float).
-    solve_marginals swaps x and f with arrays of its workspace at every
-    committed step (for f(x) = x, f is x itself), so only their first n
+    solve_marginals swaps x with an array of its workspace at every
+    committed step (for f(x) = x, f is x itself), so only the first n
     entries are kept; past n they hold whatever the workspace left there.
     retire() drops dead nodes in place; retired and retired_nodes count
     them, retired as their summed w surv at retirement.
@@ -385,16 +370,16 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
     mass_abs (_checked_mass, which a snapshot keeps as its mass()), so the
     check can only err high.
 
-    A step allocates no node array: it works in place in a workspace of
-    five arrays of the nodes' capacity (_workspace), allocated afresh when
-    a birth doubles the nodes. A committed step swaps the workspace's new
-    positions and rates with the nodes' x and f instead of copying them.
-    Factors of exactly 1 (the decays at lam = 0, and 1/d2 in the density
-    update) are skipped, and every other element sees the operations of
-    the step on fresh temporaries, in the same order, so every value is
-    the same bit for bit. Overflow in the march (a rate such as x^60 run
-    out of range) is not warned about: it makes the drift non-finite,
-    which raises MassDriftError.
+    A step works in place in a workspace of four arrays of the nodes'
+    capacity (_workspace), allocated afresh when a birth doubles the
+    nodes. A committed step swaps its new positions into the nodes' x and
+    copies its new rates into f (for f(x) = x, f is x itself). Factors of
+    exactly 1 (the decays at lam = 0, and 1/d2 in the density update) are
+    skipped, and every other element sees the operations of the step on
+    fresh temporaries, in the same order, so every value is the same bit
+    for bit. Overflow in the march (a rate such as x^60 run out of range)
+    is not warned about: it makes the drift non-finite, which raises
+    MassDriftError.
     """
     lam = config.lam
     rate = config.rate
@@ -461,8 +446,8 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
     def attempt(t_lo: float, t_hi: float):
         """Predictor-corrector trial step [t_lo, t_hi]; nothing committed.
 
-        The new positions and rates it returns are views of work[0] and
-        work[1], or both of work[0] for f(x) = x.
+        The new positions it returns are a view of work[0], and so are the
+        new rates for f(x) = x.
         """
         nonlocal work
         if work[0].size != nodes.x.size:  # the nodes doubled at the last birth
@@ -472,14 +457,14 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
         n = nodes.n
         x = nodes.x[:n]
         f = nodes.f[:n]
-        end, f2, x_mid, fac, ws = (a[:n] for a in work)
+        end, x_mid, fac, ws = (a[:n] for a in work)
         np.multiply(nodes.w[:n], nodes.surv[:n], out=ws)
         # the newest jump node's right half-interval, up to the node born at t_hi
         ws[-1] += 0.5 * h * nodes.pb * nodes.surv[n - 1]
         abar = a_series[-1]
         for _ in range(1 + _CORRECTOR_PASSES):
             decays, offsets = _slab_geometry(lam, abar, h)
-            x_new, f_new, fac = _slab_survival(rate, x, f, decays, offsets, h, end, f2, x_mid, fac)
+            x_new, f_new, fac = _slab_survival(rate, x, f, decays, offsets, h, end, x_mid, fac)
             wsf = np.multiply(ws, fac, out=x_mid)
             p_new = float(wsf @ f_new)
             m_new = float(wsf @ x_new)
@@ -507,13 +492,13 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
                     pending.append((t, mid))
                     continue
 
-                # commit the slab: the new positions and rates swap places with the old
+                # commit the slab: the new positions swap places with the old
                 j0, n = nodes.j0, nodes.n
                 nodes.x, work[0] = work[0], nodes.x
                 if f_new is x_new:  # f(x) = x: the rates are the positions
                     nodes.f = nodes.x
                 else:
-                    nodes.f, work[1] = work[1], nodes.f
+                    nodes.f[:n] = f_new
                 nodes.surv[:n] *= fac
                 nodes.dens[j0:n] *= fac[j0:]
                 inv_d2 = 1.0 / d2
@@ -722,7 +707,7 @@ def simulate_coupled(
         raise ConfigError("coupled run needs at least one snapshot time")
     if sol.times[-1] < config.horizon - 1e-9:
         raise ConfigError("marginal solution must cover the run horizon")
-    laws = [sol.snapshot_at(ts) for ts in snap_times]
+    laws = [sol.snapshot_at(ts).cdf_grid() for ts in snap_times]
 
     f = config.rate
     paths = _LimitPaths(sol.drift(), f, config.lam, config.horizon)

@@ -18,8 +18,7 @@ def w1_samples_vs_law(samples, law):
     the other rows. 1-d samples are one such row, and give a float.
 
     law is either an (xs, F) pair or an object with a cdf_grid() method;
-    F must increase from 0 to 1. An object may also cache its table by a
-    w1_table() method returning (xs, F, G) with G = cumulative_trapezoid(F, xs).
+    F must increase from 0 to 1.
     """
     xs, F = law if isinstance(law, tuple) else law.cdf_grid()
     xs = np.asarray(xs, dtype=float)
@@ -29,7 +28,7 @@ def w1_samples_vs_law(samples, law):
     s = np.sort(np.asarray(samples, dtype=float))
     if s.shape[-1] == 0:
         raise ValueError("need at least one sample")
-    G = law.w1_table()[2] if hasattr(law, "w1_table") else cumulative_trapezoid(F, xs)
+    G = cumulative_trapezoid(F, xs)
     if s.ndim == 1:
         return float(_w1_rows(s[None], xs, F, G)[0])
     return _w1_rows(s, xs, F, G)

@@ -68,30 +68,20 @@ class RateFunction:
         coeffs = [float(c) for c in coeffs]
         return RateFunction(tuple(enumerate(coeffs, 1)), {"kind": "polynomial", "coeffs": coeffs})
 
-    def __call__(self, x, out=None):
-        """f(x), the terms summed in order; with out, written into out and returned.
+    def __call__(self, x):
+        """f(x), the terms summed in order.
 
-        Each term is c * x, x * x, c * (x * x) or c * np.power(x, e) with or
-        without out, so both give the same bits. The first term is computed
-        in out and every later one added to it; a later term reads x after
-        out is written, so for a rate of more than one term out must not
-        share memory with x. A term 1.0 * x is x itself (the product is
-        exact), so f(x) = x returns its argument, with or without out.
+        Each term is c * x, x * x, c * (x * x) or c * np.power(x, e). A term
+        1.0 * x is x itself (the product is exact), so f(x) = x returns its
+        argument.
         """
-        if out is not None and len(self.terms) > 1 and np.may_share_memory(out, x):
-            raise ValueError("out of a rate with more than one term must not share memory with x")
         total = None
         for e, c in self.terms:  # x * x rounds like np.power(x, 2); x * x * x would not round like np.power(x, 3)
-            into = out if total is None else None
             if e == 1:
-                term = x if c == 1.0 else c * x if into is None else np.multiply(c, x, out=into)
-            elif into is None:  # one expression, so numpy can multiply the temporary x * x or x**e by c in place
+                term = x if c == 1.0 else c * x
+            else:  # one expression, so numpy can multiply the temporary x * x or x**e by c in place
                 term = (x * x if c == 1.0 else c * (x * x)) if e == 2 else c * np.power(x, e)
-            else:  # the same operations, each written into out; a product with c = 1.0 is exact
-                term = np.multiply(x, x, out=into) if e == 2 else np.power(x, e, out=into)
-                if c != 1.0:
-                    np.multiply(c, term, out=into)
-            total = term if total is None else total + term if out is None else np.add(total, term, out=out)
+            total = term if total is None else total + term
         return total
 
     def deriv(self, x):
@@ -404,12 +394,7 @@ def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries)
     doubled in every segment at once until no exponent changes by
     _SURVIVAL_ABS or more. A doubling evaluates only the new midpoints, in
     chunks of at most _SURVIVAL_CHUNK values, so memory stays bounded
-    however fine the panels. The positions phi_{s_j,u}(x_j) of a chunk go
-    into a buffer sized for the largest chunk of its run (nodes that share
-    their start points), and a rate of one term writes its values over
-    them; a rate of more terms takes a second buffer and one temporary of a
-    chunk's size. So the sweep holds no more than a chunk's temporaries,
-    and for no longer than its run.
+    however fine the panels.
     """
     s_arr, x_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
     shape = s_arr.shape
@@ -432,10 +417,6 @@ def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries)
     k_start = np.searchsorted(edges, s_arr)  # first segment of each start point
     fi = drift.integral(lam, _SURVIVAL_ABS)
     i_s = fi.rows(edges)[k_start]
-    # a RateFunction writes into the rate buffer, which for a rate of one term is the
-    # position buffer itself; any other callable returns an array of its own
-    evaluate = rate if isinstance(rate, RateFunction) else lambda y, out: np.asarray(rate(y), dtype=float)
-    in_place = isinstance(rate, RateFunction) and len(rate.terms) == 1
 
     def sweep(acc, count, nodes):
         """acc[:, j] += sum of w f(phi_{s_j, u}(x_j)) over the nodes of the segments start j sums.
@@ -456,17 +437,11 @@ def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries)
                 coef = np.exp(-lam * (r - s_arr[:n])) * (x_arr[:n] - i_s[:n])
                 dec = np.exp(-lam * (u[lo:hi] - r))
                 step = max(1, _SURVIVAL_CHUNK // n)
-                # positions and rates of the run's chunks; only a short last chunk takes views
-                rows = min(step, hi - lo)
-                pos = np.empty((rows, n))
-                val = pos if in_place else np.empty((rows, n))
                 for c0 in range(lo, hi, step):
                     c1 = min(c0 + step, hi)
-                    if c1 - c0 < rows:
-                        pos, val = pos[: c1 - c0], val[: c1 - c0]
-                    np.multiply.outer(dec[c0 - lo : c1 - lo], coef, out=pos)
+                    pos = np.multiply.outer(dec[c0 - lo : c1 - lo], coef)
                     pos += iu[c0:c1, None]
-                    acc[:, :n] += w[c0:c1].T @ evaluate(pos, out=val)
+                    acc[:, :n] += w[c0:c1].T @ np.asarray(rate(pos), dtype=float)
 
     # first level, two panels per segment: end points (row 0) and midpoints
     # (row 1). Each edge is weighted by both its segments, which a start

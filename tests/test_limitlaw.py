@@ -232,14 +232,16 @@ class TestSolverMatchesReference:
                 _assert_bitwise_equal(sol, reference_solve_marginals(cfg, snapshot_times=snaps))
 
     def test_bisection_past_the_node_capacity(self):
-        # x^2 from 3.0 at lam 0: 1,070 births, and the atom, against 1,002 slots (1 atom + 1,001 grid
-        # nodes), so the arrays double
-        cfg = SystemConfig(n=1, lam=0.0, rate=FX2, initial=InitialLaw.point_mass(3.0), horizon=2.0, seed=0)
-        sol = solve_marginals(cfg, snapshot_times=[0.5, 2.0])
-        nodes = 1 + len(sol.times)  # the atom and one birth per time
-        assert nodes > 1 + 1001
-        assert sol.retired_nodes == 0
-        _assert_bitwise_equal(sol, reference_solve_marginals(cfg, snapshot_times=[0.5, 2.0]))
+        # from 3.0 at lam 0, x^2 makes 1,070 births and 0.5x + x^3 1,236, and the atom, against
+        # 1,002 slots (1 atom + 1,001 grid nodes), so the arrays double; a rate of two terms
+        # commits its rates by copy across the doubling
+        for rate in (FX2, RateFunction.polynomial([0.5, 0, 1])):
+            cfg = SystemConfig(n=1, lam=0.0, rate=rate, initial=InitialLaw.point_mass(3.0), horizon=2.0, seed=0)
+            sol = solve_marginals(cfg, snapshot_times=[0.5, 2.0])
+            nodes = 1 + len(sol.times)  # the atom and one birth per time
+            assert nodes > 1 + 1001
+            assert sol.retired_nodes == 0
+            _assert_bitwise_equal(sol, reference_solve_marginals(cfg, snapshot_times=[0.5, 2.0]))
 
 
 class TestNodeRetirement:
@@ -668,17 +670,21 @@ class TestCoupledBatch:
         # bound) and every pass over the whole batch runs in row blocks of
         # limitlaw._BLOCK_CELLS cells, so a call peaks below 130 bytes per cell
         # plus a fixed allowance for what does not grow with the batch: the
-        # law's tables, numpy's iterator buffers, the per-row arrays
+        # law's tables, numpy's iterator buffers, the per-row arrays. A short
+        # run with one snapshot, then the chaos workload's batch at N = 1600:
+        # horizon 2 and eight snapshots, at lambda 0 and 1
         n, rows = 1600, 24
-        cfg = exp_config(lam=0.0, n=n, horizon=0.1)
-        sol = solve_marginals(cfg, snapshot_times=[0.1])
-        tracemalloc.start()
-        try:
-            simulate_coupled(cfg, sol, [0.1], seeds=range(rows))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 130 * rows * n + 2**18
+        chaos_snaps = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+        for lam, horizon, snaps in [(0.0, 0.1, [0.1]), (0.0, 2.0, chaos_snaps), (1.0, 2.0, chaos_snaps)]:
+            cfg = exp_config(lam=lam, n=n, horizon=horizon)
+            sol = solve_marginals(cfg, snapshot_times=snaps)
+            tracemalloc.start()
+            try:
+                simulate_coupled(cfg, sol, snaps, seeds=range(rows))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 130 * rows * n + 2**18, (lam, horizon, peak)
 
     def test_seeds_give_one_stats_each(self):
         cfg = exp_config(lam=1.0, n=5)

@@ -107,7 +107,7 @@ class TestW1Rows:
         snap = solve_marginals(cfg, snapshot_times=[t]).snapshot_at(t)
         rows = np.random.default_rng(n).exponential(1.0, size=(5, n))
         rows[0, 0] = 10 * snap.support()[1]  # beyond the support
-        self.assert_rows_match(rows, snap)  # through the law's cached table
+        self.assert_rows_match(rows, snap)  # through the law's cdf_grid()
         self.assert_rows_match(rows, snap.cdf_grid())  # and from the bare (xs, F) pair
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
