@@ -28,12 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import quadrature
 from .invariant import ROOT_ABS, solve_a_star
-from .limitlaw import MassDriftError, _trapezoid_weights, simulate_coupled, solve_marginals
+from .limitlaw import MassDriftError, simulate_coupled, solve_marginals
 from .metrics import fit_rate, tv_densities
 from .model import ConfigError, InitialLaw, RateFunction, SystemConfig, Tolerances, survival
 from .particle import MEAN_RESIDUAL_ABS, EventBudgetExceededError, check_apriori, simulate
-from .quadrature import QuadratureError
 from .rng import derive_seed
 
 _FMT = "%.17g"
@@ -230,12 +230,12 @@ def cmd_invariant(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
     return _gate([(result.residuals[k] <= b, k, result.residuals[k], ">", b) for k, b in bounds.items()])
 
 
-# the last-jump-time check: Simpson panels of its jump part, first and at
-# most, and the agreement of two levels that ends their doubling; the
+# the last-jump-time check: Simpson panels of its jump part at first, their
+# doublings at most, and the agreement of two levels that ends them; the
 # summed bound below which its initial part skips nodes, and the panels of
 # that bound's exponent
 _JUMP_PANELS = 32
-_JUMP_PANELS_MAX = 512
+_JUMP_DOUBLINGS = 4
 _JUMP_AGREE = 1e-6
 _TAIL_BOUND = 1e-16
 _BOUND_PANELS = 8
@@ -271,18 +271,7 @@ def _jump_part(sol, t: float, system: SystemConfig):
         kappa = survival(s, t, 0.0, system.rate, system.lam, sol.drift())
         return 2.0 * t * v * _local_cubic(s, sol.times, sol.p) * kappa
 
-    n = _JUMP_PANELS
-    vals = integrand(np.linspace(0.0, 1.0, n + 1))
-    ends = vals[0] + vals[-1]
-    odds, evens = vals[1::2].sum(), vals[2:-1:2].sum()
-    coarse = (ends + 4.0 * vals[2:-1:4].sum() + 2.0 * vals[4:-1:4].sum()) / (1.5 * n)
-    fine = (ends + 4.0 * odds + 2.0 * evens) / (3.0 * n)
-    while abs(fine - coarse) >= _JUMP_AGREE and n < _JUMP_PANELS_MAX:
-        evens += odds
-        n *= 2
-        odds = integrand((2.0 * np.arange(n // 2) + 1.0) / n).sum()
-        coarse, fine = fine, (ends + 4.0 * odds + 2.0 * evens) / (3.0 * n)
-    return float(fine), float(abs(fine - coarse))
+    return quadrature.simpson_refine(integrand, 0.0, 1.0, _JUMP_AGREE, _JUMP_PANELS, _JUMP_DOUBLINGS)
 
 
 def _initial_tail(x, g0, w, t: float, rate: RateFunction, lam: float):
@@ -319,7 +308,7 @@ def _loidetau_residual(sol, snap, system: SystemConfig) -> float:
         return 0.0
     jump, jump_err = _jump_part(sol, t, system)
     x, g0 = snap.init_x, snap.init_g0
-    w = _trapezoid_weights(x)
+    w = quadrature.trapezoid_weights(x)
     k, tail = _initial_tail(x, g0, w, t, system.rate, system.lam)
     origins = [origin for origin, _, _, _ in snap.atoms]
     k0 = survival(0.0, t, np.concatenate([x[:k], origins]), system.rate, system.lam, sol.drift())
@@ -342,7 +331,7 @@ def cmd_solve_limit(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
             {
                 "t": snap.t,
                 "mass_error": abs(snap.mass() - 1.0),
-                "loidetau_residual": _loidetau_residual(sol, snap, system) if snap.t > 0 else 0.0,
+                "loidetau_residual": _loidetau_residual(sol, snap, system),
                 "boundary_density": snap.density(0.0),
                 "p_over_a": snap.p_t / snap.a_t if snap.a_t > 0 else 0.0,
             }
@@ -583,7 +572,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MassDriftError, QuadratureError) as exc:
+    except (MassDriftError, quadrature.QuadratureError) as exc:
         print(f"tolerance violated: {exc}", file=sys.stderr)
         return 1
     except EventBudgetExceededError as exc:

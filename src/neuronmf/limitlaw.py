@@ -52,7 +52,7 @@ from .particle import (
     _first_blocks,
     _initial_state,
 )
-from .quadrature import cumulative_trapezoid
+from .quadrature import cumulative_trapezoid, trapezoid_weights
 from .rng import uniform_array
 from .rng import substream  # noqa: F401  (benchmark/tracing.py wraps this name)
 
@@ -240,15 +240,6 @@ def _slab_survival(rate, positions, rates, decays, offsets, dt, end, mid, fac):
     return end, f2, np.exp(fac, out=fac)
 
 
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    """w with w @ y == np.trapezoid(y, x) up to rounding."""
-    w = np.zeros(x.size)
-    half = 0.5 * np.diff(x)
-    w[:-1] += half
-    w[1:] += half
-    return w
-
-
 def _workspace(size: int) -> list:
     """The solver step's arrays, each of the nodes' capacity: end positions,
     midpoint positions (then w surv fac), slab factors, w surv."""
@@ -287,7 +278,7 @@ class _Nodes:
         self.x, self.f, self.w, self.surv, self.dens = np.zeros((5, size))
         self.x[: self.j0] = np.concatenate([xs, [x0 for x0, _ in atoms]])
         self.f[: self.j0] = np.asarray(rate(self.x[: self.j0]), dtype=float)
-        self.w[: self.j0] = np.concatenate([g0v * _trapezoid_weights(xs), [mass for _, mass in atoms]])
+        self.w[: self.j0] = np.concatenate([g0v * trapezoid_weights(xs), [mass for _, mass in atoms]])
         self.surv[: self.j0] = 1.0
         self.dens[: self.ni] = g0v
         self.f0 = float(rate(0.0))  # rate of a newborn node at the reset point

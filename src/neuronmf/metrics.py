@@ -17,12 +17,10 @@ def w1_samples_vs_law(samples, law):
     (_w1_rows): one call for all rows, and row r's value does not depend on
     the other rows. 1-d samples are one such row, and give a float.
 
-    law is either an (xs, F) pair or an object with a cdf_grid() method;
-    F must increase from 0 to 1.
+    law is an (xs, F) pair, F increasing from 0 to 1.
     """
-    xs, F = law if isinstance(law, tuple) else law.cdf_grid()
-    xs = np.asarray(xs, dtype=float)
-    F = np.asarray(F, dtype=float)
+    xs = np.asarray(law[0], dtype=float)
+    F = np.asarray(law[1], dtype=float)
     if abs(F[-1] - 1.0) > 1e-9 or F[0] < -1e-12 or np.any(np.diff(F) < -1e-12):
         raise ValueError("law cdf must increase from 0 to 1")
     s = np.sort(np.asarray(samples, dtype=float))

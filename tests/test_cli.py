@@ -369,7 +369,7 @@ class TestLastJumpCheck:
         no_drift = DriftSeries(times=sol.times, a=np.zeros(sol.times.size))
         for snap in sol.snapshots:
             x, g0 = snap.init_x, snap.init_g0
-            w = cli._trapezoid_weights(x)
+            w = cli.quadrature.trapezoid_weights(x)
             for drift in (sol.drift(), no_drift):
                 mass = w * g0 * survival(0.0, snap.t, x, system.rate, lam, drift)
                 for cut in (1e-16, 1e-10, 1e-6, 1e-3):

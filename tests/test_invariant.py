@@ -195,15 +195,45 @@ class TestStationarity:
 
 
 class TestSimpsonRefine:
-    def test_unreached_tolerance_raises(self):
-        from neuronmf import QuadratureError
+    @staticmethod
+    def recording(f):
+        calls = []
+
+        def g(x):
+            calls.append(np.array(x))
+            return f(x)
+
+        return g, calls
+
+    def test_cubic_exact_from_one_call(self):
         from neuronmf.quadrature import simpson_refine
 
-        step = lambda x: np.where(x < 1 / 3, 0.0, 1.0)  # noqa: E731
-        with pytest.raises(QuadratureError, match="did not reach tol"):
-            simpson_refine(step, 0.0, 1.0, 1e-15, max_doublings=3)
-        with pytest.raises(QuadratureError, match="non-finite"), np.errstate(divide="ignore", invalid="ignore"):
-            simpson_refine(lambda x: 1.0 / x, 0.0, 1.0, 1e-15, max_doublings=3)
+        f, calls = self.recording(lambda x: x**3 - 2.0 * x + 1.0)
+        est, change = simpson_refine(f, 0.0, 2.0, 1e-12)
+        assert len(calls) == 1 and calls[0].size == 9
+        assert est == pytest.approx(2.0, abs=1e-14)  # 4 - 4 + 2
+        assert change < 1e-14
+
+    def test_doublings_see_each_node_once(self):
+        from neuronmf.quadrature import simpson_refine
+
+        f, calls = self.recording(np.exp)
+        for k in range(4):
+            calls.clear()
+            simpson_refine(f, -1.0, 2.0, 0.0, n0=12, max_doublings=k)  # tol 0: every doubling runs
+            seen = np.sort(np.concatenate(calls))
+            assert len(calls) == k + 1
+            assert np.unique(seen).size == seen.size  # no node twice
+            np.testing.assert_allclose(seen, np.linspace(-1.0, 2.0, 12 * 2**k + 1), rtol=0, atol=1e-15)
+
+    def test_unreached_tolerance_returns_the_change(self):
+        from neuronmf.quadrature import simpson_refine
+
+        f, calls = self.recording(lambda x: np.where(x < 1 / 3, 0.0, 1.0))
+        est, change = simpson_refine(f, 0.0, 1.0, 1e-15, max_doublings=3)
+        assert len(calls) == 4
+        assert change >= 1e-15
+        assert est == pytest.approx(2 / 3, abs=1e-2)
 
 
 class TestRootSearch:
