@@ -546,6 +546,9 @@ def _row_blocks(rows: int, n: int) -> list[slice]:
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
+_BOUND_SLACK = 1e-9  # added to a bound position: covers the rounding of the computed flow
+
+
 class _LimitPaths:
     """Paths of the limit process on a solved drift, thinned by outside marks.
 
@@ -558,7 +561,7 @@ class _LimitPaths:
     nondecreasing); a path that jumps restarts at 0 below its anchor, so the
     bound stays valid after jumps. I is the drift's cached flow integral fi
     (DriftSeries.integral), shared by every batch on the drift; the bound
-    position carries a slack that covers its quadrature. Windows are
+    position carries _BOUND_SLACK, which covers its rounding. Windows are
     _WINDOW_DRIFT/abar long, the last one ending at t_end (a drift with
     abar = 0 has one window up to t_end).
 
@@ -573,7 +576,6 @@ class _LimitPaths:
         self.lam = lam
         self.t_end = float(t_end)
         self.abar = self.fi.a_max
-        self.slack = 10.0 * self.fi.tol  # covers the quadrature error of the computed flow
         self.h = _WINDOW_DRIFT / self.abar if self.abar > 0 else math.inf
 
     def start(self, y0):
@@ -599,7 +601,7 @@ class _LimitPaths:
             np.maximum(x, 0.0, out=x)
             x *= -np.expm1(-self.lam * (self.w - ta))
             x += ya
-        x += self.slack
+        x += _BOUND_SLACK
         return np.asarray(self.rate(x), dtype=float)
 
     def advance(self, t1: float, cells=(), times=(), marks=()):

@@ -258,7 +258,7 @@ class DriftSeries:
     """Piecewise-linear drift a_t >= 0 on a time grid covering [0, T].
 
     Immutable after construction; its flow integrals, built lazily once per
-    (lam, tol), are pure functions of the data and safe to share across threads.
+    lam, are pure functions of the data and safe to share across threads.
     """
 
     times: np.ndarray
@@ -293,84 +293,77 @@ class DriftSeries:
         if not (self.t0 - 1e-12 <= s <= t <= self.t1 + 1e-12):
             raise OutOfGridError(f"[{s}, {t}] outside drift grid [{self.t0}, {self.t1}]")
 
-    @staticmethod
-    def _accumulate(t: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
-        """I at the nodes of (t, a) via per-segment 3-point Simpson.
-
-        Exact for lam = 0 (linear integrand); for lam > 0 the per-segment
-        error is O(lam^4 h^5), controlled by refining the grid.
-        """
-        h = np.diff(t)
-        amid = 0.5 * (a[:-1] + a[1:])
-        seg = h / 6.0 * (np.exp(-lam * h) * a[:-1] + 4.0 * np.exp(-lam * 0.5 * h) * amid + a[1:])
-        decay = np.exp(-lam * h)
-        out = np.zeros(t.size)
-        acc = 0.0
-        for k in range(h.size):
-            acc = acc * decay[k] + seg[k]
-            out[k + 1] = acc
-        return out
-
-    def integral(self, lam: float, tol: float = 1e-10) -> "FlowIntegral":
-        """The flow integral at lam, built once per (lam, tol) on a fine grid refined
-        until the node integrals change by less than tol between successive halvings."""
-        key = (float(lam), float(tol))
-        cached = self._flow_cache.get(key)
-        if cached is not None:
-            return cached
-        t = self.times
-        a = self.a
-        vals = self._accumulate(t, a, lam)
-        if lam > 0:
-            for _ in range(22):
-                t2 = np.empty(2 * t.size - 1)
-                t2[0::2] = t
-                t2[1::2] = 0.5 * (t[:-1] + t[1:])
-                a2 = np.interp(t2, self.times, self.a)
-                vals2 = self._accumulate(t2, a2, lam)
-                if np.max(np.abs(vals2[0::2] - vals)) < tol:
-                    t, a, vals = t2, a2, vals2
-                    break
-                t, a, vals = t2, a2, vals2
-            else:
-                raise QuadratureError("flow quadrature did not converge")
-        cached = self._flow_cache[key] = FlowIntegral(t, a, vals, float(lam), float(tol))
+    def integral(self, lam: float) -> "FlowIntegral":
+        """The flow integral at lam, built once per lam and cached."""
+        lam = float(lam)
+        cached = self._flow_cache.get(lam)
+        if cached is None:
+            cached = self._flow_cache[lam] = FlowIntegral(self.times, self.a, lam)
         return cached
 
 
+# phi(z) = (z - 1 + e^{-z})/z^2 = sum_n (-z)^n/(n + 2)! is summed from its first
+# nine terms below _PHI_CUT, where the closed form cancels (remainder < 3e-17)
+_PHI_CUT = 0.1
+_PHI_SERIES = tuple((-1) ** n / math.factorial(n + 2) for n in range(8, -1, -1))
+
+
+def _phi(z):
+    small = np.minimum(z, _PHI_CUT)
+    series = 0.0
+    for c in _PHI_SERIES:
+        series = series * small + c
+    big = np.maximum(z, _PHI_CUT)
+    return np.where(z < _PHI_CUT, series, (1.0 + np.expm1(-big) / big) / big)
+
+
 class FlowIntegral:
-    """I(t) = int_{t_0}^t exp(-lam (t - u)) a_u du on a drift's fine grid: at(t) for one t, rows(t) for an array."""
+    """I(t) = int_{t_0}^t exp(-lam (t - u)) a_u du on a drift's own segments: at(t) for one t, rows(t) for an array.
 
-    def __init__(self, ft: np.ndarray, fa: np.ndarray, nodes: np.ndarray, lam: float, tol: float):
+    Exact for the piecewise-linear drift: over the first h of a segment that
+    starts at t_lo with a = a_lo and rises by r per unit time, with z = lam h,
+    I(t_lo + h) = e^{-z} I(t_lo) + a_lo (1 - e^{-z})/lam + r h^2 phi(z). At
+    lam = 0 the increment is 3-point Simpson, exact for a linear integrand.
+    """
+
+    def __init__(self, times: np.ndarray, a: np.ndarray, lam: float):
         self.lam = lam
-        self.tol = tol
-        self.t_end = float(ft[-1])
-        self.a_max = float(fa.max())
-        self.inner = ft[1:-1]
-        # per fine segment: start, I there, a there, a's rise over it, its length
-        self.segments = np.stack([ft[:-1], nodes[:-1], fa[:-1], np.diff(fa), np.diff(ft)])
+        self.t_end = float(times[-1])
+        self.a_max = float(a.max())
+        self.inner = times[1:-1]
+        h, rise = np.diff(times), np.diff(a)
+        if lam == 0.0:
+            nodes = np.cumsum(h / 6.0 * (a[:-1] + 4.0 * (0.5 * (a[:-1] + a[1:])) + a[1:]))
+        else:
+            acc, nodes = 0.0, []
+            for decay, grow in zip(np.exp(-lam * h).tolist(), self._grow(h, a[:-1], rise, h).tolist()):
+                acc = acc * decay + grow
+                nodes.append(acc)
+        # per segment: start, I there, a there, a's rise over it, its length
+        self.segments = np.stack([times[:-1], np.concatenate([[0.0], nodes[:-1]]), a[:-1], rise, h])
 
-    def _tail(self, t, exp):
-        """I(t) from the start t0 of t's segment: I there decayed to t plus 3-point Simpson over [t0, t]."""
-        t0, node, a_lo, rise, seg = self.segments.take(self.inner.searchsorted(t, side="right"), axis=1)
-        h = t - t0
-        frac = h / seg
-        a_t = a_lo + rise * frac
-        a_mid = a_lo + rise * 0.5 * frac
-        decay = exp(-self.lam * h)
-        return node * decay + h / 6.0 * (decay * a_lo + 4.0 * exp(-self.lam * 0.5 * h) * a_mid + a_t)
-
-    def at(self, t: float) -> float:
-        return float(self._tail(t, math.exp))
+    def _grow(self, h, a_lo, rise, seg):
+        """I(t_lo + h) - e^{-lam h} I(t_lo) in a segment of length seg, for lam > 0."""
+        z = self.lam * h
+        return a_lo * -np.expm1(-z) / self.lam + rise * (h / seg) * h * _phi(z)
 
     def rows(self, t: np.ndarray) -> np.ndarray:
-        return self._tail(t, np.exp)
+        t0, node, a_lo, rise, seg = self.segments.take(self.inner.searchsorted(t, side="right"), axis=1)
+        h = t - t0
+        if self.lam == 0.0:
+            frac = h / seg
+            return node + h / 6.0 * (a_lo + 4.0 * (a_lo + rise * 0.5 * frac) + (a_lo + rise * frac))
+        return node * np.exp(-self.lam * h) + self._grow(h, a_lo, rise, seg)
+
+    def at(self, t: float) -> float:
+        return float(self.rows(t))
 
 
 def flow(s, t: float, x, lam: float, drift: DriftSeries):
     """Deterministic inter-spike flow phi_{s,t}(x); vectorized in s or x."""
     s_arr = np.asarray(s, dtype=float)
     drift._check_range(float(np.min(s_arr)), t)
+    drift._check_range(float(np.max(s_arr)), t)
     fi = drift.integral(lam)
     decay = np.exp(-lam * (t - s_arr))
     out = decay * np.asarray(x, dtype=float) + (fi.at(t) - decay * fi.rows(s_arr))
@@ -381,7 +374,7 @@ def flow(s, t: float, x, lam: float, drift: DriftSeries):
 
 # largest temporary of the survival quadrature, in doubles (nodes, or nodes x start points)
 _SURVIVAL_CHUNK = 1 << 15
-_SURVIVAL_ABS = 1e-8  # absolute tolerance of the survival exponent and of its flow integral
+_SURVIVAL_ABS = 1e-8  # absolute tolerance of the survival exponent
 
 
 def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries):
@@ -415,7 +408,7 @@ def survival(s, t: float, x, rate: RateFunction, lam: float, drift: DriftSeries)
     seg = np.diff(edges)
     group = np.searchsorted(starts, edges[:-1], side="right") - 1  # segment k is summed by the first n_act[group[k]]
     k_start = np.searchsorted(edges, s_arr)  # first segment of each start point
-    fi = drift.integral(lam, _SURVIVAL_ABS)
+    fi = drift.integral(lam)
     i_s = fi.rows(edges)[k_start]
 
     def sweep(acc, count, nodes):

@@ -252,9 +252,9 @@ def w1_merged(samples, law) -> float:
     Computes int |F_n - F| dx exactly on the merged breakpoints of the
     empirical cdf (steps at the sorted samples) and the law's cdf grid,
     splitting cells where the linear cdf crosses the empirical level. law
-    is an (xs, F) pair or an object with a cdf_grid() method.
+    is the (xs, F) pair of that cdf's grid and values.
     """
-    xs, F = law if isinstance(law, tuple) else law.cdf_grid()
+    xs, F = law
     xs = np.asarray(xs, dtype=float)
     F = np.asarray(F, dtype=float)
     s = np.sort(np.asarray(samples, dtype=float))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from neuronmf import DriftSeries, InitialLaw, RateFunction, SystemConfig, simulate_coupled, solve_marginals
-from neuronmf import cli
+from neuronmf import cli, model
 from neuronmf.cli import _loidetau_residual, _system_from, main
 from neuronmf.model import survival
 from neuronmf.rng import derive_seed
@@ -543,17 +543,16 @@ class TestChaosCommand:
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_flow_grid_built_once_per_command(self, tmp_path, monkeypatch, lam):
-        # DriftSeries._accumulate runs only when DriftSeries.integral misses its cache, once
-        # per miss at lambda 0 and once per refinement at lambda > 0; sharing the
-        # solution's drift makes the count independent of the replicate count
+        # a FlowIntegral is built only when DriftSeries.integral misses its cache;
+        # sharing the solution's drift makes it one per command at any replicate count
         calls = []
-        accumulate = DriftSeries._accumulate
 
-        def counting(*args):
-            calls.append(args)
-            return accumulate(*args)
+        class Counting(model.FlowIntegral):
+            def __init__(self, *args):
+                calls.append(args)
+                super().__init__(*args)
 
-        monkeypatch.setattr(DriftSeries, "_accumulate", staticmethod(counting))
+        monkeypatch.setattr(model, "FlowIntegral", Counting)
         sys0 = {"lambda": lam, "rate": {"kind": "power", "c": 1.0, "xi": 2.0},
                 "initial": {"kind": "exponential", "rate": 1.0}, "horizon": 1.0, "seed": 3}
         counts = []
@@ -564,9 +563,7 @@ class TestChaosCommand:
             calls.clear()
             assert main(["chaos", "--config", cfg, "--out", str(tmp_path / str(replicates))]) == 0
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
-        if lam == 0.0:
-            assert counts[0] == 1
+        assert counts == [1, 1]
 
     def test_curve_is_the_mean_of_the_library_stats(self, tmp_path):
         # each value of chaos_curve.csv is the sup over snapshots of the mean

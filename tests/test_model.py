@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from neuronmf import (
     ConfigError,
@@ -212,6 +214,9 @@ class TestFlow:
         d = DriftSeries.constant(1.0, 5.0)
         with pytest.raises(OutOfGridError):
             flow(0.0, 6.0, 1.0, 1.0, d)
+        # a start time past t, behind one inside the grid
+        with pytest.raises(OutOfGridError):
+            flow(np.array([0.5, 3.0]), 1.0, 0.0, 1.0, DriftSeries.constant(1.0, 4.0))
 
     def test_monotone_slope(self):
         # x -> phi_{s,t}(x) is affine with slope exp(-lam (t-s))
@@ -236,6 +241,44 @@ class TestFlow:
         lhs = flow(r, t, x, lam, d)
         rhs = flow(s, t, flow(r, s, x, lam, d), lam, d)
         assert abs(lhs - rhs) <= 2e-8 + 1e-12 * abs(lhs)
+
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-9, 1e-4, 0.5, 1.0, 50.0, 1e4])
+    def test_integral_matches_quad_on_a_nonuniform_drift(self, lam):
+        # I(q) on the drift nodes and between them against segment-wise quad;
+        # lam * h spans both sides of the series cut-over across these lambdas
+        rng = np.random.default_rng(29)
+        t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 298)), [3.0]])
+        a = rng.uniform(0.0, 2.0, t.size)
+        fi = DriftSeries(t, a).integral(lam)
+        assert fi.segments.shape[1] == t.size - 1
+
+        def part(k, lo, hi):  # int_lo^hi exp(-lam (hi - u)) a_u du inside segment k
+            slope = (a[k + 1] - a[k]) / (t[k + 1] - t[k])
+            g = lambda u: math.exp(-lam * (hi - u)) * (a[k] + slope * (u - t[k]))
+            return quad(g, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+
+        at_node = [0.0]
+        for k in range(t.size - 1):
+            at_node.append(at_node[-1] * math.exp(-lam * (t[k + 1] - t[k])) + part(k, t[k], t[k + 1]))
+        q = np.sort(np.concatenate([t, rng.uniform(0.0, 3.0, 100)]))
+        k = np.minimum(np.searchsorted(t, q, side="right") - 1, t.size - 2)
+        ref = [at_node[j] * math.exp(-lam * (x - t[j])) + part(j, t[j], x) for j, x in zip(k, q)]
+        assert np.max(np.abs(fi.rows(q) - ref)) <= 1e-13
+        assert fi.at(q[50]) == pytest.approx(ref[50], abs=1e-13)
+
+    def test_integral_memory_stays_on_the_drift_nodes(self):
+        # a stiff lambda costs one pass over the drift's own 1,001 nodes
+        t = np.linspace(0.0, 2.0, 1001)
+        d = DriftSeries(t, 1.0 + np.sin(3.0 * t))
+        tracemalloc.start()
+        try:
+            fi = d.integral(1e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fi.segments.shape[1] == t.size - 1
+        assert peak < 1 << 20
 
 
 class TestSurvival:
