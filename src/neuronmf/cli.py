@@ -354,31 +354,50 @@ def _init_pool(state: dict):
     _POOL_STATE.update(state)
 
 
-# rows x neurons of one coupled batch, the coupled engine's only memory cap.
-# The batch holds 104 bytes per cell and its passes work in row blocks of
-# limitlaw._BLOCK_CELLS cells or in place, so it peaks at ~126-130 bytes per
-# cell (tracemalloc, 24 x 1600), ~5 MB at the cap; at N=1600 a batch holds 24
-# replicates, at N <= 800 all 48
+# cells (neurons summed over rows) of one coupled batch, the coupled
+# engine's only memory cap. The batch holds 104 bytes per cell and its passes
+# work in row blocks of limitlaw._BLOCK_CELLS cells or in place, so it peaks
+# at ~126-130 bytes per cell (tracemalloc, 24 x 1600), ~5 MB at the cap; at
+# N=1600 a batch holds 24 replicates, and the smaller sizes share batches
 _BATCH_CELLS = 40_000
 
 
 def _chaos_batches(n_grid, replicates):
-    """(n, first, stop): each size's replicates in the fewest batches of even size within _BATCH_CELLS."""
-    tasks = []
-    for n in n_grid:
+    """Batches of chunks (n, first, stop) of replicates, each batch within _BATCH_CELLS cells.
+
+    Each size's replicates go in the fewest even chunks within the cap,
+    packed largest N first, each into the newest batch with room for it:
+    a batch runs the lockstep iterations its largest N needs and a chunk
+    adds work to each, so it rides along where that N is smallest.
+    """
+    batches, cells = [], []
+    for n in sorted(n_grid, reverse=True):
         count = -(-replicates // max(1, _BATCH_CELLS // n))
         size = -(-replicates // count)
-        tasks += [(n, first, min(first + size, replicates)) for first in range(0, replicates, size)]
-    return tasks
+        for first in range(0, replicates, size):
+            stop = min(first + size, replicates)
+            need = (stop - first) * n
+            k = next((k for k in reversed(range(len(cells))) if cells[k] + need <= _BATCH_CELLS), len(cells))
+            if k == len(cells):
+                batches.append(())
+                cells.append(0)
+            batches[k] += ((n, first, stop),)
+            cells[k] += need
+    return batches
 
 
-def _chaos_worker(args):
-    n, first, stop = args
-    base = _POOL_STATE["base"]
-    master = _POOL_STATE["master"]
-    seeds = [derive_seed(master, "chaos", n, rep) for rep in range(first, stop)]
-    system = dataclasses.replace(base, n=n)
-    return simulate_coupled(system, _POOL_STATE["sol"], _POOL_STATE["snaps"], _POOL_STATE["budget"], seeds=seeds)
+def _batch_rows(batch):
+    """(n, replicate) of each row of a batch, in order."""
+    return [(n, rep) for n, first, stop in batch for rep in range(first, stop)]
+
+
+def _chaos_worker(batch):
+    rows = _batch_rows(batch)
+    seeds = [derive_seed(_POOL_STATE["master"], "chaos", n, rep) for n, rep in rows]
+    system = dataclasses.replace(_POOL_STATE["base"], n=batch[0][0])  # the batch's largest N
+    return simulate_coupled(
+        system, _POOL_STATE["sol"], _POOL_STATE["snaps"], _POOL_STATE["budget"], seeds=seeds, sizes=[n for n, _ in rows]
+    )
 
 
 def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
@@ -399,16 +418,16 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
     master = base.seed
     sol = solve_marginals(base, snapshot_times=snaps)
 
-    # one batch per chunk of a size's replicates; a replicate's stats do not
+    # chunks of the sizes' replicates share batches; a replicate's stats do not
     # depend on its batch, so neither do the reports. A pool starts all its
     # workers at once, so it gets no more than there are tasks and cores, and
-    # takes the largest batches (rows x N) first, so no long one starts last
+    # takes the largest batches (cells) first, so no long one starts last
     state = dict(base=base, sol=sol, snaps=snaps, master=master, budget=budget)
     tasks = _chaos_batches(n_grid, replicates)
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     try:
         if workers > 1:
-            largest_first = sorted(tasks, key=lambda task: (task[2] - task[1]) * task[0], reverse=True)
+            largest_first = sorted(tasks, key=lambda task: sum(n * (b - a) for n, a, b in task), reverse=True)
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_pool, initargs=(state,)
             ) as pool:
@@ -418,9 +437,8 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
             batches = {task: _chaos_worker(task) for task in tasks}
     finally:
         _POOL_STATE.clear()  # the serial path filled it here; it must not keep this solve alive
-    runs = {n: [] for n in n_grid}  # each size's replicates in order: the tasks come in order
-    for task in tasks:
-        runs[task[0]] += batches[task]
+    stats = {row: s for task in tasks for row, s in zip(_batch_rows(task), batches[task])}
+    runs = {n: [stats[n, rep] for rep in range(replicates)] for n in n_grid}  # each size's replicates in order
 
     # each size's sup over snapshots of the replicates' mean, per statistic
     names = ("mean_abs_diff", "mean_h_diff", "w1")

@@ -23,14 +23,15 @@ The limit process itself is simulated as the particles' shadow, by
 thinning against the same drift (_LimitPaths: one bound and one position
 formula, on the drift's cached flow integral, so every batch on one
 solution shares it). The particle/limit coupling runs R replicates of
-the N-neuron system in lockstep on (R, N) arrays (_coupled_loop, on
-particle's engine rules): every proposal's mark is logged for its limit
-path, and the paths take the logged marks in one vectorized pass at each
-window end and snapshot, which all rows share. The batch keeps 104 bytes
-per cell (the neuron's proposal bound among them), each pass over the
-whole batch that needs temporaries works in row blocks of at most
-_BLOCK_CELLS cells and the others run in place, so its temporaries stay
-bounded and the caller sizes the batch (the chaos command caps it at
+any sizes N in lockstep on flat arrays, each group of rows of one N
+with (R_g, N) views (_coupled_loop, on particle's engine rules): every
+proposal's mark is logged for its limit path, and the paths take the
+logged marks in one vectorized pass at each window end and snapshot,
+which all rows share. The batch keeps 104 bytes per cell (the neuron's
+proposal bound among them), each pass over the whole batch that needs
+temporaries works in row blocks of at most _BLOCK_CELLS cells and the
+others run in place, so its temporaries stay bounded and the caller
+sizes the batch (the chaos command packs sizes into batches of at most
 cli._BATCH_CELLS cells). Each snapshot's W1 is one call per row block,
 on the law's cdf grid, built once per call.
 """
@@ -39,21 +40,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .metrics import h_distance, w1_samples_vs_law
 from .model import ConfigError, DriftSeries, RateFunction, SystemConfig
 from .particle import (
-    _EPOCH_DRIFT,
     EventBudgetExceededError,
     EventLog,
     _dominating_rates,
+    _epoch,
     _first_blocks,
     _initial_state,
 )
 from .quadrature import cumulative_trapezoid, trapezoid_weights
-from .rng import uniform_array
+from .rng import read_blocks
 from .rng import substream  # noqa: F401  (benchmark/tracing.py wraps this name)
 
 
@@ -540,10 +542,22 @@ _WINDOW_DRIFT = 1.0 / 16.0
 _BLOCK_CELLS = 8192
 
 
-def _row_blocks(rows: int, n: int) -> list[slice]:
-    """Consecutive slices over rows rows of n cells, each of at most _BLOCK_CELLS cells or one row."""
-    step = max(1, _BLOCK_CELLS // n)
-    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+def _row_blocks(sizes, whole=False) -> list[tuple[slice, slice, int]]:
+    """(rows, cells, n) per block of a run of rows of size n: slices of the rows and of their flat cells.
+
+    A block holds at most _BLOCK_CELLS cells (one row at least), or, if
+    whole, the run's every row.
+    """
+    blocks, row, cell = [], 0, 0
+    for n, run in groupby(sizes):
+        stop = row + len(list(run))
+        step = stop - row if whole else max(1, _BLOCK_CELLS // n)
+        for lo in range(row, stop, step):
+            hi = min(lo + step, stop)
+            blocks.append((slice(lo, hi), slice(cell, cell + (hi - lo) * n), n))
+            cell += (hi - lo) * n
+        row = stop
+    return blocks
 
 
 _BOUND_SLACK = 1e-9  # added to a bound position: covers the rounding of the computed flow
@@ -565,9 +579,10 @@ class _LimitPaths:
     _WINDOW_DRIFT/abar long, the last one ending at t_end (a drift with
     abar = 0 has one window up to t_end).
 
-    Paths take (R, N) shape, R replicates of N. advance applies a batch of
-    proposals and re-anchors all paths at a later time; next_window does
-    so at the window end and bounds the paths up to the next one.
+    Paths sit in rows, R replicates of any sizes N, in one flat array.
+    advance applies a batch of proposals and re-anchors all paths at a
+    later time; next_window does so at the window end and bounds the paths
+    up to the next one.
     """
 
     def __init__(self, drift: DriftSeries, rate: RateFunction, lam: float, t_end: float):
@@ -578,10 +593,11 @@ class _LimitPaths:
         self.abar = self.fi.a_max
         self.h = _WINDOW_DRIFT / self.abar if self.abar > 0 else math.inf
 
-    def start(self, y0):
-        """Anchor the paths at y0, an (R, N) array, at time 0 and bound them up to the first window end."""
+    def start(self, y0, sizes):
+        """Anchor the paths at y0, rows of sizes[r] paths in turn, and bound them up to the first window end."""
         self.ya = np.array(y0, dtype=float)
-        self.by = np.empty(self.ya.shape)
+        self.blocks = _row_blocks(sizes)
+        self.by = np.empty(self.ya.size)
         self.t0, self.i0 = 0.0, self.fi.at(0.0)
         self.k = 0
         self._bound_window()
@@ -590,8 +606,8 @@ class _LimitPaths:
         self.k += 1
         self.w = min(self.k * self.h, self.t_end)
         self.i_w = self.fi.at(self.w)
-        for rows in _row_blocks(*self.ya.shape):
-            self.by[rows] = self._bounds(self.ya[rows], self.t0, self.i0)
+        for _, cells, _ in self.blocks:
+            self.by[cells] = self._bounds(self.ya[cells], self.t0, self.i0)
 
     def _bounds(self, ya, ta, ia):
         if self.lam == 0.0:
@@ -614,8 +630,7 @@ class _LimitPaths:
         above its bound.
         """
         cells, times, marks = (np.asarray(a) for a in (cells, times, marks))
-        lam, i1 = self.lam, self.fi.at(t1)
-        ya = self.ya.reshape(-1)
+        lam, i1, ya = self.lam, self.fi.at(t1), self.ya
         over = np.zeros(cells.size, dtype=bool)
         if cells.size:
             order = np.argsort(cells, kind="stable")
@@ -632,7 +647,7 @@ class _LimitPaths:
                 i_t = self.fi.rows(t)
                 y = i_t + (ay[g] - ai[g]) if lam == 0.0 else i_t + np.exp(-lam * (t - at[g])) * (ay[g] - ai[g])
                 fy = self.rate(y)
-                over[rec] = fy > self.by.reshape(-1)[c[sel]]
+                over[rec] = fy > self.by[c[sel]]
                 y[marks[rec] <= fy] = 0.0  # the jumps
                 ay[g], at[g], ai[g] = y, t, i_t
         # every path flows on to t1 from its anchor, in place: I(t1) + e^{-lam (t1 - t0)} (ya - I(t0))
@@ -672,6 +687,7 @@ def simulate_coupled(
     event_budget: int = 100_000_000,
     *,
     seeds,
+    sizes=None,
 ) -> list[CoupledStats]:
     """Replicates of the particle system coupled to N limit processes.
 
@@ -687,15 +703,20 @@ def simulate_coupled(
     coupling's law.
 
     Runs one replicate per seed as one batch in lockstep (config.seed is
-    ignored) and returns one CoupledStats per seed, in order. Replicate r
-    depends only on seeds[r]: its stats equal, bitwise, those of the batch
-    [seeds[r]] alone, whatever else the batch holds. event_budget caps each
-    replicate's spike count.
+    ignored), replicate r of N = sizes[r] (default config.n), and returns
+    one CoupledStats per seed, in order. Replicate r depends only on
+    seeds[r] and sizes[r]: its stats equal, bitwise, those of the batch
+    [seeds[r]] of that size alone, whatever else the batch holds. Equal
+    sizes should be adjacent: each run of them is one group of the batch.
+    event_budget caps each replicate's spike count.
     """
     seeds = [int(seed) for seed in seeds]
+    sizes = [config.n] * len(seeds) if sizes is None else [int(n) for n in sizes]
     snap_times = np.sort(config.check_times(snapshot_times))
     if not seeds:
         raise ConfigError("coupled run needs at least one seed")
+    if len(sizes) != len(seeds) or min(sizes) < 1:
+        raise ConfigError("coupled run needs one size >= 1 per seed")
     if snap_times.size == 0:
         raise ConfigError("coupled run needs at least one snapshot time")
     if sol.times[-1] < config.horizon - 1e-9:
@@ -712,10 +733,10 @@ def simulate_coupled(
         d = x - y
         mean_abs[rows, k] = np.abs(d, out=d).mean(axis=1)
 
-    logs, _ = _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_events=False)
+    logs, _ = _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, False, sizes)
     return [
         CoupledStats(
-            n=config.n,
+            n=n,
             snapshot_times=snap_times,
             mean_abs_diff=mean_abs[r],
             mean_h_diff=mean_h[r],
@@ -723,7 +744,7 @@ def simulate_coupled(
             proposals=log.proposals,
             bound_overshoots=log.bound_overshoots,
         )
-        for r, log in enumerate(logs)
+        for r, (n, log) in enumerate(zip(sizes, logs))
     ]
 
 
@@ -736,55 +757,82 @@ _Y, _BX, _DRAWN, _B = range(4)
 _AMP, _SHIFT, _XBAR, _LAST = range(4)
 
 
-def _rebuild(rows, times, bounds, bx, bmax, by, next_time):
-    """Epoch rebuild of each row k of rows at its time, in place.
+def _rebuild(rows, times, bounds, arrays, base, sizes, first):
+    """Epoch rebuild of each row k of rows (ascending) at its time, in place.
 
-    bounds(k) gives the new particle bounds of row k, or of the rows k. The
-    clocks go back to unit rate under the old bound bmax, then forward under
-    the new bmax = max(bx, by). Up to two rows go one at a time on their row
-    views; more share one pass over gathered (e, N) copies, which costs
-    less than e row passes. Both take the same IEEE operations per cell.
+    Row k holds cells [base[k], base[k] + sizes[k]) of the flat arrays (y,
+    bx, bmax, by, clocks), and its group starts at row first[k]. bounds(k,
+    y) gives the new particle bounds of stored values y, with the per-row
+    values indexed by k broadcast to them. The clocks go back to unit rate
+    under the old bmax, then forward under the new bmax = max(bx, by). Up
+    to two rows go one at a time on their row views; more share gathered
+    passes, one over (e, N) rows of their group's view or, across groups,
+    over their cells whatever their sizes, at most _BLOCK_CELLS cells (one
+    row at least) a pass, which costs less than e row passes. All take the
+    same IEEE operations per cell.
     """
-    if rows.size > 2:
-        nt = next_time[rows]
-        nt -= times[:, None]
-        nt *= bmax[rows]
-        bx[rows] = new = bounds(rows)
-        bm = np.maximum(new, by[rows])
-        nt /= bm
-        nt += times[:, None]
-        bmax[rows], next_time[rows] = bm, nt
+    if rows.size <= 2:
+        for k, lo, n, now in zip(rows.tolist(), base[rows].tolist(), sizes[rows].tolist(), times.tolist()):
+            y, bx, bmax, by, next_time = [a[lo : lo + n] for a in arrays]
+            next_time -= now
+            next_time *= bmax
+            bx[:] = new = bounds(k, y)
+            np.maximum(new, by, out=bmax)
+            next_time /= bmax
+            next_time += now
         return
-    for k, now in zip(rows.tolist(), times.tolist()):
-        nt, bm = next_time[k], bmax[k]
-        nt -= now
-        nt *= bm
-        bx[k] = new = bounds(k)
-        np.maximum(new, by[k], out=bm)
-        nt /= bm
-        nt += now
+    k0, k1 = first[rows[0]], rows[-1]
+    if k0 == first[k1]:  # the group's (R_g, N) view, up to the last row
+        views = [a[base[k0] : base[k1] + sizes[k1]].reshape(-1, sizes[k1]) for a in arrays]
+        _gathered((rows, None), rows - k0, times[:, None], bounds, *views)
+        return
+    lens = sizes[rows]
+    ends = lens.cumsum()
+    lo = 0
+    while lo < rows.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - lens[lo] + _BLOCK_CELLS, side="right")))
+        k, n = rows[lo:hi], lens[lo:hi]
+        index = (base[k] - n.cumsum() + n).repeat(n)  # each cell's flat index
+        index += np.arange(index.size)
+        _gathered(k.repeat(n), index, times[lo:hi].repeat(n), bounds, *arrays)
+        lo = hi
+
+
+def _gathered(k, index, at, bounds, y, bx, bmax, by, next_time):
+    """_rebuild's pass over the gathered entries index of the arrays: those of rows k at times at."""
+    bx[index] = new = bounds(k, y[index])
+    nt = next_time[index]
+    nt -= at
+    nt *= bmax[index]
+    bm = np.maximum(new, by[index], out=new)
+    nt /= bm
+    nt += at
+    bmax[index], next_time[index] = bm, nt
 
 
 def _fold(k, y, amp, shift, xbar):
-    """Fold row k's affine map into its stored values y[k], and re-mean xbar[k] from them."""
-    y[k] = amp[k] * (y[k] + shift[k])
+    """Fold row k's affine map into its stored values y (the row's view), and re-mean xbar[k] from them."""
+    y[:] = amp[k] * (y + shift[k])
     amp[k], shift[k] = 1.0, 0.0
-    xbar[k] = float(np.sort(y[k]).mean())  # caps the float drift of the running mean
+    xbar[k] = float(np.sort(y).mean())  # caps the float drift of the running mean
 
 
-def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_events):
-    """The coupled engine: R = len(seeds) replicates of config in lockstep on (R, N) arrays.
+def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_events, sizes):
+    """The coupled engine: R = len(seeds) replicates of config in lockstep on flat arrays.
 
-    Row r is particle's engine on the streams of (seeds[r], "prop"), on
-    the rules it shares with particle.simulate, with its own run key,
-    affine map, spike count, bound epochs and draws, and with the N limit
-    paths of paths (started here, shape (R, N)) as its shadow. Proposals
-    run at B = max(bx, by), where by bounds the paths up to the window end
-    paths.w, and each proposal's mark z = u * B_i is logged for limit path
-    i, which takes it when the paths next advance (_LimitPaths.advance).
-    B is stored with each neuron, set at the first bound pass, at each of
-    its row's epoch rebuilds and at each window end, so a step reads it
-    with the neuron's other state and the clock rescales multiply by it.
+    Row r holds N = sizes[r] cells of each per-neuron array, and each run
+    of rows of one N is a group, with (R_g, N) views. Row r is particle's
+    engine on the streams of (seeds[r], "prop"), on the rules it shares
+    with particle.simulate, with its own run key, affine map, spike count,
+    bound epochs, draws and constants of N (1/N, (N-1)/N, _epoch's), and
+    with the N limit paths of paths (started here) as its shadow.
+    Proposals run at B = max(bx, by), where by bounds the paths up to the
+    window end paths.w, and each proposal's mark z = u * B_i is logged for
+    limit path i, which takes it when the paths next advance
+    (_LimitPaths.advance). B is stored with each neuron, set at the first
+    bound pass, at each of its row's epoch rebuilds and at each window end,
+    so a step reads it with the neuron's other state and the clock
+    rescales multiply by it.
 
     Window ends and snapshot times are common to all rows. Each step takes
     one proposal in every row whose next proposal comes before both (a
@@ -795,8 +843,9 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     in place. The first bound pass and the snapshots are O(R N) with
     temporaries and run block by block (_row_blocks). Epoch rebuilds
     (_rebuild: up to two due rows one at a time on their row views, more in
-    one gathered pass), refills, folds (_fold) and the event budget stay per
-    row, so no row's arithmetic depends on another's, nor on the blocks.
+    gathered passes), refills (one read_blocks call per step), folds
+    (_fold) and the event budget stay per row, so no row's arithmetic
+    depends on another's, nor on the blocks.
 
     observe(k, rows, x, y) receives, for each row block rows (a slice), the
     potentials of its particles and of its limit paths at the k-th snapshot
@@ -804,47 +853,55 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     number of window ends); a row's rebuilds count its first bound pass and
     its epoch passes, and its spikes are logged only with log_events.
     """
-    lam, f, horizon, n = config.lam, config.rate, config.horizon, config.n
+    lam, f, horizon = config.lam, config.rate, config.horizon
     rows = len(seeds)
-    m = max(1, int(_EPOCH_DRIFT * n))
-    labels = list(range(n))
+    n_row = np.array(sizes)
+    base = np.cumsum(n_row) - n_row  # each row's first cell
+    m_row, slack, rounding = np.array([_epoch(n) for n in sizes]).T  # per row, m as a float
+    kicks = np.array([(n, 1.0 / n, (n - 1) / n) for n in sizes]).T  # N, the kick 1/N and (N-1)/N, per row
 
-    # neuron j of the flattened (R, N) state reads its stream as pairs (mark,
-    # clock), four to a block: pair 0 is its initial potential and first
-    # clock, and its proposal k takes pair k + 1 (its mark and the clock to
-    # the next). A block's pair 0 is used as soon as the block is read, at
-    # set-up or by the proposal that reads it, so pairs[3j : 3j + 3] holds
-    # pairs 1-3 of the neuron's current block; a clock is kept as its unit
-    # exponential -log1p(-u)
-    cells = np.zeros((4, rows * n))
-    y, bx, drawn, bmax = cells.reshape(4, rows, n)  # (R, N) views
+    # neuron j of the flat state reads its stream as pairs (mark, clock),
+    # four to a block: pair 0 is its initial potential and first clock, and
+    # its proposal k takes pair k + 1 (its mark and the clock to the next). A
+    # block's pair 0 is used as soon as the block is read, at set-up or by
+    # the proposal that reads it, so pairs[j] holds pairs 1-3 of the
+    # neuron's current block; a clock is kept as its unit exponential
+    # -log1p(-u)
+    cells = np.zeros((4, int(n_row.sum())))
+    y, bx, drawn, bmax = cells
     keys, xbar0 = [], np.empty(rows)
-    pairs = np.empty((rows, n, 3, 2))
-    next_time = np.empty((rows, n))  # unit-rate clocks drawn at time 0
-    for r, seed in enumerate(seeds):
-        key, block = _first_blocks(seed, labels)
+    pairs = np.empty((cells.shape[1], 3, 2))
+    next_time = np.empty(cells.shape[1])  # unit-rate clocks drawn at time 0
+    for r, (seed, n, lo) in enumerate(zip(seeds, sizes, base.tolist())):
+        key, block = _first_blocks(seed, range(n))
         start = _initial_state(config, block[:, 0])
+        row = slice(lo, lo + n)
         keys.append(key)
-        y[r], xbar0[r] = start.anchor_x, start.xbar
-        next_time[r] = -np.log1p(-block[:, 1])
-        pairs[r, :, :, 0], pairs[r, :, :, 1] = block[:, 2::2], -np.log1p(-block[:, 3::2])
-    pairs = pairs.reshape(-1, 2)
+        y[row], xbar0[r] = start.anchor_x, start.xbar
+        next_time[row] = -np.log1p(-block[:, 1])
+        pairs[row, :, 0], pairs[row, :, 1] = block[:, 2::2], -np.log1p(-block[:, 3::2])
+    flat_pairs = pairs.reshape(-1, 2)
 
-    x0 = y.copy() if log_events else np.zeros((rows, 0))
-    paths.start(y)
+    x0 = np.split(y.copy(), base[1:]) if log_events else [np.zeros(0)] * rows
+    paths.start(y, sizes)
     state = np.zeros((4, rows))
     amp, shift, xbar, last = state
     amp[:], xbar[:] = 1.0, xbar0
-    blocks = _row_blocks(rows, n)  # the passes with temporaries run block by block
-    for b in blocks:
-        bx[b] = _dominating_rates(f, lam, n, y[b], shift[b, None], amp[b, None], xbar[b, None])
+
+    def bounds(k, values):  # the particle bounds of stored values, with the per-row values a[k] broadcast to them
+        return _dominating_rates(f, lam, values, *(a[k] for a in (shift, amp, xbar, slack, rounding)))
+
+    blocks = _row_blocks(sizes)  # the passes with temporaries run block by block
+    for b, cb, n in blocks:
+        bx[cb] = bounds((b, None), y[cb].reshape(-1, n)).reshape(-1)
     np.maximum(bx, paths.by, out=bmax)
     next_time /= bmax
-    ntf, bflat, row_base = next_time.reshape(-1), cells[_B], np.arange(rows) * n
 
-    def bounds(k):  # the particle bounds of row k (or rows k) for its next epoch
-        return _dominating_rates(f, lam, n, y[k], shift[k, None], amp[k, None], xbar[k, None])
-
+    groups = _row_blocks(sizes, whole=True)
+    first = np.concatenate([np.full(b.stop - b.start, b.start) for b, _, _ in groups])  # each row's group's first row
+    per_cell = (y, bx, bmax, paths.by, next_time)
+    idx = np.empty(rows, dtype=np.intp)  # each row's earliest clock, by the argmin of its group's view
+    argmins = [(next_time[cb].reshape(-1, n), idx[b]) for b, cb, n in groups]
     overshoots, spikes = np.zeros((2, rows), dtype=np.int64)
     spike_steps = windows = snap_i = 0  # spike_steps bounds every row's spike count
     events, pending = [], []  # spikes to log; proposals the limit paths have not taken
@@ -852,7 +909,8 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
 
     def catch_up(over):  # limit overshoots of the pending proposals, counted per row
         if np.count_nonzero(over):
-            overshoots[:] += np.bincount(np.concatenate([c[0] for c in pending])[over] // n, minlength=rows)
+            hit = np.concatenate([c[0] for c in pending])[over]
+            overshoots[:] += np.bincount(np.searchsorted(base, hit, side="right") - 1, minlength=rows)
         pending.clear()
 
     def pending_proposals():
@@ -860,9 +918,10 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
 
     edge = min(paths.w, math.nextafter(snaps[0] - 1e-15, -math.inf))  # last time a proposal is taken
     while True:
-        idx = next_time.argmin(axis=1)
-        flat = row_base + idx
-        tau = ntf.take(flat)
+        for view, out in argmins:
+            view.argmin(axis=1, out=out)
+        flat = base + idx
+        tau = next_time.take(flat)
         act = (tau <= edge).nonzero()[0]
         if act.size == 0:
             w = paths.w
@@ -872,14 +931,14 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
                     break
                 ts = snaps[snap_i]
                 catch_up(paths.advance(ts, *pending_proposals()))
-                for b in blocks:
-                    x = y[b] + shift[b, None]  # at lam = 0 (amp = 1) the potentials rest at their anchors
+                for b, cb, n in blocks:
+                    x = y[cb].reshape(-1, n) + shift[b, None]  # at lam = 0 (amp = 1) the potentials rest
                     if lam != 0.0:  # xbar + decay * (amp * x - xbar), in place
                         x *= amp[b, None]
                         x -= xbar[b, None]
                         x *= np.exp(-lam * (ts - last[b]))[:, None]
                         x += xbar[b, None]
-                    observe(snap_i, b, x, paths.ya[b])
+                    observe(snap_i, b, x, paths.ya[cb].reshape(-1, n))
                 snap_i += 1
             else:  # the window end: all clocks go to unit rate, the paths advance and rebound
                 next_time -= w
@@ -908,14 +967,15 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
         g[_DRAWN] += 1.0
         q = g[_DRAWN].astype(np.intp)  # the proposal's pair
         slot = q % 4
-        draws = pairs.take(j * 3 + slot - 1, axis=0)  # a refilling neuron's row is replaced below
+        draws = flat_pairs.take(j * 3 + slot - 1, axis=0)  # a refilling neuron's row is replaced below
         refill = (slot == 0).nonzero()[0]  # neurons whose pair q starts a block
-        if refill.size:
-            for i, jj, b in zip(refill.tolist(), j.take(refill).tolist(), (q.take(refill) // 4).tolist()):
-                block = uniform_array(keys[jj // n], [jj % n], b, 1).reshape(4, 2)
-                block[:, 1] = -np.log1p(-block[:, 1])
-                draws[i] = block[0]
-                pairs[3 * jj : 3 * jj + 3] = block[1:]
+        if refill.size:  # their next blocks, all read at once
+            rr = act.take(refill)
+            triples = zip([keys[k] for k in rr.tolist()], idx.take(rr).tolist(), (q.take(refill) // 4).tolist())
+            block = read_blocks(triples).reshape(-1, 4, 2)
+            block[:, :, 1] = -np.log1p(-block[:, :, 1])
+            draws[refill] = block[:, 0]
+            pairs[j.take(refill)] = block[:, 1:]
         bound = g[_B]
         z = draws[:, 0] * bound
         pending.append((j, t, z))
@@ -925,26 +985,28 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
         hit = (z <= fx).nonzero()[0]
         if hit.size == 0:
             cells[:, j] = g
-            ntf[j] = t + draws[:, 1] / bound
+            next_time[j] = t + draws[:, 1] / bound
             continue
 
         # the spikes: each spiking row drifts to t and takes the kick 1/N; its spiker resets to 0
         srows, th, xh = act.take(hit), t.take(hit), xi.take(hit)
         rh = r.take(hit, axis=1)
         a_h, s_h, m_h, t_h = rh
+        n_h, kick, stay = kicks.take(srows, axis=1)
         if lam != 0.0:
             d = decay.take(hit)
             # fold the drift into y, long before amp can underflow (amp * d >= e^{-lam horizon})
             for q in (a_h * d < 1e-100).nonzero()[0].tolist() if lam * horizon > 200.0 else ():
                 k = srows[q]
-                y[k] = m_h[q] + d[q] * (a_h[q] * (y[k] + s_h[q]) - m_h[q])
+                row = y[base[k] : base[k] + sizes[k]]
+                row[:] = m_h[q] + d[q] * (a_h[q] * (row + s_h[q]) - m_h[q])
                 a_h[q], s_h[q], d[q] = 1.0, 0.0, 1.0
             a_h *= d
-            s_h += ((1.0 - d) * m_h + 1.0 / n) / a_h
+            s_h += ((1.0 - d) * m_h + kick) / a_h
             t_h[:] = th
         else:  # amp stays 1
-            s_h += 1.0 / n
-        m_h += ((n - 1) / n - xh) / n
+            s_h += kick
+        m_h += (stay - xh) / n_h
         state[:, srows] = rh
         g[_Y, hit] = -s_h
         cells[:, j] = g
@@ -956,21 +1018,21 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
         if log_events:
             events.append((srows, th, idx.take(srows), xh))
         for k in srows[count % 4096 == 0].tolist() if spike_steps >= 4096 else ():
-            _fold(k, y, amp, shift, xbar)
-        due = count % m == 0 if m > 1 else slice(None)  # rows whose bound epoch ends
+            _fold(k, y[base[k] : base[k] + sizes[k]], amp, shift, xbar)
+        due = count % m_row.take(srows) == 0  # rows whose bound epoch ends
         e = srows[due]
         if e.size:
-            _rebuild(e, th[due], bounds, bx, bmax, paths.by, next_time)
-            bound = bflat.take(j)
-        ntf[j] = t + draws[:, 1] / bound
+            _rebuild(e, th[due], bounds, per_cell, base, n_row, first)
+            bound = bmax.take(j)
+        next_time[j] = t + draws[:, 1] / bound
 
     # each row's spikes, in time order: a stable sort by row keeps the step order
     ev_rows, ev_t, ev_i, ev_x = (np.concatenate(c) for c in zip(*events)) if events else np.zeros((4, 0))
     order = np.argsort(ev_rows, kind="stable")
     cuts = np.cumsum(np.bincount(ev_rows.astype(int), minlength=rows))[:-1]
     per_row = zip(*(np.split(c[order], cuts) for c in (ev_t, ev_i.astype(int), ev_x)))
-    proposals = drawn.sum(axis=1).astype(np.int64)  # each proposal moved its neuron one pair on
-    rebuilds = spikes // m + 1  # the first bound pass, then one per epoch of m spikes
+    proposals = np.add.reduceat(drawn, base).astype(np.int64)  # each proposal moved its neuron one pair on
+    rebuilds = spikes // m_row + 1  # the first bound pass, then one per epoch of m spikes
     logs = [
         EventLog(times, i_r, pre, int(proposals[r]), x0[r], int(overshoots[r]), int(rebuilds[r]))
         for r, (times, i_r, pre) in enumerate(per_row)

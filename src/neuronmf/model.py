@@ -362,8 +362,9 @@ class FlowIntegral:
 def flow(s, t: float, x, lam: float, drift: DriftSeries):
     """Deterministic inter-spike flow phi_{s,t}(x); vectorized in s or x."""
     s_arr = np.asarray(s, dtype=float)
-    drift._check_range(float(np.min(s_arr)), t)
-    drift._check_range(float(np.max(s_arr)), t)
+    if s_arr.size:  # no start times give an empty flow, as in survival
+        drift._check_range(float(np.min(s_arr)), t)
+        drift._check_range(float(np.max(s_arr)), t)
     fi = drift.integral(lam)
     decay = np.exp(-lam * (t - s_arr))
     out = decay * np.asarray(x, dtype=float) + (fi.at(t) - decay * fi.rows(s_arr))

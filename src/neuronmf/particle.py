@@ -26,18 +26,19 @@ which keeps them exact by memorylessness.
 simulate is the package's plain exact event engine, one scalar loop.
 The coupled engine, limitlaw._coupled_loop, runs replicates in lockstep
 with their limit paths on the same rules: _first_blocks, _initial_state,
-_dominating_rates and the constants below are shared by both.
+_epoch, _dominating_rates and the constants below are shared by both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .model import ConfigError, SystemConfig
-from .rng import BLOCK_UNIFORMS, stream_key, uniform_array
+from .rng import BLOCK_UNIFORMS, read_blocks, stream_key, uniform_array
 from .rng import substream  # noqa: F401  (benchmark/tracing.py wraps this name)
 
 
@@ -153,7 +154,7 @@ def _stream_labels(config: SystemConfig, stream_labels) -> list:
 def _first_blocks(seed: int, labels):
     """(run key, each label's first block of uniforms as one row) of the engine's streams under seed."""
     key = stream_key(seed, "prop")
-    return key, uniform_array(key, labels, 0, 1)
+    return key, read_blocks(zip(repeat(key), labels, repeat(0))).reshape(-1, BLOCK_UNIFORMS)
 
 
 def _initial_state(config: SystemConfig, u) -> ParticleState:
@@ -164,21 +165,29 @@ def _initial_state(config: SystemConfig, u) -> ParticleState:
     return ParticleState(t=0.0, lam=config.lam, xbar=float(np.sort(x).sum()) / x.size, anchor_time=0.0, anchor_x=x)
 
 
-def _dominating_rates(f, lam: float, n: int, y, shift, amp, xbar):
+def _epoch(n: int):
+    """(m, slack, rounding) at N = n: spikes per bound epoch, the bound position's slack (m-1)/N, its lam = 0 factor."""
+    m = max(1, int(_EPOCH_DRIFT * n))
+    return m, (m - 1) / n, _KICK_ROUNDING if m > 1 else 1.0
+
+
+def _dominating_rates(f, lam: float, y, shift, amp, xbar, slack, rounding):
     """Rate bounds that hold for an epoch of m spikes from x = amp * (y + shift), mean xbar.
 
-    Broadcasts: y is (N,) with scalar shift, amp and xbar, or (R, N) with
-    (R, 1) columns, one row per replicate.
+    slack and rounding are _epoch's. The other arguments broadcast against
+    y: y is (N,) with scalars, (R, N) with (R, 1) columns, or any rows'
+    cells with per-cell values. A float slack of 0.0 (m = 1) is skipped:
+    adding it would only turn -0.0 into 0.0, which the floor hides, and it
+    costs ~1.7 us a call at the scalar engine's N <= 3, a rebuild per spike.
     """
-    m = max(1, int(_EPOCH_DRIFT * n))
     x = y + shift
     if lam != 0.0:
         x *= amp
         np.maximum(x, xbar, out=x)
-    if m > 1:  # at m = 1 the slack is 0.0, and the floor below hides a zero's sign
-        x += (m - 1) / n
+    if not isinstance(slack, float) or slack:
+        x += slack
         if lam == 0.0:
-            x *= _KICK_ROUNDING
+            x *= rounding
     b = f(x)
     return np.maximum(b, _RATE_FLOOR, out=b)
 
@@ -226,7 +235,7 @@ def simulate(
         raise ConfigError("snapshot times must be sorted")
     labels = _stream_labels(config, stream_labels)
     lam, f, horizon, n = config.lam, config.rate, config.horizon, config.n
-    m = max(1, int(_EPOCH_DRIFT * n))
+    m, slack, rounding = _epoch(n)
 
     # one uniform stream per neuron: its initial potential, its first clock,
     # then (mark, next clock) per proposal; each neuron's first block is read
@@ -239,7 +248,7 @@ def simulate(
     y, amp, shift, ta = x0.copy(), 1.0, 0.0, 0.0
 
     # unit-rate clocks drawn at time 0, scaled to the first bounds
-    bounds = _dominating_rates(f, lam, n, y, shift, amp, xbar)
+    bounds = _dominating_rates(f, lam, y, shift, amp, xbar, slack, rounding)
     next_time = np.array([-math.log1p(-row[1]) for row in draws]) / bounds
     rebuilds = 1
 
@@ -295,7 +304,7 @@ def simulate(
                 y, amp, shift = amp * (y + shift), 1.0, 0.0  # fold the affine map into y
                 xbar = float(np.sort(y).sum()) / n  # cap float drift of the running mean
             if spikes % m == 0:  # pending clocks rescaled to the new bounds, exact by memorylessness
-                bx = _dominating_rates(f, lam, n, y, shift, amp, xbar)
+                bx = _dominating_rates(f, lam, y, shift, amp, xbar, slack, rounding)
                 next_time -= tau
                 next_time *= bounds
                 next_time /= bx

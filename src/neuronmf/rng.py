@@ -12,8 +12,9 @@ parallelized:
   (i, b) under that key. Its eight little-endian 64-bit words w are the
   uniforms (w >> 11) 2^-53 in [0, 1), so draw k of label i is a pure
   function of (run key, i, k), whatever else is read with it.
-  uniform_array reads any run of blocks for many labels in one call, as
-  one array.
+  read_blocks reads any (key, label, block) triples in one call, and
+  uniform_array, built on it, any run of blocks for many labels under one
+  key, as one array.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _BLOCK_MESSAGE = struct.Struct("<qQ")  # (label, block index) hashed into one block
 BLOCK_UNIFORMS = 8  # uniforms per block: one per 64-bit word of the digest
+_BLAKE2B = type(hashlib.blake2b())  # its methods, bound once per read
 
 
 def _key(seed: int, labels: tuple) -> int:
@@ -63,19 +65,22 @@ def stream_key(seed: int, *labels) -> bytes:
     return _key(seed, labels).to_bytes(16, "little")
 
 
-def uniform_array(key: bytes, labels, first: int, count: int) -> np.ndarray:
-    """Blocks [first, first + count) of each label's uniform stream under key.
-
-    Labels are ints in [-2^63, 2^63). Returns one row of
-    BLOCK_UNIFORMS * count uniforms per label, in label order.
-    """
-    keyed = hashlib.blake2b(key=key, digest_size=64)  # copying it skips re-absorbing the key
-    raw = bytearray()
-    for lab in labels:
-        for b in range(first, first + count):
-            h = keyed.copy()
-            h.update(_BLOCK_MESSAGE.pack(lab, b))
-            raw += h.digest()
+def read_blocks(triples) -> np.ndarray:
+    """Block b of label i's uniform stream under key for each (key, i, b), i in [-2^63, 2^63), as one flat array."""
+    pack, copy, update, digest = _BLOCK_MESSAGE.pack, _BLAKE2B.copy, _BLAKE2B.update, _BLAKE2B.digest
+    raw, last = bytearray(), None
+    for key, lab, b in triples:
+        if key is not last:  # a copy of the key's hasher skips re-absorbing the key
+            last, keyed = key, hashlib.blake2b(key=key, digest_size=64)
+        h = copy(keyed)
+        update(h, pack(lab, b))
+        raw += digest(h)
     words = np.frombuffer(raw, dtype="<u8")
     np.right_shift(words, 11, out=words)  # in place: the digests are not kept
-    return np.multiply(words, 2.0**-53).reshape(-1, BLOCK_UNIFORMS * count)
+    return np.multiply(words, 2.0**-53)
+
+
+def uniform_array(key: bytes, labels, first: int, count: int) -> np.ndarray:
+    """Blocks [first, first + count) of each label's uniform stream under key, one row per label, in order."""
+    blocks = range(first, first + count)
+    return read_blocks((key, i, b) for i in labels for b in blocks).reshape(-1, BLOCK_UNIFORMS * count)

@@ -588,27 +588,31 @@ class TestChaosCommand:
 
     def test_batch_shapes(self):
         # the benchmark's chaos workload (24 and 48 replicates) and ACCEPT-6 (64)
-        # over N = 50..1600: 24 replicates at N = 1600 fill one batch, 48 two and
-        # 64 three, so a benchmark round runs 13 batches
+        # over N = 50..1600: the sizes share batches, largest N first, so a
+        # benchmark round runs 6 batches: {1600} and {50..800} at 24
+        # replicates, {1600}, {1600}, {800} and {50..400} at 48
         grid = [50, 100, 200, 400, 800, 1600]
-        assert cli._chaos_batches([1600], 24) == [(1600, 0, 24)]
-        assert cli._chaos_batches([1600], 48) == [(1600, 0, 24), (1600, 24, 48)]
-        assert cli._chaos_batches([1600], 64) == [(1600, 0, 22), (1600, 22, 44), (1600, 44, 64)]
-        assert len(cli._chaos_batches(grid, 24)) + len(cli._chaos_batches(grid, 48)) == 13
+        assert cli._chaos_batches([1600], 24) == [((1600, 0, 24),)]
+        assert cli._chaos_batches([1600], 64) == [((1600, 0, 22),), ((1600, 22, 44),), ((1600, 44, 64),)]
+        assert cli._chaos_batches(grid, 24) == [
+            ((1600, 0, 24),), ((800, 0, 24), (400, 0, 24), (200, 0, 24), (100, 0, 24), (50, 0, 24))]
+        assert [[n for n, _, _ in batch] for batch in cli._chaos_batches(grid, 48)] == [
+            [1600], [1600], [800], [400, 200, 100, 50]]
         for replicates in (24, 48, 64):
             tasks = cli._chaos_batches(grid, replicates)
-            assert all((stop - first) * n <= cli._BATCH_CELLS for n, first, stop in tasks)
-            for n in grid:  # each size's replicates once, in order
-                reps = [rep for m, first, stop in tasks if m == n for rep in range(first, stop)]
-                assert reps == list(range(replicates))
+            assert all(sum((stop - first) * n for n, first, stop in batch) <= cli._BATCH_CELLS for batch in tasks)
+            rows = [row for batch in tasks for row in cli._batch_rows(batch)]
+            assert sorted(rows) == [(n, rep) for n in grid for rep in range(replicates)]  # each once
 
     @pytest.mark.parametrize("cpus,workers", [(None, []), (2, [2]), (64, [3])])
     def test_pool_size_bounded_by_tasks_and_cores(self, tmp_path, monkeypatch, cpus, workers):
         # a process pool starts all its workers at once: --threads 10**6 must
         # not ask for more than the 3 batches and the cores. It must get the
-        # largest batch (rows x N) first, and the reports must not depend on
-        # that order. The fake pool records its size and its tasks and maps in
-        # this process
+        # largest batch (cells) first, and the reports must not depend on
+        # that order. At 30 cells a batch, N = 20 takes a batch per replicate
+        # and N = 10 and 5 share the third. The fake pool records its size
+        # and its tasks and maps in this process
+        monkeypatch.setattr(cli, "_BATCH_CELLS", 30)
         sizes, mapped = [], []
 
         class RecordingPool:
@@ -636,7 +640,7 @@ class TestChaosCommand:
         assert main(["chaos", "--config", cfg, "--out", str(tmp_path / "a"), "--threads", "1"]) == 0
         assert main(["chaos", "--config", cfg, "--out", str(tmp_path / "b"), "--threads", str(10**6)]) == 0
         assert sizes == workers
-        assert mapped == [[(20, 0, 2), (10, 0, 2), (5, 0, 2)]] * len(workers)
+        assert mapped == [[((10, 0, 2), (5, 0, 2)), ((20, 0, 1),), ((20, 1, 2),)]] * len(workers)
         for name in ("chaos_report.json", "chaos_curve.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

@@ -54,7 +54,7 @@ def coupled_batch(cfg, sol, seeds, snaps):
     def observe(k, rows, x, y):
         xs[k, rows], ys[k, rows] = x, y
 
-    logs, _ = _coupled_loop(cfg, list(seeds), paths, np.asarray(snaps), observe, 10**8, True)
+    logs, _ = _coupled_loop(cfg, list(seeds), paths, np.asarray(snaps), observe, 10**8, True, [cfg.n] * len(seeds))
     return logs, xs, ys
 
 
@@ -402,7 +402,7 @@ class TestWindowBound:
         y0 = np.linspace(0.0, 2.0 * paths.abar / max(lam, 1.0), 9)
         if lam > 0:
             y0 = np.append(y0, paths.abar / lam)
-        paths.start(np.stack([y0, y0[::-1]]))  # two replicates, as the coupled engine holds them
+        paths.start(np.concatenate([y0, y0[::-1]]), [y0.size] * 2)  # two replicates, as the coupled engine holds them
         fi = paths.fi
         for _ in range(4):
             t0, w = paths.t0, paths.w
@@ -419,7 +419,7 @@ class TestWindowBound:
 
     def test_single_window_without_drift(self):
         paths = _LimitPaths(DriftSeries.constant(0.0, 2.0), FX2, 1.0, 2.0)
-        paths.start([[0.5]])
+        paths.start([0.5], [1])
         assert paths.w == 2.0
 
 
@@ -505,7 +505,7 @@ class TestSimulateCoupled:
         for batch in range(4):
             seeds = [derive_seed(2026, "ks-coupled", batch, row) for row in range(2500)]
             paths = _LimitPaths(sol.drift(), FX2, lam, horizon)
-            logs, _ = _coupled_loop(cfg, seeds, paths, np.array([horizon]), lambda *seen: None, 10**8, True)
+            logs, _ = _coupled_loop(cfg, seeds, paths, np.array([horizon]), lambda *seen: None, 10**8, True, [1] * 2500)
             assert all(log.spikes == 1 for log in logs)
             times += [log.times[0] for log in logs]
         res = kstest(times, "expon", args=(0.0, 1.0 / FX2(x0)))
@@ -525,7 +525,8 @@ class TestSimulateCoupled:
         for seeds in ([101, 102, 103], [101]):
             rebuilt.clear()
             paths = _LimitPaths(sol.drift(), FX2, 1.0, 2.0)
-            logs, passes = _coupled_loop(cfg, seeds, paths, np.array([2.0]), lambda *seen: None, 10**8, True)
+            sizes = [n] * len(seeds)
+            logs, passes = _coupled_loop(cfg, seeds, paths, np.array([2.0]), lambda *seen: None, 10**8, True, sizes)
             assert passes == paths.k - 1 > 0
             windows.append(passes)
             for r, log in enumerate(logs):
@@ -543,8 +544,9 @@ class TestCoupledBatch:
     def test_row_equals_its_batch_of_one(self, monkeypatch, lam, n):
         # n = 130 makes the particle bound epochs longer than one spike. The
         # batches run whole, then with every pass over the batch (the first
-        # bound pass, the window ends, the snapshots) split into row blocks of
-        # one row and of two rows, which do not divide a batch of three
+        # bound pass, the window ends, the snapshots) and every gathered epoch
+        # rebuild split into row blocks of one row and of two rows, which do
+        # not divide a batch of three
         cfg = exp_config(lam=lam, n=n)
         snaps = [0.5, 2.0]
         sol = solve_marginals(cfg, snapshot_times=snaps)
@@ -563,7 +565,7 @@ class TestCoupledBatch:
             if block_rows is not None:
                 monkeypatch.setattr(limitlaw, "_BLOCK_CELLS", block_rows * n)
                 monkeypatch.setattr(limitlaw._LimitPaths, "_bounds",
-                                    lambda paths, ya, *args: split.append(len(ya)) or bounds(paths, ya, *args))
+                                    lambda paths, ya, *args: split.append(len(ya) // n) or bounds(paths, ya, *args))
                 monkeypatch.setattr(limitlaw, "w1_samples_vs_law", lambda x, law: split.append(len(x)) or w1(x, law))
             runs += [batch(a, b, c), batch(c, a), batch(a), batch(b), batch(c)]
             if block_rows is not None:
@@ -639,9 +641,15 @@ class TestCoupledBatch:
         # keeps kicking its pair into spiking: it rebuilds its bounds at every
         # spike (one spike per epoch below N = 128) and reads past its first
         # block; the quiet rows in its batch do neither, and no row changes
-        refilled = []
-        refill = limitlaw.uniform_array
-        monkeypatch.setattr(limitlaw, "uniform_array", lambda key, *args: refilled.append(key) or refill(key, *args))
+        refilled = []  # the key of each block read past the first blocks
+        read = limitlaw.read_blocks
+
+        def spy(triples):
+            triples = list(triples)
+            refilled.extend(key for key, _, _ in triples)
+            return read(triples)
+
+        monkeypatch.setattr(limitlaw, "read_blocks", spy)
         cfg = SystemConfig(n=2, lam=0.0, rate=RateFunction.polynomial([1.0, 1.0]),
                            initial=InitialLaw.exponential(50.0), horizon=4.0, seed=0)
         sol = solve_marginals(cfg, snapshot_times=[4.0])
@@ -671,20 +679,62 @@ class TestCoupledBatch:
         # limitlaw._BLOCK_CELLS cells, so a call peaks below 130 bytes per cell
         # plus a fixed allowance for what does not grow with the batch: the
         # law's tables, numpy's iterator buffers, the per-row arrays. A short
-        # run with one snapshot, then the chaos workload's batch at N = 1600:
-        # horizon 2 and eight snapshots, at lambda 0 and 1
-        n, rows = 1600, 24
+        # run with one snapshot, then the chaos workload's batches at horizon 2
+        # and eight snapshots: N = 1600 at lambda 0 and 1, and N = 50..800
+        # sharing one batch at lambda 0 and 1
         chaos_snaps = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
-        for lam, horizon, snaps in [(0.0, 0.1, [0.1]), (0.0, 2.0, chaos_snaps), (1.0, 2.0, chaos_snaps)]:
-            cfg = exp_config(lam=lam, n=n, horizon=horizon)
+        alone = [1600] * 24
+        shared = [n for n in (800, 400, 200, 100, 50) for _ in range(24)]
+        for lam, horizon, snaps, sizes in [
+            (0.0, 0.1, [0.1], alone),
+            (0.0, 2.0, chaos_snaps, alone),
+            (1.0, 2.0, chaos_snaps, alone),
+            (0.0, 2.0, chaos_snaps, shared),
+            (1.0, 2.0, chaos_snaps, shared),
+        ]:
+            cfg = exp_config(lam=lam, n=sizes[0], horizon=horizon)
             sol = solve_marginals(cfg, snapshot_times=snaps)
             tracemalloc.start()
             try:
-                simulate_coupled(cfg, sol, snaps, seeds=range(rows))
+                simulate_coupled(cfg, sol, snaps, seeds=range(len(sizes)), sizes=sizes)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 130 * rows * n + 2**18, (lam, horizon, peak)
+            assert peak <= 130 * sum(sizes) + 2**18, (lam, horizon, sizes[-1], peak)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+    def test_mixed_sizes_equal_their_batches_of_one(self, monkeypatch, lam):
+        # rows of N = 1, 2, 50, 130 and 400 share one batch, their seeds in
+        # interleaved size order, so the groups of rows of one N hold one or
+        # two rows: bound epochs of one spike (N < 128) and of more meet in
+        # the gathered epoch rebuilds, which run in passes of at most 500
+        # cells here, and every row's stats equal, bitwise, those of its
+        # batch of one
+        cfg = exp_config(lam=lam)
+        snaps = [0.5, 2.0]
+        sol = solve_marginals(cfg, snapshot_times=snaps)
+        sizes = [400, 400, 1, 130, 130, 2, 50, 50] + [400, 1, 130, 2, 50] * 2
+        seeds = list(range(21, 21 + len(sizes)))
+        mixed = []  # the sizes of the rows of each gathered rebuild
+        rebuild = limitlaw._rebuild
+
+        def spy(rows, times, bounds, arrays, base, sizes, first):
+            if rows.size > 2:
+                mixed.append(sizes[rows].tolist())
+            return rebuild(rows, times, bounds, arrays, base, sizes, first)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(limitlaw, "_rebuild", spy)
+            patch.setattr(limitlaw, "_BLOCK_CELLS", 500)
+            stats = simulate_coupled(cfg, sol, snaps, seeds=seeds, sizes=sizes)
+        assert any(min(seen) < 128 <= max(seen) for seen in mixed)
+        assert any(sum(seen) > 500 and len(set(seen)) > 1 for seen in mixed)
+        assert [s.n for s in stats] == sizes
+        for seed, n, row in zip(seeds, sizes, stats):
+            (solo,) = simulate_coupled(replace(cfg, n=n), sol, snaps, seeds=[seed])
+            for name in ("mean_abs_diff", "mean_h_diff", "w1"):
+                assert getattr(row, name).tobytes() == getattr(solo, name).tobytes(), (n, name)
+            assert (row.proposals, row.bound_overshoots) == (solo.proposals, 0)
 
     def test_seeds_give_one_stats_each(self):
         cfg = exp_config(lam=1.0, n=5)
@@ -692,6 +742,10 @@ class TestCoupledBatch:
         assert [s.n for s in simulate_coupled(cfg, sol, [1.0], seeds=[1, 2])] == [5, 5]
         with pytest.raises(ConfigError):
             simulate_coupled(cfg, sol, [1.0], seeds=[])
+        assert [s.n for s in simulate_coupled(cfg, sol, [1.0], seeds=[1, 2], sizes=[7, 3])] == [7, 3]
+        for sizes in ([5], [5, 0]):
+            with pytest.raises(ConfigError, match="one size >= 1 per seed"):
+                simulate_coupled(cfg, sol, [1.0], seeds=[1, 2], sizes=sizes)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_snapshot_times_outside_the_horizon_rejected(self, bad):

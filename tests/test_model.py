@@ -210,6 +210,13 @@ class TestFlow:
         d = DriftSeries.constant(1.0, 5.0)
         assert flow(2.0, 2.0, 7.0, 1.0, d) == 7.0
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_no_start_times_give_empty_arrays(self, lam):
+        # flow, like survival, maps an empty array of start times to an empty array
+        d = DriftSeries.constant(1.0, 4.0)
+        for out in (flow(np.array([]), 2.0, 1.0, lam, d), survival(np.array([]), 2.0, 1.0, FX2, lam, d)):
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+
     def test_out_of_grid(self):
         d = DriftSeries.constant(1.0, 5.0)
         with pytest.raises(OutOfGridError):

@@ -6,7 +6,7 @@ import numpy as np
 
 import neuronmf.particle
 from neuronmf import InitialLaw, RateFunction, SystemConfig, init_system, simulate, simulate_coupled, solve_marginals
-from neuronmf.rng import BLOCK_UNIFORMS, stream_key, uniform_array
+from neuronmf.rng import BLOCK_UNIFORMS, read_blocks, stream_key, uniform_array
 
 KEY = stream_key(7, "prop")
 FX2 = RateFunction.power(1, 2)
@@ -28,6 +28,13 @@ class TestUniformBlocks:
         alone = uniform_array(KEY, [9], 0, 4).tolist()[0]
         assert uniform_array(KEY, [4, 0, 9], 0, 4).tolist()[2] == alone
         assert uniform_array(KEY, [9, -1], 0, 4).tolist()[0] == alone
+
+    def test_read_blocks_mixes_keys(self):
+        # triples under alternating keys read the blocks uniform_array reads under each key alone
+        other = stream_key(8, "prop")
+        triples = [(KEY, 4, 1), (other, 4, 1), (KEY, -2, 0), (KEY, 4, 3), (other, 0, 2)]
+        alone = [uniform_array(key, [i], b, 1)[0] for key, i, b in triples]
+        assert read_blocks(triples).tobytes() == np.concatenate(alone).tobytes()
 
     def test_streams_differ_by_label_and_key(self):
         rows = uniform_array(KEY, range(50), 0, 2).tolist() + uniform_array(stream_key(8, "prop"), [0], 0, 2).tolist()
