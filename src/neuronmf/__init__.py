@@ -26,18 +26,14 @@ from .model import (
     RateFunction,
     SystemConfig,
     Tolerances,
-    flow,
     survival,
 )
 from .particle import (
     BoundReport,
     EventBudgetExceededError,
     EventLog,
-    ParticleState,
     Snapshot,
-    apply_spike,
     check_apriori,
-    init_system,
     simulate,
 )
 from .quadrature import QuadratureError
@@ -55,7 +51,6 @@ __all__ = [
     "MarginalSolution",
     "MassDriftError",
     "OutOfGridError",
-    "ParticleState",
     "QuadratureError",
     "RateFit",
     "RateFunction",
@@ -63,14 +58,11 @@ __all__ = [
     "SystemConfig",
     "Tolerances",
     "TransportedDensity",
-    "apply_spike",
     "check_apriori",
     "derive_seed",
     "fit_rate",
-    "flow",
     "gamma",
     "h_distance",
-    "init_system",
     "invariant_density",
     "simulate",
     "simulate_coupled",

@@ -413,6 +413,8 @@ def cmd_chaos(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
         raise ConfigError("chaos needs a strictly increasing n_grid with >= 3 sizes")
     if replicates < 1:
         raise ConfigError("chaos needs replicates >= 1")
+    if not all(map(math.isfinite, (slope_lo, slope_hi, r2_min))):
+        raise ConfigError("slope_band and r_squared_min must be finite")
 
     base = _system_from(cfg, seed)
     master = base.seed
@@ -478,6 +480,8 @@ def cmd_equilibrium(cfg: dict, out: Path, seed=None, threads: int = 1) -> int:
     with _reading("equilibrium config"):
         time_grid = [float(t) for t in cfg.get("time_grid", np.linspace(0, system.horizon, 21).tolist())]
         floor = float(cfg.get("floor", 0.01))
+    if not math.isfinite(floor):
+        raise ConfigError("floor must be finite")
     if system.lam == 0.0 and not time_grid:
         raise ConfigError("equilibrium at lambda 0 needs at least one time in time_grid")
     if system.lam > 0.0 and system.horizon < 1.0:

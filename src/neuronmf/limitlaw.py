@@ -89,7 +89,6 @@ class TransportedDensity:
     p_t: float
     node_mass: float
     jump_pos: np.ndarray  # positions, descending in s
-    jump_weight: np.ndarray  # kappa_{s,t}(0)
     jump_density: np.ndarray
     init_x: np.ndarray
     init_pos: np.ndarray
@@ -415,7 +414,6 @@ def solve_marginals(config: SystemConfig, *, snapshot_times=()) -> MarginalSolut
                 p_t=p_t,
                 node_mass=nodes.live_mass(),
                 jump_pos=nodes.x[j0:n].copy(),
-                jump_weight=nodes.surv[j0:n].copy(),
                 jump_density=nodes.dens[j0:n].copy(),
                 init_x=xs,
                 init_pos=nodes.x[:ni].copy(),
@@ -874,10 +872,9 @@ def _coupled_loop(config, seeds, paths, snap_times, observe, event_budget, log_e
     next_time = np.empty(cells.shape[1])  # unit-rate clocks drawn at time 0
     for r, (seed, n, lo) in enumerate(zip(seeds, sizes, base.tolist())):
         key, block = _first_blocks(seed, range(n))
-        start = _initial_state(config, block[:, 0])
         row = slice(lo, lo + n)
         keys.append(key)
-        y[row], xbar0[r] = start.anchor_x, start.xbar
+        y[row], xbar0[r] = _initial_state(config, block[:, 0])
         next_time[row] = -np.log1p(-block[:, 1])
         pairs[row, :, 0], pairs[row, :, 1] = block[:, 2::2], -np.log1p(-block[:, 3::2])
     flat_pairs = pairs.reshape(-1, 2)

@@ -2,16 +2,17 @@
 
 Holds the spiking-rate functions, whose constructor is the one check of
 assumption A1 (f(0) = 0, f nondecreasing and positive on (0, inf)), the
-initial laws with their sampler and the marginal solver's nodes, the run
-configuration, and the deterministic inter-spike flow
+initial laws (their quantile, the engines' one sampling rule, and the
+marginal solver's nodes), the run configuration, and, for a given drift
+series a_u, the integral I(t) = int_0^t exp(-lam (t-u)) a_u du of the
+deterministic inter-spike flow
 
     phi_{s,t}(x) = exp(-lam (t-s)) x + int_s^t exp(-lam (t-u)) a_u du
+                 = exp(-lam (t-s)) (x - I(s)) + I(t)
 
 together with the no-spike survival kernel
 
-    kappa_{s,t}(x) = exp(- int_s^t f(phi_{s,u}(x)) du)
-
-for a given drift series a_u.
+    kappa_{s,t}(x) = exp(- int_s^t f(phi_{s,u}(x)) du).
 """
 
 from __future__ import annotations
@@ -102,12 +103,12 @@ _TAIL_MASS = 1e-10  # initial-law mass the marginal solver's nodes leave out
 
 @dataclass(eq=False)
 class InitialLaw:
-    """Law of the initial potential: its sampler and the marginal solver's nodes.
+    """Law of the initial potential: its quantile and the marginal solver's nodes.
 
     Kinds: ``point_mass`` (atom at x0 >= 0), ``exponential`` (rate > 0),
     ``truncated_density`` (piecewise-linear density on [0, xs[-1]],
-    renormalized). Its moments are taken by the marginal solver, on the
-    nodes of solver_nodes.
+    renormalized), with every parameter finite. Its moments are taken by
+    the marginal solver, on the nodes of solver_nodes.
     """
 
     kind: str
@@ -118,16 +119,18 @@ class InitialLaw:
 
     def __post_init__(self):
         if self.kind == "point_mass":
-            if self.x0 < 0:
+            if not 0 <= self.x0 < math.inf:
                 raise ConfigError("point mass must sit on [0, inf)")
         elif self.kind == "exponential":
-            if not (self.rate > 0):
-                raise ConfigError("exponential initial law needs rate > 0")
+            if not 0 < self.rate < math.inf:
+                raise ConfigError("exponential initial law needs a finite rate > 0")
         elif self.kind == "truncated_density":
             xs = np.asarray(self.xs, dtype=float)
             vals = np.asarray(self.density_values, dtype=float)
             if xs.ndim != 1 or xs.size < 2 or xs.shape != vals.shape:
                 raise ConfigError("truncated density needs matching 1-d grids")
+            if not (np.isfinite(xs).all() and np.isfinite(vals).all()):
+                raise ConfigError("truncated density grids must be finite")
             if xs[0] != 0.0 or np.any(np.diff(xs) <= 0):
                 raise ConfigError("truncated density grid must start at 0 and increase")
             if np.any(vals < 0):
@@ -167,9 +170,6 @@ class InitialLaw:
         if self.kind == "exponential":
             return np.log1p(-u) / -self.rate
         return np.interp(u, self._cdf / self._cdf[-1], self.xs)
-
-    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        return self.quantile(rng.random(n))
 
     def solver_nodes(self, n_nodes: int):
         """Discretization (xs, density values, atoms) used by the marginal solver.
@@ -277,10 +277,6 @@ class DriftSeries:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "_flow_cache", {})
 
-    @staticmethod
-    def constant(value: float, t1: float, t0: float = 0.0) -> "DriftSeries":
-        return DriftSeries(times=np.array([t0, t1]), a=np.array([float(value), float(value)]))
-
     @property
     def t0(self) -> float:
         return float(self.times[0])
@@ -357,20 +353,6 @@ class FlowIntegral:
 
     def at(self, t: float) -> float:
         return float(self.rows(t))
-
-
-def flow(s, t: float, x, lam: float, drift: DriftSeries):
-    """Deterministic inter-spike flow phi_{s,t}(x); vectorized in s or x."""
-    s_arr = np.asarray(s, dtype=float)
-    if s_arr.size:  # no start times give an empty flow, as in survival
-        drift._check_range(float(np.min(s_arr)), t)
-        drift._check_range(float(np.max(s_arr)), t)
-    fi = drift.integral(lam)
-    decay = np.exp(-lam * (t - s_arr))
-    out = decay * np.asarray(x, dtype=float) + (fi.at(t) - decay * fi.rows(s_arr))
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 # largest temporary of the survival quadrature, in doubles (nodes, or nodes x start points)

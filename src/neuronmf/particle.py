@@ -27,6 +27,8 @@ simulate is the package's plain exact event engine, one scalar loop.
 The coupled engine, limitlaw._coupled_loop, runs replicates in lockstep
 with their limit paths on the same rules: _first_blocks, _initial_state,
 _epoch, _dominating_rates and the constants below are shared by both.
+The one-spike definition (reset to 0, kick 1/N, the mean's move) that
+both are replayed against is a test oracle, not package code.
 """
 
 from __future__ import annotations
@@ -52,31 +54,6 @@ _KICK_ROUNDING = 1.0 + 1e-12
 
 class EventBudgetExceededError(RuntimeError):
     """Spike-count budget exhausted; guards runaway configurations."""
-
-
-@dataclass
-class ParticleState:
-    """Positions of the N neurons plus the closed-form inter-spike anchors."""
-
-    t: float
-    lam: float
-    xbar: float
-    anchor_time: float
-    anchor_x: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.anchor_x.size
-
-    def positions(self, t: float | None = None) -> np.ndarray:
-        """Potentials at time t (default: current time), via the closed form."""
-        t = self.t if t is None else t
-        if t < self.anchor_time - 1e-12:
-            raise ValueError("cannot evaluate before the anchor time")
-        if self.lam == 0.0:  # no leak: the potentials rest at their anchors
-            return self.anchor_x.copy()
-        decay = math.exp(-self.lam * (t - self.anchor_time))
-        return self.xbar + decay * (self.anchor_x - self.xbar)
 
 
 @dataclass
@@ -123,17 +100,6 @@ class BoundReport:
         return not self.envelope_violations and self.mean_residual <= MEAN_RESIDUAL_ABS
 
 
-def init_system(config: SystemConfig, stream_labels=None) -> ParticleState:
-    """The state simulate(config, ..., stream_labels) starts from.
-
-    Neuron i starts at the initial law's quantile of uniform 0 of its
-    label's stream, so N i.i.d. potentials.
-    """
-    labels = _stream_labels(config, stream_labels)
-    _, first = _first_blocks(config.seed, labels)
-    return _initial_state(config, first[:, 0])
-
-
 def _stream_labels(config: SystemConfig, stream_labels) -> list:
     """The neurons' stream labels: N distinct ints, by default the neuron indices."""
     if stream_labels is None:
@@ -157,12 +123,12 @@ def _first_blocks(seed: int, labels):
     return key, read_blocks(zip(repeat(key), labels, repeat(0))).reshape(-1, BLOCK_UNIFORMS)
 
 
-def _initial_state(config: SystemConfig, u) -> ParticleState:
-    """The state at time 0, neuron i starting at the initial law's quantile of u[i]."""
+def _initial_state(config: SystemConfig, u):
+    """(x, xbar) at time 0: neuron i starts at the initial law's quantile of u[i], and xbar is their mean."""
     x = config.initial.quantile(u)
     # summing in sorted order makes the mean independent of the labeling,
     # so permuting stream labels permutes trajectories bitwise
-    return ParticleState(t=0.0, lam=config.lam, xbar=float(np.sort(x).sum()) / x.size, anchor_time=0.0, anchor_x=x)
+    return x, float(np.sort(x).sum()) / x.size
 
 
 def _epoch(n: int):
@@ -190,23 +156,6 @@ def _dominating_rates(f, lam: float, y, shift, amp, xbar, slack, rounding):
             x *= rounding
     b = f(x)
     return np.maximum(b, _RATE_FLOOR, out=b)
-
-
-def apply_spike(state: ParticleState, i: int) -> ParticleState:
-    """Spike of neuron i at the current time: reset, kick others by 1/N.
-
-    The mean moves by ((N-1)/N - x_i) / N; anchors are reset at the spike
-    time. Returns a new state.
-    """
-    n = state.n
-    if not 0 <= i < n:
-        raise ValueError("spiking index out of range")
-    x = state.positions()
-    pre = x[i]
-    x = x + 1.0 / n
-    x[i] = 0.0
-    xbar = state.xbar + ((n - 1) / n - pre) / n
-    return ParticleState(t=state.t, lam=state.lam, xbar=xbar, anchor_time=state.t, anchor_x=x)
 
 
 def simulate(
@@ -243,8 +192,7 @@ def simulate(
     key, first = _first_blocks(config.seed, labels)
     draws = first.tolist()
     used = [2] * n
-    state = _initial_state(config, first[:, 0])
-    x0, xbar = state.anchor_x, state.xbar
+    x0, xbar = _initial_state(config, first[:, 0])
     y, amp, shift, ta = x0.copy(), 1.0, 0.0, 0.0
 
     # unit-rate clocks drawn at time 0, scaled to the first bounds

@@ -50,7 +50,9 @@ def substream(seed: int, *labels) -> np.random.Generator:
 
     Labels may be ints or strings. The same path always yields the same
     stream; distinct paths yield streams independent for all practical
-    purposes (128-bit keyed counter-based generator).
+    purposes (128-bit keyed counter-based generator). No package code
+    draws from it: its users are the tests' samplers and oracles and
+    benchmark/tracing.py, which counts the calls under this name.
     """
     return np.random.Generator(np.random.Philox(key=_key(seed, labels)))
 

@@ -14,6 +14,11 @@ w1_merged is W1 against a law on the merged breakpoints of the two cdfs,
 the reference of the package's quantile form, and w1_samples W1 between
 two samples; stationarity_residual pairs the invariant law with the
 limit's generator through reference_pass's extra integrands.
+
+Model definitions that only tests evaluate live here too: one spike of
+the N-neuron system (ParticleState, apply_spike), which replay runs over
+an engine's event log, the flow phi_{s,t} on a drift's flow integral, a
+constant drift, and i.i.d. draws from an initial law (sample).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from neuronmf.limitlaw import MarginalSolution, MassDriftError, TransportedDensity
+from neuronmf.model import DriftSeries
 from neuronmf.quadrature import QuadratureError
 
 
@@ -113,6 +119,81 @@ def euler_particle_mean(rate, lam, n, horizon, dt, replicates, rng):
                 prob[rows] = rate(sub) * dt32
     final = x.mean(axis=1, dtype=np.float64)
     return float(final.mean()), float(final.std(ddof=1) / np.sqrt(replicates))
+
+
+def sample(law, rng, n):
+    """n i.i.d. draws from an initial law: its quantile at n uniforms of rng."""
+    return law.quantile(rng.random(n))
+
+
+@dataclass
+class ParticleState:
+    """N potentials between spikes: x_i(t) = xbar + exp(-lam (t - anchor_time)) (anchor_x[i] - xbar)."""
+
+    t: float
+    lam: float
+    xbar: float
+    anchor_time: float
+    anchor_x: np.ndarray
+
+    def positions(self, t=None) -> np.ndarray:
+        """Potentials at time t (default: the state's time)."""
+        if self.lam == 0.0:  # no leak: the potentials rest at their anchors
+            return self.anchor_x.copy()
+        decay = math.exp(-self.lam * ((self.t if t is None else t) - self.anchor_time))
+        return self.xbar + decay * (self.anchor_x - self.xbar)
+
+
+def apply_spike(state, i):
+    """Spike of neuron i at state.t: it resets to 0, the others gain 1/N, the mean moves by ((N-1)/N - x_i)/N."""
+    n = state.anchor_x.size
+    x = state.positions()
+    pre = x[i]
+    x = x + 1.0 / n
+    x[i] = 0.0
+    xbar = state.xbar + ((n - 1) / n - pre) / n
+    return ParticleState(t=state.t, lam=state.lam, xbar=xbar, anchor_time=state.t, anchor_x=x)
+
+
+def replay(log, lam, times, seen, sort=False, tag=""):
+    """Replay all of an EventLog's spikes through apply_spike, from its initial values.
+
+    The logged pre-spike potentials, and at times[k] the potentials
+    (sorted if sort) against seen[k], agree within 1e-12.
+    """
+    x0 = log.initial_values
+    state = ParticleState(t=0.0, lam=lam, xbar=float(np.sort(x0).mean()), anchor_time=0.0, anchor_x=x0.copy())
+    k = 0
+    for ts, x in zip(times, seen):
+        while k < log.spikes and log.times[k] <= ts:
+            state.t = log.times[k]
+            pre = state.positions()[log.indices[k]]
+            assert abs(pre - log.pre_potentials[k]) <= 1e-12, f"{tag}spike {k}"
+            state = apply_spike(state, int(log.indices[k]))
+            k += 1
+        now = state.positions(ts)
+        assert np.max(np.abs((np.sort(now) if sort else now) - x)) <= 1e-12, f"{tag}t={ts}"
+    assert k == log.spikes
+
+
+def constant_drift(value, t1):
+    """The drift a_t = value on [0, t1]."""
+    return DriftSeries(times=np.array([0.0, t1]), a=np.full(2, float(value)))
+
+
+def flow(s, t, x, lam, drift):
+    """phi_{s,t}(x) = exp(-lam (t-s)) (x - I(s)) + I(t) on the drift's flow integral I; vectorized in s or x.
+
+    Start times off the drift's grid raise OutOfGridError; none give an empty array, as in survival.
+    """
+    s_arr = np.asarray(s, dtype=float)
+    if s_arr.size:
+        drift._check_range(float(np.min(s_arr)), t)
+        drift._check_range(float(np.max(s_arr)), t)
+    fi = drift.integral(lam)
+    decay = np.exp(-lam * (t - s_arr))
+    out = decay * np.asarray(x, dtype=float) + (fi.at(t) - decay * fi.rows(s_arr))
+    return float(out) if out.ndim == 0 else out
 
 
 # the invariant pass's cap constants, as neuronmf.invariant has them
@@ -430,7 +511,6 @@ def reference_solve_marginals(config, *, snapshot_times=()):
                 p_t=p_t,
                 node_mass=nodes.mass(),
                 jump_pos=nodes.x[j0:n].copy(),
-                jump_weight=nodes.surv[j0:n].copy(),
                 jump_density=nodes.dens[j0:n].copy(),
                 init_x=xs,
                 init_pos=nodes.x[:ni].copy(),

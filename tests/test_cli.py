@@ -72,6 +72,10 @@ class TestConfigErrors:
             ("invariant", {"lambda": math.nan}),
             ("invariant", {"rate": {"kind": "power", "c": 1.0}}),
             ("simulate", {"seed": math.inf}),
+            ("simulate", {"initial": {"kind": "point_mass", "x0": math.nan}}),
+            ("simulate", {"initial": {"kind": "point_mass", "x0": math.inf}}),
+            ("simulate", {"initial": {"kind": "exponential", "rate": math.inf}}),
+            ("simulate", {"initial": {"kind": "truncated_density", "xs": [0, 1, 2], "values": [1, math.nan, 1]}}),
         ],
     )
     def test_malformed_system_block(self, tmp_path, capsys, command, change):
@@ -110,6 +114,14 @@ class TestConfigErrors:
             ("simulate", {"system": SYSTEM, "event_budget": math.inf}),
             ("simulate", {"system": SYSTEM, "snapshot_times": "ab"}),
             ("simulate", {"snapshot_times": [0.5]}),
+            ("chaos", {"system": SYSTEM, "snapshot_times": [0.5], "n_grid": [10, 20, 40], "replicates": 2,
+                       "r_squared_min": math.nan}),
+            ("chaos", {"system": SYSTEM, "snapshot_times": [0.5], "n_grid": [10, 20, 40], "replicates": 2,
+                       "slope_band": [-0.65, math.nan]}),
+            ("chaos", {"system": SYSTEM, "snapshot_times": [0.5], "n_grid": [10, 20, 40], "replicates": 2,
+                       "slope_band": [-math.inf, -0.35]}),
+            ("equilibrium", {"system": SYSTEM, "floor": math.nan}),
+            ("equilibrium", {"system": SYSTEM, "floor": -math.inf}),
         ],
     )
     def test_malformed_command_keys(self, tmp_path, capsys, command, cfg):

@@ -8,14 +8,12 @@ from scipy.stats import kstest
 
 from neuronmf import (
     ConfigError,
-    DriftSeries,
     InitialLaw,
     MassDriftError,
     RateFunction,
     SystemConfig,
     Tolerances,
     derive_seed,
-    flow,
     simulate,
     simulate_coupled,
     solve_marginals,
@@ -23,9 +21,9 @@ from neuronmf import (
 )
 from neuronmf import limitlaw
 from neuronmf.limitlaw import _coupled_loop, _LimitPaths
-from neuronmf.particle import _EPOCH_DRIFT, ParticleState, apply_spike
+from neuronmf.particle import _EPOCH_DRIFT
 from neuronmf.rng import stream_key
-from oracles import reference_solve_marginals, upwind_marginals
+from oracles import constant_drift, flow, reference_solve_marginals, replay, upwind_marginals
 
 FX = RateFunction.power(1, 1)
 FX2 = RateFunction.power(1, 2)
@@ -77,7 +75,6 @@ class TestSolveMarginals:
         for snap in sol.snapshots:
             assert abs(snap.mass() - 1.0) <= 1e-4
             assert snap.density(0.0) == pytest.approx(snap.p_t / snap.a_t, rel=1e-9)
-            assert np.all(snap.jump_weight > 0) and np.all(snap.jump_weight <= 1.0)
 
     def test_positive_p_and_a(self):
         sol = solve_marginals(exp_config(), snapshot_times=[2.0])
@@ -397,7 +394,7 @@ class TestWindowBound:
         # a drift that stays at its maximum makes the lam > 0 bound tight
         drift = solve_marginals(exp_config(lam=lam), snapshot_times=[2.0]).drift()
         if constant:
-            drift = DriftSeries.constant(float(np.max(drift.a)), 2.0)
+            drift = constant_drift(float(np.max(drift.a)), 2.0)
         paths = _LimitPaths(drift, FX2, lam, 2.0)
         y0 = np.linspace(0.0, 2.0 * paths.abar / max(lam, 1.0), 9)
         if lam > 0:
@@ -418,7 +415,7 @@ class TestWindowBound:
             assert paths.w > w
 
     def test_single_window_without_drift(self):
-        paths = _LimitPaths(DriftSeries.constant(0.0, 2.0), FX2, 1.0, 2.0)
+        paths = _LimitPaths(constant_drift(0.0, 2.0), FX2, 1.0, 2.0)
         paths.start([0.5], [1])
         assert paths.w == 2.0
 
@@ -579,23 +576,6 @@ class TestCoupledBatch:
                     assert getattr(stats, name).tobytes() == getattr(rows[0], name).tobytes(), name
                 assert (stats.proposals, stats.bound_overshoots) == (rows[0].proposals, rows[0].bound_overshoots)
 
-    @staticmethod
-    def replay(lam, logs, snaps, seen):
-        """Replay each row's logged spikes through apply_spike: its pre-spike potentials and snapshots within 1e-12."""
-        for r, log in enumerate(logs):
-            x0 = log.initial_values
-            state = ParticleState(t=0.0, lam=lam, xbar=float(np.sort(x0).mean()), anchor_time=0.0, anchor_x=x0.copy())
-            k = 0
-            for ts, x in zip(snaps, seen):
-                while k < log.spikes and log.times[k] <= ts:
-                    state.t = log.times[k]
-                    pre = state.positions()[log.indices[k]]
-                    assert abs(pre - log.pre_potentials[k]) <= 1e-12, f"row {r} spike {k}"
-                    state = apply_spike(state, int(log.indices[k]))
-                    k += 1
-                assert np.max(np.abs(state.positions(ts) - x[r])) <= 1e-12, f"row {r} t={ts}"
-            assert k == log.spikes
-
     @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("rate", [FX2, RateFunction.polynomial([1.0, 1.0])])
     @pytest.mark.parametrize("n", [1, 2, 50, 400])
@@ -605,7 +585,8 @@ class TestCoupledBatch:
         cfg = exp_config(lam=lam, rate=rate, n=n)
         snaps = [0.5, 1.0, 2.0]
         logs, seen, _ = coupled_batch(cfg, solve_marginals(cfg, snapshot_times=snaps), [101, 102, 103], snaps)
-        self.replay(lam, logs, snaps, seen)
+        for r, log in enumerate(logs):
+            replay(log, lam, snaps, seen[:, r], tag=f"row {r} ")
 
     def test_fold_after_4096_spikes(self, monkeypatch):
         # at N = 1600, lambda 1, each row passes 4096 spikes before t = 4 and
@@ -626,7 +607,8 @@ class TestCoupledBatch:
             assert (logs[r].proposals, logs[r].rebuilds) == (solo.proposals, solo.rebuilds)
             assert logs[r].bound_overshoots == solo.bound_overshoots == 0
             assert seen[:, r].tobytes() == solo_seen[:, 0].tobytes()
-        self.replay(1.0, logs, snaps, seen)
+        for r, log in enumerate(logs):
+            replay(log, 1.0, snaps, seen[:, r], tag=f"row {r} ")
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("n", [1, 2, 50, 400])

@@ -16,11 +16,10 @@ from neuronmf import (
     RateFunction,
     SystemConfig,
     Tolerances,
-    flow,
     substream,
     survival,
 )
-from oracles import reference_rate
+from oracles import constant_drift, flow, reference_rate, sample
 
 FX = RateFunction.power(1, 1)
 FX2 = RateFunction.power(1, 2)
@@ -147,12 +146,12 @@ class TestRateKernel:
 class TestInitialLaw:
     def test_point_mass(self):
         law = InitialLaw.point_mass(1.0)
-        assert np.all(law.sample(substream(1, "a"), 5) == 1.0)
+        assert np.all(sample(law, substream(1, "a"), 5) == 1.0)
 
     def test_exponential_sample_mean(self):
         # CLT band: |mean - 1| < 4/sqrt(n) for Exp(1)
         n = 10_000
-        s = InitialLaw.exponential(1.0).sample(substream(7, "clt"), n)
+        s = sample(InitialLaw.exponential(1.0), substream(7, "clt"), n)
         assert abs(s.mean() - 1.0) < 4 / math.sqrt(n)
         assert np.all(s >= 0)
 
@@ -160,7 +159,7 @@ class TestInitialLaw:
         xs = np.linspace(0, 5, 200)
         law = InitialLaw.from_grid(xs, 3.7 * np.exp(-xs))
         assert np.trapezoid(law.density_values, law.xs) == pytest.approx(1.0, abs=1e-12)
-        s = law.sample(substream(3, "td"), 2000)
+        s = sample(law, substream(3, "td"), 2000)
         assert np.all((s >= 0) & (s <= 5))
 
     def test_invalid_laws_rejected(self):
@@ -170,6 +169,16 @@ class TestInitialLaw:
             InitialLaw.point_mass(-1.0)
         with pytest.raises(ConfigError):
             InitialLaw.from_grid([0, 1], [-1.0, 1.0])
+
+    @pytest.mark.parametrize("kind,args", [
+        ("point_mass", (math.nan,)), ("point_mass", (math.inf,)),
+        ("exponential", (math.nan,)), ("exponential", (math.inf,)),
+        ("from_grid", ([0, 1, 2], [1, math.nan, 1])), ("from_grid", ([0, 1, 2], [1, math.inf, 1])),
+        ("from_grid", ([0, math.nan, 2], [1, 1, 1])), ("from_grid", ([0, 1, math.inf], [1, 1, 1])),
+    ])
+    def test_non_finite_parameters_rejected(self, kind, args):
+        with pytest.raises(ConfigError):
+            getattr(InitialLaw, kind)(*args)
 
 
 class TestSystemConfig:
@@ -194,36 +203,36 @@ class TestSystemConfig:
 
 class TestFlow:
     def test_no_decay_constant_drift(self):
-        d = DriftSeries.constant(1.0, 5.0)
+        d = constant_drift(1.0, 5.0)
         assert flow(0.0, 2.0, 3.0, 0.0, d) == pytest.approx(5.0, abs=1e-10)
 
     def test_pure_decay(self):
-        d = DriftSeries.constant(0.0, 5.0)
+        d = constant_drift(0.0, 5.0)
         assert flow(1.0, 3.0, 2.0, 1.0, d) == pytest.approx(2 * math.exp(-2), abs=1e-10)
 
     def test_decay_with_drift(self):
-        d = DriftSeries.constant(1.0, 5.0)
+        d = constant_drift(1.0, 5.0)
         expect = 3 * math.exp(-2) + 1 - math.exp(-2)
         assert flow(0.0, 2.0, 3.0, 1.0, d) == pytest.approx(expect, abs=1e-9)
 
     def test_identity_at_equal_times(self):
-        d = DriftSeries.constant(1.0, 5.0)
+        d = constant_drift(1.0, 5.0)
         assert flow(2.0, 2.0, 7.0, 1.0, d) == 7.0
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_no_start_times_give_empty_arrays(self, lam):
         # flow, like survival, maps an empty array of start times to an empty array
-        d = DriftSeries.constant(1.0, 4.0)
+        d = constant_drift(1.0, 4.0)
         for out in (flow(np.array([]), 2.0, 1.0, lam, d), survival(np.array([]), 2.0, 1.0, FX2, lam, d)):
             assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_out_of_grid(self):
-        d = DriftSeries.constant(1.0, 5.0)
+        d = constant_drift(1.0, 5.0)
         with pytest.raises(OutOfGridError):
             flow(0.0, 6.0, 1.0, 1.0, d)
         # a start time past t, behind one inside the grid
         with pytest.raises(OutOfGridError):
-            flow(np.array([0.5, 3.0]), 1.0, 0.0, 1.0, DriftSeries.constant(1.0, 4.0))
+            flow(np.array([0.5, 3.0]), 1.0, 0.0, 1.0, constant_drift(1.0, 4.0))
 
     def test_monotone_slope(self):
         # x -> phi_{s,t}(x) is affine with slope exp(-lam (t-s))
@@ -290,20 +299,20 @@ class TestFlow:
 
 class TestSurvival:
     def test_constant_rate(self):
-        d = DriftSeries.constant(0.0, 5.0)
+        d = constant_drift(0.0, 5.0)
         assert survival(0.0, 2.0, 1.0, FX, 0.0, d) == pytest.approx(math.exp(-2), abs=1e-8)
 
     def test_zero_state_is_immortal_without_drift(self):
-        d = DriftSeries.constant(0.0, 5.0)
+        d = constant_drift(0.0, 5.0)
         assert survival(0.0, 3.0, 0.0, FX2, 1.0, d) == 1.0
 
     def test_linear_growth(self):
         # f=x, lam=0, a=1, from 0: exponent int_0^t u du = t^2/2
-        d = DriftSeries.constant(1.0, 5.0)
+        d = constant_drift(1.0, 5.0)
         assert survival(0.0, 2.0, 0.0, FX, 0.0, d) == pytest.approx(math.exp(-2.0), abs=1e-8)
 
     def test_monotone_in_time(self):
-        d = DriftSeries.constant(1.0, 5.0)
+        d = constant_drift(1.0, 5.0)
         vals = [survival(0.0, t, 0.5, FX2, 1.0, d) for t in [0.5, 1.0, 2.0, 4.0]]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -355,7 +364,7 @@ class TestSurvival:
                 assert survival(*args, rate, lam, d).tobytes() == fresh.tobytes()
 
     def test_empty_and_broadcast_shapes(self):
-        d = DriftSeries.constant(1.0, 5.0)
+        d = constant_drift(1.0, 5.0)
         assert survival(np.array([]), 2.0, 0.0, FX, 0.0, d).shape == (0,)
         assert survival(np.zeros((2, 3)), 2.0, 1.0, FX, 0.0, d) == pytest.approx(np.full((2, 3), math.exp(-4.0)))
 

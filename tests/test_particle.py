@@ -8,18 +8,16 @@ from neuronmf import (
     ConfigError,
     EventLog,
     InitialLaw,
-    ParticleState,
     RateFunction,
     Snapshot,
     SystemConfig,
-    apply_spike,
     check_apriori,
     derive_seed,
-    init_system,
     simulate,
 )
-from neuronmf.particle import _EPOCH_DRIFT
+from neuronmf.particle import _EPOCH_DRIFT, _first_blocks, _initial_state
 from neuronmf.rng import BLOCK_UNIFORMS
+from oracles import ParticleState, apply_spike, replay
 
 FX = RateFunction.power(1, 1)
 FX2 = RateFunction.power(1, 2)
@@ -41,15 +39,21 @@ def assert_refills(log):
     assert 2 + 2 * np.bincount(log.indices).max() > 2 * BLOCK_UNIFORMS
 
 
+def initial_state(config, labels=None):
+    """(x, xbar) of the engines' initial state: neuron i at the initial law's quantile of uniform 0 of its label."""
+    _, first = _first_blocks(config.seed, range(config.n) if labels is None else labels)
+    return _initial_state(config, first[:, 0])
+
+
 class TestInitSystem:
     def test_point_mass(self):
-        state = init_system(make_config(n=4, initial=InitialLaw.point_mass(1.0)))
-        assert np.all(state.anchor_x == 1.0)
-        assert state.xbar == 1.0
+        x, xbar = initial_state(make_config(n=4, initial=InitialLaw.point_mass(1.0)))
+        assert np.all(x == 1.0)
+        assert xbar == 1.0
 
     def test_clt_band(self):
-        state = init_system(make_config(n=10_000))
-        assert abs(state.xbar - 1.0) < 4 / math.sqrt(10_000)
+        _, xbar = initial_state(make_config(n=10_000))
+        assert abs(xbar - 1.0) < 4 / math.sqrt(10_000)
 
     def test_zero_particles_rejected(self):
         with pytest.raises(ConfigError):
@@ -59,15 +63,15 @@ class TestInitSystem:
     def test_mean_is_the_sorted_numpy_mean(self, n):
         # the mean is taken as a sum over the sorted potentials divided by N,
         # which must round exactly like np.mean does on them
-        state = init_system(make_config(n=n, seed=n))
-        assert state.xbar == float(np.sort(state.anchor_x).mean())
+        x, xbar = initial_state(make_config(n=n, seed=n))
+        assert xbar == float(np.sort(x).mean())
 
     @pytest.mark.parametrize("labels", [None, [3, 0, 4, 1, 2]], ids=["default", "permuted"])
     def test_is_the_state_simulate_starts_from(self, labels):
         cfg = make_config(n=5)
-        state = init_system(cfg, labels)
+        x, _ = initial_state(cfg, labels)
         log, _ = simulate(cfg, [], stream_labels=labels)
-        assert np.array_equal(state.anchor_x, log.initial_values)
+        assert np.array_equal(x, log.initial_values)
 
 
 class TestParticleState:
@@ -284,30 +288,14 @@ class TestSnapshotTimes:
 class TestEngineAgainstReference:
     """The engine's O(1) affine spike update against the one-spike definition."""
 
-    @staticmethod
-    def replay(log, snaps, lam):
-        # apply_spike and ParticleState.positions, replayed over the logged
-        # spikes, give the logged pre-spike potentials and the snapshots
-        x0 = log.initial_values
-        state = ParticleState(t=0.0, lam=lam, xbar=float(np.sort(x0).mean()), anchor_time=0.0, anchor_x=x0.copy())
-        k = 0
-        for snap in snaps:
-            while k < log.spikes and log.times[k] <= snap.time:
-                state.t = log.times[k]
-                pre = state.positions()[log.indices[k]]
-                assert abs(pre - log.pre_potentials[k]) <= 1e-12, f"spike {k}"
-                state = apply_spike(state, int(log.indices[k]))
-                k += 1
-            replayed = np.sort(state.positions(snap.time))
-            assert np.max(np.abs(replayed - snap.sorted_values)) <= 1e-12, f"t={snap.time}"
-        assert k == log.spikes
-
     @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("rate", [FX2, RateFunction.polynomial([1.0, 1.0])])
     @pytest.mark.parametrize("n", [1, 2, 50, 400])
     def test_replay_through_apply_spike(self, lam, rate, n):
+        # apply_spike and ParticleState.positions, replayed over the logged
+        # spikes, give the logged pre-spike potentials and the snapshots
         log, snaps = simulate(make_config(n=n, lam=lam, rate=rate, seed=101), [0.5, 1.0, 2.0])
-        self.replay(log, snaps, lam)
+        replay(log, lam, [s.time for s in snaps], [s.sorted_values for s in snaps], sort=True)
 
     def test_replay_across_long_quiet_gaps(self):
         # decays below 1e-100 between spikes: the affine scale is folded into y
@@ -316,7 +304,7 @@ class TestEngineAgainstReference:
         log, snaps = simulate(cfg, [50.0, 100.0, 200.0])
         gaps = np.diff(np.concatenate([[0.0], log.times]))
         assert np.max(gaps) * cfg.lam > 745  # exp(-lam * gap) underflows to 0
-        self.replay(log, snaps, cfg.lam)
+        replay(log, cfg.lam, [s.time for s in snaps], [s.sorted_values for s in snaps], sort=True)
 
     def test_reset_neuron_alone_never_proposes(self):
         # N=1: an epoch is one spike with slack (M-1)/N = 0, so after its spike

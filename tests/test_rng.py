@@ -5,7 +5,7 @@ import struct
 import numpy as np
 
 import neuronmf.particle
-from neuronmf import InitialLaw, RateFunction, SystemConfig, init_system, simulate, simulate_coupled, solve_marginals
+from neuronmf import InitialLaw, RateFunction, SystemConfig, simulate, simulate_coupled, solve_marginals
 from neuronmf.rng import BLOCK_UNIFORMS, read_blocks, stream_key, uniform_array
 
 KEY = stream_key(7, "prop")
@@ -57,7 +57,6 @@ def test_engine_builds_no_generator(monkeypatch):
     log, _ = simulate(cfg, [1.0])
     (stats,) = simulate_coupled(cfg, sol, [1.0], seeds=[cfg.seed])
     assert log.proposals > 0 and stats.proposals > 0
-    assert init_system(cfg).n == cfg.n
 
 
 
